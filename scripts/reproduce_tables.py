@@ -30,7 +30,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", type=Path, default=None,
                         help="directory for full-precision CSVs")
     args = parser.parse_args()
@@ -39,8 +38,7 @@ def main():
     for mode in ("smooth", "gene"):
         design = SimDesign(rho=0.0, n_runs=args.reps, seed=args.seed,
                            effect_mode=mode)
-        report = run_experiment(design, estimators=("two_stage", "replicate_average"),
-                                threads=args.threads)
+        report = run_experiment(design, estimators=("two_stage", "replicate_average"))
         label = "smooth" if mode == "smooth" else "nonsmooth"
         print(f"-- {label} effects --")
         print(report.format_table())
@@ -52,8 +50,7 @@ def main():
     for rho in (-0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8):
         design = SimDesign(rho=rho, n_runs=args.reps, seed=args.seed)
         report = run_experiment(
-            design, estimators=("replicate_average", "corrected", "oracle"),
-            threads=args.threads)
+            design, estimators=("replicate_average", "corrected", "oracle"))
         print(f"-- rho = {rho:+.1f} --")
         print(report.format_table())
         if args.out:

@@ -28,10 +28,17 @@ from .model import (
     tricube_kernel,
     validate,
 )
-from .smoothing import ScatterData, fit_curve, kde, kde_values, local_linear_at, local_linear_fit
+from .smoothing import (
+    ScatterData,
+    density_interpolator,
+    fit_curve,
+    kde,
+    kde_values,
+    local_linear_at,
+    local_linear_fit,
+)
 from .synthetic import SyntheticData, residual_squares, synthetic_responses, unbiasing_matrix
 from .estimators import (
-    CurveBundle,
     average_curves,
     clamp_nonnegative,
     correct_curve,
@@ -41,7 +48,6 @@ from .estimators import (
     pooled_curve,
     replicate_curves,
     two_stage_curve,
-    variance_curves,
 )
 from .correlation import (
     FixedPointResult,
@@ -54,18 +60,18 @@ from .correlation import (
 from .asymptotics import (
     AsymptoticContext,
     corrected_curve_se,
+    corrected_curve_stderr,
     pooled_curve_asymptotics,
     replicate_curve_asymptotics,
     residual_square_cov,
     synthetic_response_cov,
 )
 from .inference import (
-    GeneCall,
     TestConstants,
     ValidationResult,
     gene_sigma,
     power_increase,
-    select_genes,
+    selection_counts,
     test_constants,
     validation_tests,
 )

@@ -34,11 +34,13 @@ import numpy as np
 
 from .model import (
     CorrelationEstimate,
+    EstimationConfig,
     GenevarError,
     InvalidReplicateCount,
     KernelSpec,
     ZeroDiscriminant,
 )
+from .correlation import FixedPointResult
 from .synthetic import unbiasing_matrix
 
 
@@ -251,3 +253,37 @@ def corrected_curve_se(eta_var: float, eta_val: float,
         raise ZeroDiscriminant("discriminant must be positive for the delta method")
     psi = r * s1 / math.sqrt(disc) + 1.0
     return abs(psi) * math.sqrt(eta_var)
+
+
+def corrected_curve_stderr(fp: FixedPointResult, n_genes: int, n_arrays: int,
+                           config: EstimationConfig, density) -> np.ndarray:
+    """Delta-method standard errors of the fixed point's corrected curve.
+
+    At each grid point the plug-in pooled-curve variance V*, divided by J
+    because the curve averages J per-array fits, goes through
+    corrected_curve_se; the plug-in scale is fp.curve.scale_at and density
+    gives f(x).  Entries stay NaN where the curve or the mean uncorrected
+    curve is undefined, where the discriminant is not positive, and
+    everywhere when I < 3 (the closed forms need I >= 3).
+    """
+    curve, est = fp.curve, fp.estimate
+    stderr = np.full(curve.grid.shape, np.nan)
+    if est.n_reps < 3:
+        return stderr
+    eta_mean = np.mean([c.values for c in fp.uncorrected], axis=0)
+    ok = curve.evaluable & np.isfinite(curve.values) & np.isfinite(eta_mean)
+
+    def f_x(t):
+        return max(float(density(t)[0]), 1e-12)
+
+    ctx = AsymptoticContext(
+        sigma_fn=curve.scale_at, sigma1=est.sigma1, sigma2=est.sigma2,
+        rho=est.rho, f_x=f_x, kernel=config.kernel, n_genes=n_genes,
+        bandwidth=config.bandwidth, n_reps=est.n_reps)
+    for k in np.flatnonzero(ok):
+        vstar = pooled_curve_asymptotics(ctx, float(curve.grid[k]))[3] / n_arrays
+        try:
+            stderr[k] = corrected_curve_se(vstar, float(eta_mean[k]), est)
+        except ZeroDiscriminant:
+            pass
+    return stderr

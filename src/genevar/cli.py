@@ -7,8 +7,9 @@ validate   per-array bias tests T1..T4 with p-values
 select     t-test vs z-test gene calls, counts grid, power report
 simulate   benchmark presets (table1 / table2 / table3)
 
-Every command writes a manifest.json (flags, seed, package and library
-versions, input digests) sufficient to re-run bit-identically.  Exit codes:
+Every command writes a manifest.json (flags, package and library versions,
+input digests) sufficient to re-run bit-identically; simulate's flags include
+its --seed.  Exit codes:
 0 success, 2 usage, 3 malformed input file, 4 invalid data for the requested
 analysis, 5 estimation did not converge.
 """
@@ -37,12 +38,19 @@ from .model import (
     default_grid,
     validate,
 )
-from .asymptotics import AsymptoticContext, corrected_curve_se, pooled_curve_asymptotics
+from .asymptotics import corrected_curve_stderr
 from .correlation import fixed_point_solve
-from .inference import gene_sigma, power_increase, t_pvalues, validation_tests, z_pvalues
+from .inference import (
+    gene_sigma,
+    power_increase,
+    selection_counts,
+    t_pvalues,
+    validation_tests,
+    z_pvalues,
+)
 from .io import read_table
 from .simulation import SimDesign, run_experiment
-from .smoothing import kde_values
+from .smoothing import density_interpolator
 
 EXIT_OK = 0
 EXIT_INGESTION = 3
@@ -59,6 +67,21 @@ def _float_list(text):
 
 def _int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _pair_list(text):
+    """'a:b,c:d' -> ((a, b), (c, d))."""
+    pairs = []
+    for tok in text.split(","):
+        if tok.strip():
+            a, _, b = tok.partition(":")
+            try:
+                pairs.append((int(a), int(b)))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"bad pair {tok.strip()!r}; expected 'a:b' with integer "
+                    "indices") from None
+    return tuple(pairs)
 
 
 def _sha256(path: Path) -> str:
@@ -113,21 +136,6 @@ def _fit_model(mset: MultiArraySet, config: EstimationConfig, rho_flag):
     return fixed_point_solve(mset, config, fixed_rho=rho_flag)
 
 
-def _density_interpolator(sample, config, n_points=512):
-    """Density evaluated once on a dense grid, then interpolated; avoids a
-    fresh kernel pass per gene on large inputs."""
-    sample = np.asarray(sample, dtype=float).ravel()
-    pad = config.kernel.support_halfwidth * config.bandwidth
-    grid = np.linspace(sample.min() - pad, sample.max() + pad, n_points)
-    dens = kde_values(sample, config, grid)
-
-    def density(points):
-        return np.interp(np.atleast_1d(np.asarray(points, dtype=float)),
-                         grid, dens)
-
-    return density
-
-
 def cmd_estimate(args) -> int:
     mset = read_table(args.input)
     for a in mset.arrays:
@@ -135,42 +143,10 @@ def cmd_estimate(args) -> int:
     config = _build_config(args, mset.pooled_x())
     fp = _fit_model(mset, config, args.rho)
     est = fp.estimate
-
-    # Delta-method standard errors from the plug-in asymptotic variance of
-    # the uncorrected curve.
-    pooled_x = mset.pooled_x()
     curve = fp.curve
-    eta_mean = np.mean([c.values for c in fp.uncorrected], axis=0)
-    ok = curve.evaluable & np.isfinite(curve.values)
-    if not ok.any():
-        raise GenevarError("variance curve is degenerate everywhere")
-
-    def sigma_fn(t):
-        return np.interp(t, curve.grid[ok],
-                         np.sqrt(np.clip(curve.values[ok], 0.0, None)))
-
-    density = _density_interpolator(pooled_x, config)
-
-    def f_x(t):
-        return max(float(density(t)[0]), 1e-12)
-
-    stderr = np.full(curve.grid.shape, np.nan)
-    if mset.n_replicates >= 3:
-        ctx = AsymptoticContext(
-            sigma_fn=sigma_fn, sigma1=est.sigma1, sigma2=est.sigma2,
-            rho=est.rho, f_x=f_x, kernel=config.kernel,
-            n_genes=mset.n_genes, bandwidth=config.bandwidth,
-            n_reps=mset.n_replicates)
-        for k, xk in enumerate(curve.grid):
-            if not ok[k] or not np.isfinite(eta_mean[k]):
-                continue
-            _, _, _, vstar = pooled_curve_asymptotics(ctx, float(xk))
-            # Curve averages J per-array fits, so the plug-in variance shrinks.
-            vstar /= mset.n_arrays
-            try:
-                stderr[k] = corrected_curve_se(vstar, float(eta_mean[k]), est)
-            except GenevarError:
-                stderr[k] = np.nan
+    stderr = corrected_curve_stderr(
+        fp, mset.n_genes, mset.n_arrays, config,
+        density_interpolator(mset.pooled_x(), config))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -193,19 +169,6 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _genewise_scales(mset, curve, config):
-    """Per-array matrix of genewise standard deviations from the curve."""
-    density = _density_interpolator(mset.pooled_x(), config)
-    out = []
-    for array in mset.arrays:
-        s2 = np.array([
-            gene_sigma(curve, array.x[g], density)
-            for g in range(array.n_genes)
-        ])
-        out.append(np.sqrt(np.clip(s2, 0.0, None)))
-    return out
-
-
 def cmd_validate(args) -> int:
     mset = read_table(args.input)
     if mset.n_replicates < 2:
@@ -215,10 +178,11 @@ def cmd_validate(args) -> int:
         validate(a)
     config = _build_config(args, mset.pooled_x())
     fp = _fit_model(mset, config, args.rho)
-    scales = _genewise_scales(mset, fp.curve, config)
+    density = density_interpolator(mset.pooled_x(), config)
 
     results = []
-    for j, (array, sigma_g) in enumerate(zip(mset.arrays, scales), start=1):
+    for j, array in enumerate(mset.arrays, start=1):
+        sigma_g = np.sqrt(np.clip(gene_sigma(fp.curve, array.x, density), 0.0, None))
         results.append(validation_tests(array, sigma_g, array_id=f"array{j}"))
 
     outdir = Path(args.out)
@@ -235,15 +199,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _array_at(mset: MultiArraySet, j: int) -> ReplicatedArray:
+    """The array with 1-based index j."""
+    if not 1 <= j <= mset.n_arrays:
+        raise GenevarError(
+            f"array index {j} is outside 1..J (J={mset.n_arrays})")
+    return mset.arrays[j - 1]
+
+
 def _apply_dye_swaps(mset: MultiArraySet, swapped) -> MultiArraySet:
     """Negate the log ratios of dye-swapped arrays (1-based indices)."""
-    arrays = []
-    for j, array in enumerate(mset.arrays, start=1):
-        if j in swapped:
-            arrays.append(ReplicatedArray(x=array.x, y=-array.y,
-                                          gene_ids=array.gene_ids))
-        else:
-            arrays.append(array)
+    arrays = list(mset.arrays)
+    for j in sorted(swapped):
+        array = _array_at(mset, j)
+        arrays[j - 1] = ReplicatedArray(x=array.x, y=-array.y,
+                                        gene_ids=array.gene_ids)
     return MultiArraySet(arrays=tuple(arrays))
 
 
@@ -251,7 +221,7 @@ def _average_pairs(mset: MultiArraySet, pairs) -> MultiArraySet:
     """Average listed array pairs (e.g. a dye swap with its partner)."""
     arrays = []
     for a, b in pairs:
-        first, second = mset.arrays[a - 1], mset.arrays[b - 1]
+        first, second = _array_at(mset, a), _array_at(mset, b)
         arrays.append(ReplicatedArray(
             x=0.5 * (first.x + second.x),
             y=0.5 * (first.y + second.y),
@@ -264,9 +234,7 @@ def cmd_select(args) -> int:
     if args.swap_arrays:
         mset = _apply_dye_swaps(mset, set(args.swap_arrays))
     if args.average_pairs:
-        pairs = [tuple(int(t) for t in pair.split(":"))
-                 for pair in args.average_pairs.split(",")]
-        mset = _average_pairs(mset, pairs)
+        mset = _average_pairs(mset, args.average_pairs)
     if mset.n_arrays < 2:
         raise TooFewArrays("gene selection needs at least two observations per gene")
 
@@ -281,13 +249,9 @@ def cmd_select(args) -> int:
     rho = args.rho if args.rho is not None else 0.0
     fp = fixed_point_solve(MultiArraySet(arrays=(super_array,)), config,
                            fixed_rho=rho)
-    curve = fp.curve
-
-    density = _density_interpolator(super_array.x.ravel(), config)
-    sigma_hat = np.sqrt(np.clip([
-        gene_sigma(curve, super_array.x[g], density)
-        for g in range(super_array.n_genes)
-    ], 1e-12, None))
+    density = density_interpolator(super_array.x.ravel(), config)
+    sigma_hat = np.sqrt(np.clip(gene_sigma(fp.curve, super_array.x, density),
+                                1e-12, None))
 
     n = super_array.n_replicates
     means = super_array.y.mean(axis=1)
@@ -306,15 +270,7 @@ def cmd_select(args) -> int:
                  float(z_stat[k]), float(p_z[k]), bool(flagged[k]))
                 for k, gid in enumerate(super_array.gene_ids)])
 
-    counts_rows = []
-    for fc in args.fold_changes:
-        for alpha in args.alphas:
-            passed_fc = fold > fc
-            counts_rows.append((
-                fc, alpha,
-                int(np.sum((p_t < alpha) & passed_fc)),
-                int(np.sum((p_z < alpha) & passed_fc)),
-            ))
+    counts_rows = selection_counts(p_t, p_z, fold, args.fold_changes, args.alphas)
     _write_csv(outdir / "counts.csv",
                ["fold_change", "alpha", "t_selected", "z_selected"], counts_rows)
 
@@ -353,7 +309,7 @@ def cmd_simulate(args) -> int:
         effect_mode="smooth" if (args.preset == "table1"
                                  and args.alpha_mode == "smooth") else "gene",
     )
-    report = run_experiment(design, estimators=estimators, threads=args.threads)
+    report = run_experiment(design, estimators=estimators)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -392,8 +348,6 @@ def _add_common(parser, with_input=True):
                         help="kernel bandwidth in log2-intensity units")
     parser.add_argument("--grid", default=None,
                         help="'lo:hi:n' or point count (default 101, data-driven range)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--rho", type=float, default=None,
                         help="override the replicate correlation")
     parser.add_argument("--format", choices=["csv", "table"], default="table")
@@ -421,13 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated fold-change thresholds")
     p.add_argument("--swap-arrays", type=_int_list, default=(),
                    help="1-based indices of dye-swapped arrays (ratios negated)")
-    p.add_argument("--average-pairs", default=None,
-                   help="pairs to average, e.g. '1:6,2:7'")
+    p.add_argument("--average-pairs", type=_pair_list, default=None,
+                   help="1-based array pairs to average, e.g. '1:6,2:7'")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="benchmark presets")
     p.add_argument("--preset", choices=sorted(PRESETS), required=True)
     _add_common(p, with_input=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=100, help="number of runs")
     p.add_argument("--n-genes", type=int, default=2000)
     p.add_argument("--replicates", type=int, default=3)

@@ -118,16 +118,6 @@ class FixedPointResult:
     rho_path: tuple
 
 
-def _sigma_evaluations(curve_values, grid, points):
-    """Noise-scale evaluations at data points: interpolate sqrt of the
-    clamped curve over its evaluable grid points."""
-    ok = np.isfinite(curve_values)
-    if not ok.any():
-        raise GenevarError("variance curve is degenerate everywhere")
-    scale = np.sqrt(np.clip(curve_values[ok], 0.0, None))
-    return np.interp(points, grid[ok], scale)
-
-
 def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
                       rho_raw: Optional[float] = None,
                       fixed_rho: Optional[float] = None,
@@ -179,7 +169,7 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     iterations = 0
 
     for iterations in range(1, config.max_iterations + 1):
-        scale = _sigma_evaluations(current, grid, points)
+        scale = VarianceCurve(grid=grid, values=current).scale_at(points)
         sigma1 = float(scale.mean())
         sigma2 = float((scale * scale).mean())
         if sigma1 <= 0:

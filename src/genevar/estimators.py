@@ -25,8 +25,6 @@ biased when the gene effects are not smooth in X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
@@ -76,20 +74,6 @@ def pooled_curve(sdata: SyntheticData, config: EstimationConfig) -> VarianceCurv
     """Single fit pooling all N*I pairs (X_gi, Z_gi)."""
     return fit_curve(
         ScatterData(sdata.source.x.ravel(), sdata.z.ravel()), config)
-
-
-@dataclass(frozen=True)
-class CurveBundle:
-    per_replicate: tuple
-    averaged: VarianceCurve
-    pooled: VarianceCurve
-
-
-def variance_curves(sdata: SyntheticData, config: EstimationConfig) -> CurveBundle:
-    per = replicate_curves(sdata, config)
-    return CurveBundle(per_replicate=per,
-                       averaged=average_curves(per),
-                       pooled=pooled_curve(sdata, config))
 
 
 def _root_to_variance(grid, root, disc, base_flags):

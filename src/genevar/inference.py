@@ -122,38 +122,28 @@ def validation_tests(array: ReplicatedArray, sigma_g,
                             t3=t3, p3=p3, t4=t4, p4=p4)
 
 
-def gene_sigma(curve: VarianceCurve, x_row, density) -> float:
-    """Density-weighted mean of the variance curve at a gene's intensities.
+def gene_sigma(curve: VarianceCurve, x, density):
+    """Density-weighted mean of the variance curve at each gene's intensities.
 
-    Off-grid intensities are linearly interpolated over the curve's
-    evaluable points.
+    One gene's intensities lie along the last axis of x, and the mean is
+    taken over that axis: a 1-d row gives one float, an (N, m) matrix gives
+    an array of N values.  Off-grid intensities go through
+    curve.variance_at.  density is called once, on all intensities
+    flattened; ZeroDensityEverywhere is raised when any gene's weights all
+    vanish.
     """
-    pts = np.atleast_1d(np.asarray(x_row, dtype=float))
-    ok = curve.evaluable & np.isfinite(curve.values)
-    if not ok.any():
-        raise GenevarError("variance curve has no evaluable points")
-    vals = np.interp(pts, curve.grid[ok], curve.values[ok])
-    w = np.atleast_1d(np.asarray(density(pts), dtype=float))
+    pts = np.atleast_1d(np.asarray(x, dtype=float))
+    flat = pts.ravel()
+    vals = curve.variance_at(flat).reshape(pts.shape)
+    w = np.asarray(density(flat), dtype=float).reshape(pts.shape)
     if np.any(w < 0):
         raise GenevarError("density weights must be nonnegative")
-    total = w.sum()
-    if total <= 0:
+    total = w.sum(axis=-1)
+    if np.any(total <= 0):
         raise ZeroDensityEverywhere(
-            "density vanishes at every intensity of this gene")
-    return float((vals * w).sum() / total)
-
-
-@dataclass(frozen=True)
-class GeneCall:
-    gene_id: str
-    mean: float
-    sigma_g: float
-    fold_change: float
-    t_stat: Optional[float] = None
-    p_t: Optional[float] = None
-    z_stat: Optional[float] = None
-    p_z: Optional[float] = None
-    flagged: bool = False
+            "density vanishes at every intensity of a gene")
+    out = (vals * w).sum(axis=-1) / total
+    return float(out) if pts.ndim == 1 else out
 
 
 def t_pvalues(means, sd, n):
@@ -184,40 +174,18 @@ def z_pvalues(means, sigma, n):
     return stat, 2.0 * stats.norm.sf(np.abs(stat))
 
 
-def select_genes(means, sigma_g, n: int, alpha: float, fc_threshold: float,
-                 mode: str, gene_ids=None):
-    """Genes with p < alpha and fold change 2^|mean| > fc_threshold.
+def selection_counts(p_t, p_z, fold, fold_changes, alphas):
+    """Genes selected by the t-test and the z-test over a threshold grid.
 
-    mode 't' treats sigma_g as per-gene sample standard deviations and uses
-    the t reference with n-1 df; mode 'z' treats sigma_g as known scales and
-    uses the normal reference.
+    A gene is selected when p < alpha and its fold change 2^|mean| exceeds
+    fc.  Returns one (fc, alpha, t_count, z_count) row per pair, fold
+    changes outermost.
     """
-    means = np.asarray(means, dtype=float)
-    sigma_g = np.asarray(sigma_g, dtype=float)
-    if gene_ids is None:
-        gene_ids = [f"g{k + 1}" for k in range(means.size)]
-    fold = 2.0 ** np.abs(means)
-    if mode == "t":
-        if n < 2:
-            raise GenevarError("t-test needs n >= 2")
-        stat, p, degenerate = t_pvalues(means, sigma_g, n)
-    elif mode == "z":
-        stat, p = z_pvalues(means, sigma_g, n)
-        degenerate = np.zeros(means.shape, dtype=bool)
-    else:
-        raise GenevarError(f"unknown mode {mode!r}; use 't' or 'z'")
-    selected = (p < alpha) & (fold > fc_threshold)
-    calls = []
-    for k in np.flatnonzero(selected):
-        kwargs = dict(gene_id=str(gene_ids[k]), mean=float(means[k]),
-                      sigma_g=float(sigma_g[k]), fold_change=float(fold[k]),
-                      flagged=bool(degenerate[k]))
-        if mode == "t":
-            kwargs.update(t_stat=float(stat[k]), p_t=float(p[k]))
-        else:
-            kwargs.update(z_stat=float(stat[k]), p_z=float(p[k]))
-        calls.append(GeneCall(**kwargs))
-    return calls
+    def count(p, alpha, fc):
+        return int(np.sum((p < alpha) & (fold > fc)))
+
+    return [(fc, alpha, count(p_t, alpha, fc), count(p_z, alpha, fc))
+            for fc in fold_changes for alpha in alphas]
 
 
 def power_increase(means, sigma_g, n: int, alpha: float, sample_sd=None):

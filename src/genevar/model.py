@@ -12,7 +12,7 @@ within-gene correlation rho.  Everything downstream estimates s(.)^2 and rho
 from such data.
 
 All containers here are immutable after construction (their arrays are made
-read-only), so they can be shared freely across worker threads.
+read-only), so they can be shared freely between callers.
 """
 
 from __future__ import annotations
@@ -367,6 +367,25 @@ class VarianceCurve:
     def evaluable(self) -> np.ndarray:
         """Mask of grid points with a defined value."""
         return (self.flags & FLAG_DEGENERATE) == 0
+
+    def _evaluable_points(self):
+        ok = self.evaluable & np.isfinite(self.values)
+        if not ok.any():
+            raise GenevarError("variance curve has no evaluable points")
+        return self.grid[ok], self.values[ok]
+
+    def variance_at(self, points) -> np.ndarray:
+        """Variance at arbitrary points, linearly interpolated over the
+        evaluable grid points (flagged and NaN points are skipped; beyond the
+        end points the nearest evaluable value is held)."""
+        grid, values = self._evaluable_points()
+        return np.interp(points, grid, values)
+
+    def scale_at(self, points) -> np.ndarray:
+        """Noise scale sqrt(max(variance, 0)) at arbitrary points, interpolated
+        over the same evaluable grid points as variance_at."""
+        grid, values = self._evaluable_points()
+        return np.interp(points, grid, np.sqrt(np.clip(values, 0.0, None)))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ exp(-1/(1-(x-13)^2)) on (12, 14) evaluated at each spot's intensity.
 Noise rows are equicorrelated standard normal with correlation rho, drawn
 through the Cholesky factor of the equicorrelation matrix.
 
-Each run is seeded from (seed, run, array) so parallel execution is
-bit-reproducible regardless of scheduling.  Per grid point x_k over T runs,
+Each run is seeded from (seed, run, array), so every run is bit-reproducible
+on its own, whatever runs precede it.  Per grid point x_k over T runs,
 with estimate m_t(x_k) and truth v(x_k):
 
     B_k = mean_t m_t(x_k) - v(x_k),   S_k = var_t m_t(x_k),
@@ -29,7 +29,6 @@ run t alone.  Displayed values follow the x1000 convention.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -301,13 +300,13 @@ class SimulationReport:
 
 
 def run_experiment(design: SimDesign,
-                   estimators=("replicate_average", "corrected", "oracle"),
-                   threads: int = 1) -> SimulationReport:
+                   estimators=("replicate_average", "corrected", "oracle")
+                   ) -> SimulationReport:
     """Run design.n_runs simulations and reduce them to a report.
 
-    Results are bit-identical for a given seed whatever the thread count:
-    per-run curves land in preallocated slots and all reductions are plain
-    numpy sums over fixed-shape arrays.
+    Results are bit-identical for a given seed: per-run curves land in
+    preallocated slots and all reductions are plain numpy sums over
+    fixed-shape arrays.
     """
     for name in estimators:
         if name not in ESTIMATORS:
@@ -318,15 +317,8 @@ def run_experiment(design: SimDesign,
     curves = {name: np.empty((t_runs, k)) for name in estimators}
     params = np.full((t_runs, 3), np.nan)
 
-    def work(t):
-        return _run_once(design, t, estimators, truth_moments)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(t_runs)))
-    else:
-        results = [work(t) for t in range(t_runs)]
-    for t, (out, par) in enumerate(results):
+    for t in range(t_runs):
+        out, par = _run_once(design, t, estimators, truth_moments)
         for name in estimators:
             curves[name][t] = out[name]
         if par is not None:

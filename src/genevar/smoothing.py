@@ -170,6 +170,22 @@ def kde_values(x, config: EstimationConfig, points) -> np.ndarray:
     return out
 
 
+def density_interpolator(sample, config: EstimationConfig, n_points: int = 512):
+    """Density of sample evaluated once on a dense grid, then interpolated;
+    avoids a fresh kernel pass per gene on large inputs.  Returns a callable
+    mapping points to density values."""
+    sample = np.asarray(sample, dtype=float).ravel()
+    pad = config.kernel.support_halfwidth * config.bandwidth
+    grid = np.linspace(sample.min() - pad, sample.max() + pad, n_points)
+    dens = kde_values(sample, config, grid)
+
+    def density(points):
+        return np.interp(np.atleast_1d(np.asarray(points, dtype=float)),
+                         grid, dens)
+
+    return density
+
+
 def kde(x, config: EstimationConfig, x0: float) -> float:
     """Density estimate at a single point."""
     return float(kde_values(x, config, [float(x0)])[0])

@@ -1,17 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from genevar.asymptotics import (
     AsymptoticContext,
     corrected_curve_se,
+    corrected_curve_stderr,
     cov_identity_residual,
     pooled_curve_asymptotics,
     replicate_curve_asymptotics,
     residual_square_cov,
     synthetic_response_cov,
 )
-from genevar.model import CorrelationEstimate, InvalidReplicateCount, ZeroDiscriminant, tricube_kernel
+from genevar.correlation import fixed_point_solve
+from genevar.model import (
+    CorrelationEstimate,
+    InvalidReplicateCount,
+    VarianceCurve,
+    ZeroDiscriminant,
+    tricube_kernel,
+)
 from genevar.simulation import (
+    SimDesign,
+    generate_set,
     intensity_density,
     sample_intensities,
     scale_curvature,
@@ -19,6 +31,7 @@ from genevar.simulation import (
     variance_curvature,
     variance_function,
 )
+from genevar.smoothing import density_interpolator
 from genevar.synthetic import synthetic_responses, unbiasing_matrix
 from conftest import make_array
 
@@ -260,3 +273,53 @@ class TestDeltaMethod:
                                   iterations=0, converged=True)
         with pytest.raises(ZeroDiscriminant):
             corrected_curve_se(1.0, 0.25 - 0.5, est)
+
+
+def fitted(n_reps, unit_config):
+    mset = generate_set(SimDesign(n_genes=600, n_replicates=n_reps, rho=0.3,
+                                  seed=9), 0)
+    fp = fixed_point_solve(mset, unit_config)
+    return mset, fp, density_interpolator(mset.pooled_x(), unit_config)
+
+
+class TestCorrectedCurveStderr:
+    def test_two_replicates_all_nan(self, unit_config):
+        mset, fp, density = fitted(2, unit_config)
+        se = corrected_curve_stderr(fp, mset.n_genes, mset.n_arrays,
+                                    unit_config, density)
+        assert se.shape == unit_config.grid.shape
+        assert np.all(np.isnan(se))
+
+    def test_matches_pointwise_delta_method(self, unit_config):
+        mset, fp, density = fitted(3, unit_config)
+        se = corrected_curve_stderr(fp, mset.n_genes, mset.n_arrays,
+                                    unit_config, density)
+        est = fp.estimate
+        ctx = AsymptoticContext(
+            sigma_fn=fp.curve.scale_at, sigma1=est.sigma1, sigma2=est.sigma2,
+            rho=est.rho, f_x=lambda t: max(float(density(t)[0]), 1e-12),
+            kernel=unit_config.kernel, n_genes=mset.n_genes, bandwidth=1.0,
+            n_reps=3)
+        k = 60
+        eta = np.mean([c.values[k] for c in fp.uncorrected])
+        vstar = pooled_curve_asymptotics(ctx, float(unit_config.grid[k]))[3]
+        assert se[k] == corrected_curve_se(vstar / mset.n_arrays, float(eta), est)
+        assert np.isfinite(se[fp.curve.flags == 0]).all()
+
+    def test_nonpositive_discriminant_gives_nan(self, unit_config):
+        mset, fp, density = fitted(3, unit_config)
+        k = 40
+        uncorrected = []
+        for c in fp.uncorrected:
+            values = c.values.copy()
+            values[k] = -10.0  # rho^2 s1^2 - rho s1^2 + eta < 0
+            uncorrected.append(VarianceCurve(grid=c.grid, values=values,
+                                             flags=c.flags))
+        broken = dataclasses.replace(fp, uncorrected=tuple(uncorrected))
+        base = corrected_curve_stderr(fp, mset.n_genes, mset.n_arrays,
+                                      unit_config, density)
+        se = corrected_curve_stderr(broken, mset.n_genes, mset.n_arrays,
+                                    unit_config, density)
+        assert np.isfinite(base[k]) and np.isnan(se[k])
+        others = np.arange(se.size) != k
+        assert np.array_equal(se[others], base[others], equal_nan=True)

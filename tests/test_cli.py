@@ -195,6 +195,25 @@ class TestSelect:
         calls = read_rows(out / "gene_calls.csv")
         assert len(calls) == 400
 
+    @pytest.mark.parametrize("flags, index", [
+        (["--average-pairs", "0:1,2:3"], 0),  # 0 must not wrap to the last array
+        (["--swap-arrays", "9"], 9),
+        (["--average-pairs", "1:9"], 9),
+    ])
+    def test_array_index_out_of_range(self, selection_csv, tmp_path, capsys,
+                                      flags, index):
+        assert main(["select", "--input", str(selection_csv),
+                     "--out", str(tmp_path / "out"), "--format", "csv"]
+                    + flags) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"array index {index} " in err and "J=5" in err
+
+    def test_malformed_pair_usage_error(self, selection_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--input", str(selection_csv),
+                  "--out", str(tmp_path / "out"), "--average-pairs", "1-2"])
+        assert exc.value.code == 2
+
 
 class TestSimulate:
     def test_preset_runs_and_reproduces(self, tmp_path):

@@ -11,7 +11,6 @@ from genevar.estimators import (
     pooled_curve,
     replicate_curves,
     two_stage_curve,
-    variance_curves,
 )
 from genevar.model import (
     FLAG_CLAMPED,
@@ -54,10 +53,10 @@ class TestReplicateCurves:
 
     def test_bundle_consistency(self, const_set, unit_config):
         sd = synthetic_responses(const_set.arrays[0])
-        bundle = variance_curves(sd, unit_config)
-        stacked = np.array([c.values for c in bundle.per_replicate])
-        assert np.allclose(bundle.averaged.values, stacked.mean(axis=0),
-                           equal_nan=True)
+        per_replicate = replicate_curves(sd, unit_config)
+        stacked = np.array([c.values for c in per_replicate])
+        assert np.allclose(average_curves(per_replicate).values,
+                           stacked.mean(axis=0), equal_nan=True)
 
 
 class TestAverageCurves:

@@ -6,7 +6,7 @@ from genevar import inference
 from genevar.inference import (
     gene_sigma,
     power_increase,
-    select_genes,
+    selection_counts,
     t_pvalues,
     validation_tests,
     z_pvalues,
@@ -14,12 +14,14 @@ from genevar.inference import (
 
 constants_for = inference.test_constants
 from genevar.model import (
-    GenevarError,
+    FLAG_DEGENERATE,
+    EstimationConfig,
     NonpositiveSigma,
     TooFewReplicates,
     VarianceCurve,
     ZeroDensityEverywhere,
 )
+from genevar.smoothing import density_interpolator
 from conftest import make_array
 
 
@@ -137,32 +139,58 @@ class TestGeneSigma:
         with pytest.raises(ZeroDensityEverywhere):
             gene_sigma(curve, [0.5], lambda p: np.zeros_like(p))
 
+    def test_matrix_matches_row_by_row(self, rng):
+        grid = np.linspace(6, 16, 101)
+        values = rng.uniform(0.1, 1.0, grid.size)
+        flags = np.where(rng.random(grid.size) < 0.1, FLAG_DEGENERATE, 0)
+        curve = VarianceCurve(grid=grid, values=values, flags=flags)
+        x = rng.uniform(6, 16, (500, 3))
+        config = EstimationConfig(bandwidth=1.0, grid=grid)
+        density = density_interpolator(x, config)
+        got = gene_sigma(curve, x, density)
+        rows = np.array([gene_sigma(curve, x[g], density) for g in range(x.shape[0])])
+        assert got.shape == (500,)
+        assert np.array_equal(got, rows)
+        assert isinstance(gene_sigma(curve, x[0], density), float)
+
+    def test_matrix_rejects_a_zero_density_row(self):
+        curve = VarianceCurve(grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))
+        x = np.array([[0.6, 0.8], [0.2, 0.4], [0.9, 0.7]])
+        with pytest.raises(ZeroDensityEverywhere):
+            gene_sigma(curve, x, lambda p: (p > 0.5).astype(float))
+
 
 class TestSelectGenes:
     def test_zero_mean_never_selected(self):
-        calls = select_genes([0.0], [1.0], 5, alpha=0.99, fc_threshold=0.0, mode="z")
-        assert calls == []
+        _, p_t, _ = t_pvalues([0.0], [1.0], 5)
+        _, p_z = z_pvalues([0.0], [1.0], 5)
+        rows = selection_counts(p_t, p_z, np.array([1.0]), [0.0], [0.99])
+        assert rows == [(0.0, 0.99, 0, 0)]
 
     def test_z_example_selection_boundary(self):
         # mean 1, scale 1, n = 5: z = sqrt(5), two-sided p = 2 Phi(-sqrt(5))
         p_expected = 2 * stats.norm.sf(np.sqrt(5.0))
         assert p_expected == pytest.approx(0.0253, abs=5e-4)
-        at_05 = select_genes([1.0], [1.0], 5, alpha=0.05, fc_threshold=1.0, mode="z")
-        at_01 = select_genes([1.0], [1.0], 5, alpha=0.01, fc_threshold=1.0, mode="z")
-        assert len(at_05) == 1 and len(at_01) == 0
-        assert at_05[0].p_z == pytest.approx(p_expected, abs=1e-12)
-        assert at_05[0].fold_change == pytest.approx(2.0)
+        _, p_z = z_pvalues([1.0], [1.0], 5)
+        assert p_z[0] == pytest.approx(p_expected, abs=1e-12)
+        fold = 2.0 ** np.abs(np.array([1.0]))
+        assert fold[0] == pytest.approx(2.0)
+        rows = selection_counts(np.ones(1), p_z, fold, [1.0], [0.05, 0.01])
+        assert [z_n for _, _, _, z_n in rows] == [1, 0]
 
     def test_fold_change_filter(self):
-        calls = select_genes([0.4], [0.01], 5, alpha=0.05, fc_threshold=1.5, mode="z")
-        assert calls == []  # 2^0.4 = 1.32 < 1.5 despite a tiny p-value
+        _, p_z = z_pvalues([0.4], [0.01], 5)
+        fold = 2.0 ** np.abs(np.array([0.4]))
+        # 2^0.4 = 1.32 < 1.5 despite a tiny p-value
+        assert selection_counts(p_z, p_z, fold, [1.5], [0.05]) == [(1.5, 0.05, 0, 0)]
 
     def test_degenerate_sd_rule(self):
-        calls = select_genes([1.0, 0.0], [0.0, 0.0], 5, alpha=0.05,
-                             fc_threshold=0.0, mode="t")
-        assert len(calls) == 1
-        assert calls[0].p_t == 0.0
-        assert calls[0].flagged
+        means = np.array([1.0, 0.0])
+        _, p_t, flagged = t_pvalues(means, [0.0, 0.0], 5)
+        assert list(p_t) == [0.0, 1.0]
+        assert flagged[0]
+        rows = selection_counts(p_t, np.ones(2), 2.0 ** np.abs(means), [0.0], [0.05])
+        assert rows == [(0.0, 0.05, 1, 0)]
 
     def test_t_and_z_statistics_tie(self, rng):
         # identical scale estimates give identical statistics; the decisions
@@ -170,20 +198,18 @@ class TestSelectGenes:
         means = rng.normal(0, 2, 50)
         sd = rng.uniform(0.5, 2.0, 50)
         n = 5
-        t_stat, _, _ = t_pvalues(means, sd, n)
-        z_stat, _ = z_pvalues(means, sd, n)
+        t_stat, p_t, _ = t_pvalues(means, sd, n)
+        z_stat, p_z = z_pvalues(means, sd, n)
         assert np.allclose(t_stat, z_stat, atol=1e-12)
         alpha = 0.05
         t_crit = stats.t.ppf(1 - alpha / 2, n - 1)
         z_crit = stats.norm.ppf(1 - alpha / 2)
-        t_selected = {c.gene_id for c in select_genes(means, sd, n, alpha, 0.0, "t")}
-        z_by_t_critical = {f"g{k + 1}" for k in range(50)
-                           if abs(z_stat[k]) > t_crit}
-        assert t_selected == z_by_t_critical
-        z_selected = {c.gene_id for c in select_genes(means, sd, n, alpha, 0.0, "z")}
-        t_by_z_critical = {f"g{k + 1}" for k in range(50)
-                           if abs(t_stat[k]) > z_crit}
-        assert z_selected == t_by_z_critical
+        assert np.array_equal(p_t < alpha, np.abs(z_stat) > t_crit)
+        assert np.array_equal(p_z < alpha, np.abs(t_stat) > z_crit)
+        [(_, _, t_n, z_n)] = selection_counts(p_t, p_z, 2.0 ** np.abs(means),
+                                              [0.0], [alpha])
+        assert (t_n, z_n) == (int(np.sum(np.abs(z_stat) > t_crit)),
+                              int(np.sum(np.abs(t_stat) > z_crit)))
 
     def test_pvalues_monotone_in_effect(self):
         means = np.linspace(0.0, 3.0, 16)
@@ -192,9 +218,12 @@ class TestSelectGenes:
         assert np.all(np.diff(p_t) <= 1e-15)
         assert np.all(np.diff(p_z) <= 1e-15)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(GenevarError):
-            select_genes([1.0], [1.0], 5, 0.05, 1.0, mode="f")
+    def test_counts_grid_order(self):
+        p = np.array([0.001, 0.02, 0.2])
+        fold = np.array([3.0, 1.8, 5.0])
+        rows = selection_counts(p, p / 10, fold, [1.5, 2.0], [0.05, 0.01])
+        assert rows == [(1.5, 0.05, 2, 3), (1.5, 0.01, 1, 2),
+                        (2.0, 0.05, 1, 2), (2.0, 0.01, 1, 1)]
 
 
 class TestPowerIncrease:

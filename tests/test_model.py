@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genevar.model import (
+    FLAG_DEGENERATE,
     CorrelationEstimate,
     EstimationConfig,
     GenevarError,
@@ -157,3 +158,44 @@ class TestCurveAndEstimate:
         est = CorrelationEstimate(rho=-0.4, sigma1=0.5, sigma2=0.3,
                                   iterations=1, converged=True, n_reps=3)
         assert est.rho == -0.4
+
+
+class TestCurveLookup:
+    def test_skips_flagged_and_nan_points(self):
+        curve = VarianceCurve(grid=np.array([0.0, 1.0, 2.0, 3.0]),
+                              values=np.array([1.0, np.nan, 5.0, 100.0]),
+                              flags=np.array([0, 0, 0, FLAG_DEGENERATE]))
+        got = curve.variance_at([0.5, 1.5, 2.5, -1.0])
+        assert np.array_equal(got, [2.0, 4.0, 5.0, 1.0])
+
+    def test_scale_clamps_before_interpolating(self):
+        curve = VarianceCurve(grid=np.array([0.0, 1.0, 2.0, 3.0]),
+                              values=np.array([-1.0, 4.0, np.nan, 9.0]))
+        assert np.array_equal(curve.scale_at([0.5, 2.0]), [1.0, 2.5])
+
+    @pytest.mark.parametrize("values, flags", [
+        ([np.nan, np.nan], [0, 0]),
+        ([1.0, 2.0], [FLAG_DEGENERATE, FLAG_DEGENERATE]),
+        ([np.nan, 2.0], [0, FLAG_DEGENERATE]),
+    ])
+    def test_nothing_evaluable_raises(self, values, flags):
+        curve = VarianceCurve(grid=np.array([0.0, 1.0]), values=np.array(values),
+                              flags=np.array(flags))
+        with pytest.raises(GenevarError):
+            curve.variance_at([0.5])
+        with pytest.raises(GenevarError):
+            curve.scale_at([0.5])
+
+    def test_matches_inline_interpolation_bitwise(self, rng):
+        grid = np.linspace(6.0, 16.0, 101)
+        values = rng.normal(0.3, 0.2, grid.size)
+        values[rng.random(grid.size) < 0.1] = np.nan
+        flags = np.where(rng.random(grid.size) < 0.1, FLAG_DEGENERATE, 0)
+        curve = VarianceCurve(grid=grid, values=values, flags=flags)
+        pts = rng.uniform(5.0, 17.0, (300, 4))
+        ok = (flags == 0) & np.isfinite(values)
+        assert np.array_equal(curve.variance_at(pts),
+                              np.interp(pts, grid[ok], values[ok]))
+        assert np.array_equal(
+            curve.scale_at(pts),
+            np.interp(pts, grid[ok], np.sqrt(np.clip(values[ok], 0.0, None))))

@@ -139,15 +139,6 @@ class TestRunExperiment:
             assert np.array_equal(a.metrics[name].median_curve,
                                   b.metrics[name].median_curve)
 
-    def test_threading_matches_serial(self):
-        d = SimDesign(n_genes=600, n_active=30, n_runs=4, seed=7)
-        a = run_experiment(d, estimators=("replicate_average",), threads=1)
-        b = run_experiment(d, estimators=("replicate_average",), threads=2)
-        assert a.metrics["replicate_average"].mise == b.metrics["replicate_average"].mise
-        assert np.array_equal(a.metrics["replicate_average"].mean_curve,
-                              b.metrics["replicate_average"].mean_curve,
-                              equal_nan=True)
-
     def test_mise_decomposition_identity(self):
         d = SimDesign(n_genes=300, n_active=40, n_runs=5, seed=3)
         rep = run_experiment(d, estimators=("replicate_average",))
