@@ -24,7 +24,6 @@ from .model import (
     ZeroDensityEverywhere,
     ZeroDiscriminant,
     default_grid,
-    epanechnikov_kernel,
     tricube_kernel,
     validate,
 )
@@ -32,10 +31,8 @@ from .smoothing import (
     ScatterData,
     density_interpolator,
     fit_curve,
-    kde,
     kde_values,
     local_linear_at,
-    local_linear_fit,
 )
 from .synthetic import SyntheticData, residual_squares, synthetic_responses, unbiasing_matrix
 from .estimators import (

@@ -33,6 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import (
+    TRICUBE,
     CorrelationEstimate,
     EstimationConfig,
     GenevarError,
@@ -278,7 +279,7 @@ def corrected_curve_stderr(fp: FixedPointResult, n_genes: int, n_arrays: int,
 
     ctx = AsymptoticContext(
         sigma_fn=curve.scale_at, sigma1=est.sigma1, sigma2=est.sigma2,
-        rho=est.rho, f_x=f_x, kernel=config.kernel, n_genes=n_genes,
+        rho=est.rho, f_x=f_x, kernel=TRICUBE, n_genes=n_genes,
         bandwidth=config.bandwidth, n_reps=est.n_reps)
     for k in np.flatnonzero(ok):
         vstar = pooled_curve_asymptotics(ctx, float(curve.grid[k]))[3] / n_arrays

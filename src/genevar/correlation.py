@@ -18,7 +18,8 @@ corrected correlation and the curve are solved jointly:
   2. read s1, s2 off the current curve at the observed intensities and set
      rho = rho_raw * s2 / s1^2;
   3. re-derive the corrected curve from the uncorrected one with (rho, s1);
-  4. repeat 2-3 until successive rho values move less than the tolerance.
+  4. repeat 2-3 until successive rho values, and s1 relative to its size,
+     move less than the tolerance.
 
 Multiple arrays enter the curve side only through averaging: the uncorrected
 per-array curves are averaged for the iteration, and the final corrected
@@ -119,13 +120,11 @@ class FixedPointResult:
 
 
 def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
-                      rho_raw: Optional[float] = None,
                       fixed_rho: Optional[float] = None,
                       initial_values=None) -> FixedPointResult:
     """Jointly estimate (rho, s1, s2) and the corrected variance curve.
 
-    rho_raw, when given, replaces the REML ratio (useful for testing); a
-    fixed_rho pins the correlation itself, in which case convergence is
+    A fixed_rho pins the correlation itself, in which case convergence is
     judged on s1 and a single array suffices.  initial_values replaces the
     default starting curve (grid-aligned variance values), e.g. to restart
     from a previous solution.  Non-convergence is reported through the
@@ -143,8 +142,8 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
             pooled_curve(synthetic_responses(a), config) for a in mset.arrays)
     eta_mean = average_curves(uncorrected)
 
-    if fixed_rho is None and rho_raw is None:
-        rho_raw = raw_correlation(variance_components(mset), n_reps)
+    rho_raw = None if fixed_rho is not None \
+        else raw_correlation(variance_components(mset), n_reps)
 
     points = mset.pooled_x()
     grid = eta_mean.grid
@@ -201,8 +200,11 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
         # rho alone is blind to the curve's scale (it feeds through the
         # scale-invariant ratio sigma2/sigma1^2), so track sigma1 as well;
         # otherwise the iteration can stop while the scale transient from
-        # the uncorrected initialisation is still running.
-        move = abs(sigma1 - prev_sigma1) if prev_sigma1 is not None else float("inf")
+        # the uncorrected initialisation is still running.  The sigma1 move
+        # is relative, so the stopping point does not depend on the units of
+        # y; rho is unitless and its move stays absolute.
+        move = abs(sigma1 - prev_sigma1) / sigma1 \
+            if prev_sigma1 is not None else float("inf")
         if fixed_rho is None and prev_rho is not None:
             move = max(move, abs(rho - prev_rho))
         if move < config.convergence_tol:

@@ -41,6 +41,8 @@ from .model import (
 from .smoothing import ScatterData, fit_curve, local_linear_at
 from .synthetic import SyntheticData
 
+_STAGE1_NODES = 512
+
 
 def replicate_curves(sdata: SyntheticData, config: EstimationConfig):
     """One unclamped curve per replicate column i, smoothing (X[:, i], Z[:, i])."""
@@ -129,31 +131,22 @@ def correct_paired_curve(eta2: VarianceCurve,
     return _root_to_variance(eta2.grid, r * s1, disc, eta2.flags)
 
 
-def two_stage_curve(array: ReplicatedArray, config: EstimationConfig,
-                    stage1_points: int = 512) -> VarianceCurve:
+def two_stage_curve(array: ReplicatedArray, config: EstimationConfig) -> VarianceCurve:
     """Naive baseline: fit a mean curve to pooled (X, Y), then smooth the
     squared residuals on X.
 
-    The stage-1 fit is evaluated on a dense auxiliary grid and interpolated
-    to the data points (interpolation error is far below the noise level);
-    pass stage1_points=0 to evaluate exactly at every data point.
+    The stage-1 fit is evaluated on _STAGE1_NODES equispaced points and
+    interpolated to the data points (interpolation error is far below the
+    noise level).
     """
     xs = array.x.ravel()
     ys = array.y.ravel()
-    data = ScatterData(xs, ys)
-    if stage1_points:
-        dense = np.linspace(xs.min(), xs.max(), stage1_points)
-        vals, degenerate = local_linear_at(data, config, dense)
-        if degenerate.any():
-            raise DegenerateWindow(
-                f"stage-1 mean fit undefined at {int(degenerate.sum())} grid points")
-        mean_hat = np.interp(xs, dense, vals)
-    else:
-        mean_hat, degenerate = local_linear_at(data, config, xs)
-        if degenerate.any():
-            raise DegenerateWindow(
-                f"stage-1 mean fit undefined at {int(degenerate.sum())} data points")
-    resid2 = (ys - mean_hat) ** 2
+    dense = np.linspace(xs.min(), xs.max(), _STAGE1_NODES)
+    vals, degenerate = local_linear_at(ScatterData(xs, ys), config, dense)
+    if degenerate.any():
+        raise DegenerateWindow(
+            f"stage-1 mean fit undefined at {int(degenerate.sum())} grid points")
+    resid2 = (ys - np.interp(xs, dense, vals)) ** 2
     return fit_curve(ScatterData(xs, resid2), config)
 
 
@@ -163,5 +156,4 @@ def clamp_nonnegative(curve: VarianceCurve) -> VarianceCurve:
     values = np.where(below, 0.0, curve.values)
     flags = np.array(curve.flags, dtype=np.uint8, copy=True)
     flags[below] |= FLAG_CLAMPED
-    return VarianceCurve(grid=curve.grid, values=values,
-                         stderr=curve.stderr, flags=flags)
+    return VarianceCurve(grid=curve.grid, values=values, flags=flags)

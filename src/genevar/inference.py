@@ -9,8 +9,14 @@ plugged-in) per-gene noise scales sigma_g, with D_gi = Y_gi - Ybar_g:
     T4 = (sum |D| - lambda_I sum sigma_g) / (kappa_I sqrt(sum sigma_g^2))
 
 lambda_I = sqrt(2 I (I-1) / pi) is the exact mean of sum_i |e_i - ebar| for a
-standard normal I-vector; kappa_I^2 is its variance, which has no closed form
-and is computed once by seeded Monte Carlo.  T2 is standardized here as
+standard normal I-vector and kappa_I^2 its variance.  Each d_i = e_i - ebar
+has variance v = (I-1)/I and each pair correlation r = -1/(I-1); the absolute
+moment of a bivariate normal, E|d_i||d_j| = (2v/pi)(sqrt(1-r^2) + r asin r)
+(Nabeya 1951), gives the closed form
+
+    kappa_I^2 = I v (1 - 2/pi) + I (I-1) (E|d_i||d_j| - 2v/pi).
+
+T2 is standardized here as
 (T2 - G lambda_I) / (sqrt(G) kappa_I).  p-values are upper-tail: unremoved
 systematic biases inflate residuals and push every statistic up.
 
@@ -21,7 +27,7 @@ theoretical power difference between the two tests.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,11 +44,6 @@ from .model import (
     validate,
 )
 
-# Fixed Monte Carlo seed: kappa feeds published p-values, so it must be
-# bit-reproducible across runs and machines.
-KAPPA_MC_SEED = 20100802
-
-
 @dataclass(frozen=True)
 class TestConstants:
     """Moments of the absolute-residual sum for one gene at unit scale."""
@@ -52,23 +53,18 @@ class TestConstants:
     n_reps: int
 
 
-@functools.lru_cache(maxsize=None)
-def test_constants(n_reps: int, mc_draws: int = 1_000_000,
-                   seed: int = KAPPA_MC_SEED) -> TestConstants:
-    """lambda_I analytically; kappa_I by Monte Carlo over mc_draws gene rows."""
+def test_constants(n_reps: int) -> TestConstants:
+    """lambda_I and kappa_I in closed form."""
     if n_reps < 2:
         raise TooFewReplicates("constants need I >= 2")
-    lam = float(np.sqrt(2.0 * n_reps * (n_reps - 1) / np.pi))
-    rng = np.random.default_rng(seed)
-    sums = np.empty(mc_draws)
-    chunk = 200_000
-    for start in range(0, mc_draws, chunk):
-        size = min(chunk, mc_draws - start)
-        e = rng.standard_normal((size, n_reps))
-        sums[start:start + size] = np.abs(
-            e - e.mean(axis=1, keepdims=True)).sum(axis=1)
-    kappa = float(sums.std())
-    return TestConstants(lambda_i=lam, kappa_i=kappa, n_reps=n_reps)
+    i = n_reps
+    v = (i - 1) / i
+    r = -1.0 / (i - 1)
+    abs_cross = 2.0 * v / math.pi * (math.sqrt(1.0 - r * r) + r * math.asin(r))
+    kappa_sq = i * v * (1.0 - 2.0 / math.pi) \
+        + i * (i - 1) * (abs_cross - 2.0 * v / math.pi)
+    return TestConstants(lambda_i=math.sqrt(2.0 * i * (i - 1) / math.pi),
+                         kappa_i=math.sqrt(kappa_sq), n_reps=n_reps)
 
 
 @dataclass(frozen=True)

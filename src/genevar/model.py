@@ -11,18 +11,20 @@ intensity, and the noise vector of a gene is standard normal with a common
 within-gene correlation rho.  Everything downstream estimates s(.)^2 and rho
 from such data.
 
+Regression and density smoothing use one fixed kernel, the tricube TRICUBE;
+its constants c_k = int u^2 K and d_k = int K^2, which set the asymptotic
+bias and variance, are closed forms.
+
 All containers here are immutable after construction (their arrays are made
 read-only), so they can be shared freely between callers.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 
 # ---------------------------------------------------------------------------
@@ -115,33 +117,6 @@ class KernelSpec:
     c_k: float
     d_k: float
 
-    @classmethod
-    def from_function(cls, evaluate: Callable, support_halfwidth: float,
-                      tol: float = 1e-8) -> "KernelSpec":
-        """Build a spec from a vectorized kernel function, checking it is a
-        symmetric nonnegative density and computing c_k, d_k by quadrature."""
-        s = float(support_halfwidth)
-        if not s > 0:
-            raise GenevarError("support_halfwidth must be positive")
-        u = np.linspace(0.0, s, 513)
-        left = np.asarray(evaluate(-u), dtype=float)
-        right = np.asarray(evaluate(u), dtype=float)
-        if np.any(right < 0) or np.any(left < 0):
-            raise GenevarError("kernel must be nonnegative")
-        if not np.allclose(left, right, atol=1e-12, rtol=0):
-            raise GenevarError("kernel must be symmetric")
-        outside = np.asarray(evaluate(np.array([-2 * s, 2 * s, 1.5 * s])), dtype=float)
-        if np.any(outside != 0):
-            raise GenevarError("kernel must vanish outside its support")
-        total, _ = integrate.quad(lambda t: float(evaluate(t)), -s, s, limit=200)
-        if abs(total - 1.0) > tol:
-            raise GenevarError(f"kernel integrates to {total!r}, not 1")
-        c_k, _ = integrate.quad(lambda t: t * t * float(evaluate(t)), -s, s, limit=200)
-        d_k, _ = integrate.quad(lambda t: float(evaluate(t)) ** 2, -s, s, limit=200)
-        if not (c_k > 0 and d_k > 0):
-            raise GenevarError("kernel moments must be positive")
-        return cls(evaluate=evaluate, support_halfwidth=s, c_k=c_k, d_k=d_k)
-
 
 def _tricube(u):
     # clipping |u| at 1 makes the cube factor vanish outside the support,
@@ -151,21 +126,15 @@ def _tricube(u):
     return (70.0 / 81.0) * t * t * t
 
 
-def _epanechnikov(u):
-    a = np.minimum(np.abs(np.asarray(u, dtype=float)), 1.0)
-    return 0.75 * (1.0 - a * a)
+# (70/81)(1-|u|^3)^3 on [-1, 1].  c_k = 2 (70/81) / 12 = 35/243, and
+# d_k = 2 (70/81)^2 sum_j C(6, j) (-1)^j / (3j + 1) = 175/247 from the
+# binomial expansion of (1-u^3)^6.
+TRICUBE = KernelSpec(_tricube, 1.0, c_k=35.0 / 243.0, d_k=175.0 / 247.0)
 
 
-@functools.lru_cache(maxsize=None)
 def tricube_kernel() -> KernelSpec:
-    """Default kernel (70/81)(1-|u|^3)^3 on [-1, 1]."""
-    return KernelSpec.from_function(_tricube, 1.0)
-
-
-@functools.lru_cache(maxsize=None)
-def epanechnikov_kernel() -> KernelSpec:
-    """0.75 (1-u^2) on [-1, 1]; handy as an alternative for density work."""
-    return KernelSpec.from_function(_epanechnikov, 1.0)
+    """The smoothing kernel, (70/81)(1-|u|^3)^3 on [-1, 1]."""
+    return TRICUBE
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +151,6 @@ class EstimationConfig:
 
     bandwidth: float
     grid: np.ndarray
-    kernel: KernelSpec = field(default_factory=tricube_kernel)
     convergence_tol: float = 1e-3
     max_iterations: int = 100
 
@@ -308,10 +276,6 @@ class MultiArraySet:
         """(J, N, I) stack of log ratios."""
         return np.stack([a.y for a in self.arrays])
 
-    def stacked_x(self) -> np.ndarray:
-        """(J, N, I) stack of log intensities."""
-        return np.stack([a.x for a in self.arrays])
-
     def pooled_x(self) -> np.ndarray:
         return np.concatenate([a.x.ravel() for a in self.arrays])
 
@@ -330,14 +294,13 @@ FLAG_NEGATIVE_DISCRIMINANT = 4  # root discriminant clamped to zero
 class VarianceCurve:
     """A variance function evaluated on a grid.
 
-    values are squared log-ratio units; stderr, when present, holds pointwise
-    asymptotic standard errors.  flags carries the per-point bit flags above.
-    Degenerate points hold NaN values and are never silently interpolated.
+    values are squared log-ratio units; flags carries the per-point bit flags
+    above.  Degenerate points hold NaN values and are never silently
+    interpolated.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    stderr: Optional[np.ndarray] = None
     flags: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -345,11 +308,6 @@ class VarianceCurve:
         values = _readonly(np.asarray(self.values, dtype=float))
         if grid.shape != values.shape or grid.ndim != 1:
             raise ShapeMismatch("grid and values must be equal-length 1-d arrays")
-        stderr = self.stderr
-        if stderr is not None:
-            stderr = _readonly(np.asarray(stderr, dtype=float))
-            if stderr.shape != grid.shape:
-                raise ShapeMismatch("stderr length must match grid")
         flags = self.flags
         if flags is None:
             flags = np.zeros(grid.shape, dtype=np.uint8)
@@ -360,7 +318,6 @@ class VarianceCurve:
         flags.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "stderr", stderr)
         object.__setattr__(self, "flags", flags)
 
     @property

@@ -1,5 +1,10 @@
 """Local linear kernel regression and kernel density estimation.
 
+Both run on one kernel-window pass (_window_pass) with the fixed tricube
+kernel of model.TRICUBE: the evaluation points are sorted once, walked in
+runs that share a data window, and each run gets its raw weights K(u).
+Regression forms weighted moment sums from them; the density sums them.
+
 The regression engine fits, at each evaluation point x0, a weighted
 least-squares line to (x, z) with weights K((x - x0)/h)/h and returns the
 intercept.  Writing u = (x - x0)/h, w = K(u)/h and S_l = sum w u^l,
@@ -20,7 +25,7 @@ import numpy as np
 
 from .model import (
     FLAG_DEGENERATE,
-    DegenerateWindow,
+    TRICUBE,
     EstimationConfig,
     GenevarError,
     NonFinite,
@@ -31,6 +36,7 @@ from .model import (
 _DET_RTOL = 1e-12
 _DET_FLOOR = 1e-300
 _CHUNK_MAX = 256
+_DENSITY_NODES = 512
 
 
 def _chunk_bounds(points, halfwidth):
@@ -67,35 +73,33 @@ class ScatterData:
         object.__setattr__(self, "z", z)
 
 
-def _eval_sorted(xs, zs, kernel, h, points):
-    """Evaluate the local linear fit at sorted points against sorted data."""
-    values = np.full(points.shape, np.nan)
-    degenerate = np.ones(points.shape, dtype=bool)
-    halfwidth = kernel.support_halfwidth * h
-    for start, stop in _chunk_bounds(points, halfwidth):
-        p = points[start:stop]
+def _window_pass(xs, points, h, reduce, outs):
+    """Fill outs with reduce's results over the kernel windows of points.
+
+    Walks points in sorted order, in _chunk_bounds runs, and finds each run's
+    data window in the sorted sample xs with one searchsorted pair.
+    reduce(window, u, w) gets the slice of xs within a kernel halfwidth of
+    the run, u = (xs[window] - x0) / h and the raw weights K(u), both of
+    shape (run length, window length), and returns one per-point array for
+    each array in outs, which is written at the run's positions in points.
+    Points with an empty window keep the initial values of outs.
+
+    reduce is a callback rather than the body of a loop over a generator:
+    such a loop keeps one run's u and w alive while the next run's are
+    built, and on a large KDE those matrices are tens of MB each.
+    """
+    order = np.argsort(points, kind="stable")
+    sorted_pts = points[order]
+    halfwidth = TRICUBE.support_halfwidth * h
+    for start, stop in _chunk_bounds(sorted_pts, halfwidth):
+        p = sorted_pts[start:stop]
         lo = np.searchsorted(xs, p[0] - halfwidth, side="left")
         hi = np.searchsorted(xs, p[-1] + halfwidth, side="right")
-        if hi <= lo:
-            continue
-        xw = xs[lo:hi]
-        zw = zs[lo:hi]
-        u = (xw[None, :] - p[:, None]) / h
-        w = kernel.evaluate(u)
-        w /= h
-        wu = w * u
-        s0 = w.sum(axis=1)
-        s1 = wu.sum(axis=1)
-        s2 = np.einsum("ij,ij->i", wu, u)
-        t0 = w @ zw
-        t1 = wu @ zw
-        det = s0 * s2 - s1 * s1
-        ok = det > _DET_RTOL * (s0 * h * h + _DET_FLOOR)
-        safe = np.where(ok, det, 1.0)
-        vals = np.where(ok, (s2 * t0 - s1 * t1) / safe, np.nan)
-        values[start:stop] = vals
-        degenerate[start:stop] = ~ok
-    return values, degenerate
+        if hi > lo:
+            u = (xs[lo:hi][None, :] - p[:, None]) / h
+            parts = reduce(slice(lo, hi), u, TRICUBE.evaluate(u))
+            for out, part in zip(outs, parts):
+                out[order[start:stop]] = part
 
 
 def local_linear_at(data: ScatterData, config: EstimationConfig, points):
@@ -109,26 +113,26 @@ def local_linear_at(data: ScatterData, config: EstimationConfig, points):
     order_x = np.argsort(data.x, kind="stable")
     xs = data.x[order_x]
     zs = data.z[order_x]
-    order_p = np.argsort(pts, kind="stable")
-    vals_sorted, deg_sorted = _eval_sorted(
-        xs, zs, config.kernel, config.bandwidth, pts[order_p])
-    values = np.empty_like(vals_sorted)
-    degenerate = np.empty_like(deg_sorted)
-    values[order_p] = vals_sorted
-    degenerate[order_p] = deg_sorted
+    h = config.bandwidth
+
+    def intercepts(window, u, w):
+        zw = zs[window]
+        w /= h
+        wu = w * u
+        s0 = w.sum(axis=1)
+        s1 = wu.sum(axis=1)
+        s2 = np.einsum("ij,ij->i", wu, u)
+        t0 = w @ zw
+        t1 = wu @ zw
+        det = s0 * s2 - s1 * s1
+        ok = det > _DET_RTOL * (s0 * h * h + _DET_FLOOR)
+        safe = np.where(ok, det, 1.0)
+        return np.where(ok, (s2 * t0 - s1 * t1) / safe, np.nan), ~ok
+
+    values = np.full(pts.shape, np.nan)
+    degenerate = np.ones(pts.shape, dtype=bool)
+    _window_pass(xs, pts, h, intercepts, (values, degenerate))
     return values, degenerate
-
-
-def local_linear_fit(data: ScatterData, config: EstimationConfig, x0: float) -> float:
-    """Local linear intercept estimate at a single point x0.
-
-    Raises DegenerateWindow when the kernel window at x0 holds fewer than two
-    distinct design points.
-    """
-    values, degenerate = local_linear_at(data, config, [float(x0)])
-    if degenerate[0]:
-        raise DegenerateWindow(f"no local identifiability at x0={x0!r}")
-    return float(values[0])
 
 
 def fit_curve(data: ScatterData, config: EstimationConfig) -> VarianceCurve:
@@ -140,43 +144,28 @@ def fit_curve(data: ScatterData, config: EstimationConfig) -> VarianceCurve:
 
 
 def kde_values(x, config: EstimationConfig, points) -> np.ndarray:
-    """Kernel density estimate (1/(n h)) sum K((x_g - x0)/h) at each point.
-
-    Reuses the estimation kernel and bandwidth by default; pass a config with
-    a different kernel or bandwidth to override.
-    """
+    """Kernel density estimate (1/(n h)) sum K((x_g - x0)/h) at each point,
+    with the estimation kernel and config.bandwidth."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise GenevarError("kde needs at least one observation")
     if not np.all(np.isfinite(x)):
         raise NonFinite("kde sample contains non-finite entries")
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    xs = np.sort(x)
     h = config.bandwidth
-    halfwidth = config.kernel.support_halfwidth * h
-    order_p = np.argsort(pts, kind="stable")
-    sorted_pts = pts[order_p]
-    out_sorted = np.zeros(sorted_pts.shape)
-    for start, stop in _chunk_bounds(sorted_pts, halfwidth):
-        p = sorted_pts[start:stop]
-        lo = np.searchsorted(xs, p[0] - halfwidth, side="left")
-        hi = np.searchsorted(xs, p[-1] + halfwidth, side="right")
-        if hi <= lo:
-            continue
-        u = (xs[lo:hi][None, :] - p[:, None]) / h
-        out_sorted[start:stop] = config.kernel.evaluate(u).sum(axis=1)
-    out = np.empty_like(out_sorted)
-    out[order_p] = out_sorted / (x.size * h)
-    return out
+    sums = np.zeros(pts.shape)
+    _window_pass(np.sort(x), pts, h,
+                 lambda window, u, w: (w.sum(axis=1),), (sums,))
+    return sums / (x.size * h)
 
 
-def density_interpolator(sample, config: EstimationConfig, n_points: int = 512):
-    """Density of sample evaluated once on a dense grid, then interpolated;
-    avoids a fresh kernel pass per gene on large inputs.  Returns a callable
-    mapping points to density values."""
+def density_interpolator(sample, config: EstimationConfig):
+    """Density of sample evaluated once on a dense grid of _DENSITY_NODES
+    points, then interpolated; avoids a fresh kernel pass per gene on large
+    inputs.  Returns a callable mapping points to density values."""
     sample = np.asarray(sample, dtype=float).ravel()
-    pad = config.kernel.support_halfwidth * config.bandwidth
-    grid = np.linspace(sample.min() - pad, sample.max() + pad, n_points)
+    pad = TRICUBE.support_halfwidth * config.bandwidth
+    grid = np.linspace(sample.min() - pad, sample.max() + pad, _DENSITY_NODES)
     dens = kde_values(sample, config, grid)
 
     def density(points):
@@ -184,8 +173,3 @@ def density_interpolator(sample, config: EstimationConfig, n_points: int = 512):
                          grid, dens)
 
     return density
-
-
-def kde(x, config: EstimationConfig, x0: float) -> float:
-    """Density estimate at a single point."""
-    return float(kde_values(x, config, [float(x0)])[0])

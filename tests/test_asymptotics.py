@@ -298,7 +298,7 @@ class TestCorrectedCurveStderr:
         ctx = AsymptoticContext(
             sigma_fn=fp.curve.scale_at, sigma1=est.sigma1, sigma2=est.sigma2,
             rho=est.rho, f_x=lambda t: max(float(density(t)[0]), 1e-12),
-            kernel=unit_config.kernel, n_genes=mset.n_genes, bandwidth=1.0,
+            kernel=tricube_kernel(), n_genes=mset.n_genes, bandwidth=1.0,
             n_reps=3)
         k = 60
         eta = np.mean([c.values[k] for c in fp.uncorrected])

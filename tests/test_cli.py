@@ -97,7 +97,6 @@ class TestEstimate:
         def starved(mset, config, **kwargs):
             from genevar.model import EstimationConfig
             cfg = EstimationConfig(bandwidth=config.bandwidth, grid=config.grid,
-                                   kernel=config.kernel,
                                    convergence_tol=1e-12, max_iterations=1)
             return real(mset, cfg, **kwargs)
 

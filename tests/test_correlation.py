@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from genevar.correlation import (
@@ -190,3 +191,106 @@ class TestFixedPoint:
         fp = fixed_point_solve(generate_set(d, 0), unit_config)
         assert fp.estimate.converged
         assert fp.curve_change < 0.05
+
+
+def transformed(mset, xy_map):
+    """mset with each array's (x, y) replaced by xy_map(x, y)."""
+    out = []
+    for a in mset.arrays:
+        x, y = xy_map(a.x, a.y)
+        out.append(ReplicatedArray(x=x, y=y, gene_ids=a.gene_ids))
+    return MultiArraySet(arrays=tuple(out))
+
+
+# the unit_config fixture's settings; class-scoped fixtures and hypothesis
+# tests cannot take the function-scoped fixture
+CONFIG = EstimationConfig(bandwidth=1.0, grid=np.linspace(6.0, 16.0, 101))
+
+
+class TestScaleEquivariance:
+    """Scaling y by c scales the curve by c^2 and leaves rho and the
+    iteration count unchanged, on the I >= 3 route and the fixed-rho one."""
+
+    @pytest.fixture(scope="class")
+    def base_set(self):
+        return generate_set(SimDesign(n_genes=2000, rho=0.4, seed=7), 0)
+
+    @pytest.mark.parametrize("fixed_rho", [None, 0.4])
+    @pytest.mark.parametrize("k", [-10, 3, 7])
+    def test_power_of_two_scaling_is_exact(self, base_set, k, fixed_rho):
+        # multiplying by 2^k is exact in binary floating point, so every
+        # intermediate scales exactly and the outputs must match bit for bit
+        c = 2.0 ** k
+        base = fixed_point_solve(base_set, CONFIG, fixed_rho=fixed_rho)
+        got = fixed_point_solve(transformed(base_set, lambda x, y: (x, c * y)),
+                                CONFIG, fixed_rho=fixed_rho)
+        assert got.estimate.rho == base.estimate.rho
+        assert got.estimate.iterations == base.estimate.iterations
+        assert got.estimate.sigma1 / c == base.estimate.sigma1
+        assert np.array_equal(got.curve.values / c ** 2, base.curve.values,
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("c", [1e-3, 3.0, 100.0])
+    def test_general_scaling(self, base_set, c):
+        base = fixed_point_solve(base_set, CONFIG)
+        got = fixed_point_solve(transformed(base_set, lambda x, y: (x, c * y)),
+                                CONFIG)
+        assert got.estimate.iterations == base.estimate.iterations
+        assert got.estimate.rho == pytest.approx(base.estimate.rho, rel=1e-9)
+        assert got.estimate.sigma1 / c == pytest.approx(base.estimate.sigma1,
+                                                        rel=1e-9)
+        np.testing.assert_allclose(got.curve.values / c ** 2, base.curve.values,
+                                   rtol=1e-9, atol=0)
+
+
+class TestExactInvariances:
+    """Relabelling genes, replicates or arrays, and adding a per-gene
+    constant a_g to y, leave the fixed point unchanged up to rounding."""
+
+    @pytest.fixture(scope="class", params=[2, 3])
+    def case(self, request):
+        ms = generate_set(SimDesign(n_genes=400, n_replicates=request.param,
+                                    n_arrays=3, rho=0.4, seed=17), 0)
+        return ms, fixed_point_solve(ms, CONFIG)
+
+    @staticmethod
+    def assert_same_fit(got, base):
+        assert got.estimate.iterations == base.estimate.iterations
+        assert abs(got.estimate.rho - base.estimate.rho) < 1e-12
+        np.testing.assert_allclose(got.curve.values, base.curve.values,
+                                   rtol=1e-12, atol=0)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_gene_permutation(self, case, seed):
+        ms, base = case
+        perm = np.random.default_rng(seed).permutation(ms.n_genes)
+        ids = tuple(ms.gene_ids[g] for g in perm)
+        got = MultiArraySet(arrays=tuple(
+            ReplicatedArray(x=a.x[perm], y=a.y[perm], gene_ids=ids)
+            for a in ms.arrays))
+        self.assert_same_fit(fixed_point_solve(got, CONFIG), base)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_replicate_permutation(self, case, seed):
+        ms, base = case
+        perm = np.random.default_rng(seed).permutation(ms.n_replicates)
+        got = transformed(ms, lambda x, y: (x[:, perm], y[:, perm]))
+        self.assert_same_fit(fixed_point_solve(got, CONFIG), base)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_array_permutation(self, case, seed):
+        ms, base = case
+        perm = np.random.default_rng(seed).permutation(ms.n_arrays)
+        got = MultiArraySet(arrays=tuple(ms.arrays[j] for j in perm))
+        self.assert_same_fit(fixed_point_solve(got, CONFIG), base)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 10.0))
+    def test_per_gene_shift(self, case, seed, spread):
+        ms, base = case
+        a_g = spread * np.random.default_rng(seed).standard_normal(ms.n_genes)
+        got = transformed(ms, lambda x, y: (x, y + a_g[:, None]))
+        self.assert_same_fit(fixed_point_solve(got, CONFIG), base)

@@ -21,6 +21,7 @@ from genevar.model import (
     InvalidReplicateCount,
     VarianceCurve,
 )
+from genevar.smoothing import ScatterData, fit_curve, local_linear_at
 from genevar.synthetic import synthetic_responses
 from conftest import constant_sigma_set, make_array
 
@@ -220,8 +221,13 @@ class TestTwoStage:
         from genevar.simulation import SimDesign, generate_set
 
         ms = generate_set(SimDesign(n_genes=800, n_runs=1, seed=4), 0)
-        fast = two_stage_curve(ms.arrays[0], unit_config)
-        exact = two_stage_curve(ms.arrays[0], unit_config, stage1_points=0)
+        array = ms.arrays[0]
+        fast = two_stage_curve(array, unit_config)
+        # reference: the stage-1 mean fit evaluated exactly at every data point
+        xs, ys = array.x.ravel(), array.y.ravel()
+        mean_hat, degenerate = local_linear_at(ScatterData(xs, ys), unit_config, xs)
+        assert not degenerate.any()
+        exact = fit_curve(ScatterData(xs, (ys - mean_hat) ** 2), unit_config)
         rel = np.nanmax(np.abs(fast.values - exact.values)) / np.nanmean(exact.values)
         assert rel < 1e-3
 

@@ -27,17 +27,24 @@ from conftest import make_array
 
 class TestConstantsComputation:
     def test_lambda_closed_forms(self):
-        assert constants_for(10, mc_draws=1000).lambda_i == pytest.approx(
-            np.sqrt(180.0 / np.pi))
-        assert constants_for(2, mc_draws=1000).lambda_i == pytest.approx(
-            np.sqrt(4.0 / np.pi))
+        assert constants_for(10).lambda_i == pytest.approx(np.sqrt(180.0 / np.pi))
+        assert constants_for(2).lambda_i == pytest.approx(np.sqrt(4.0 / np.pi))
 
-    def test_kappa_reproducible_and_stable(self):
-        a = constants_for(10, mc_draws=1_000_000, seed=1)
-        b = constants_for(10, mc_draws=1_000_000, seed=2)
-        again = constants_for(10, mc_draws=1_000_000, seed=1)
-        assert a.kappa_i == again.kappa_i
-        assert abs(a.kappa_i - b.kappa_i) < 2e-3
+    def test_kappa_two_replicates_exact(self):
+        # I=2: sum |e_i - ebar| = |e_1 - e_2|, a half-normal of variance 2
+        assert constants_for(2).kappa_i == pytest.approx(
+            np.sqrt(2.0 * (1.0 - 2.0 / np.pi)), rel=1e-15)
+
+    @pytest.mark.parametrize("n_reps", [2, 3, 4, 10])
+    def test_kappa_matches_monte_carlo(self, n_reps):
+        # oracle: the sample variance of the absolute-residual sum, within
+        # 4 Monte Carlo standard errors of the closed-form kappa_I^2
+        rng = np.random.default_rng(20100802 + n_reps)
+        e = rng.standard_normal((400_000, n_reps))
+        v = np.abs(e - e.mean(axis=1, keepdims=True)).sum(axis=1)
+        dev2 = (v - v.mean()) ** 2
+        se = dev2.std() / np.sqrt(v.size)
+        assert abs(dev2.mean() - constants_for(n_reps).kappa_i ** 2) < 4 * se
 
     def test_kappa_matches_absolute_residual_mean(self):
         # the Monte Carlo mean of the absolute-residual sum must sit at

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from genevar.model import (
     FLAG_DEGENERATE,
-    DegenerateWindow,
     EstimationConfig,
     GenevarError,
     tricube_kernel,
@@ -12,14 +11,35 @@ from genevar.model import (
 from genevar.smoothing import (
     ScatterData,
     fit_curve,
-    kde,
     kde_values,
-    local_linear_fit,
+    local_linear_at,
 )
 
 
 def config_for(grid, h=1.0):
     return EstimationConfig(bandwidth=h, grid=np.asarray(grid, dtype=float))
+
+
+def fit_at(data, config, x0):
+    """Local linear value and degenerate flag at the single point x0."""
+    values, degenerate = local_linear_at(data, config, [x0])
+    return values[0], degenerate[0]
+
+
+def fit_value(data, config, x0):
+    value, degenerate = fit_at(data, config, x0)
+    assert not degenerate
+    return float(value)
+
+
+def assert_degenerate(data, config, x0):
+    value, degenerate = fit_at(data, config, x0)
+    assert degenerate
+    assert np.isnan(value)
+
+
+def kde_at(x, config, x0):
+    return float(kde_values(x, config, [x0])[0])
 
 
 def direct_weighted_fit(x, z, h, x0):
@@ -40,7 +60,7 @@ class TestLocalLinear:
         x = rng.uniform(0, 4, 40)
         data = ScatterData(x, np.full(40, c))
         x0 = float(rng.uniform(0.5, 3.5))
-        assert local_linear_fit(data, config_for([x0]), x0) == pytest.approx(c, abs=1e-9 + 1e-9 * abs(c))
+        assert fit_value(data, config_for([x0]), x0) == pytest.approx(c, abs=1e-9 + 1e-9 * abs(c))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3), st.integers(0, 1000))
@@ -50,7 +70,7 @@ class TestLocalLinear:
         data = ScatterData(x, a + b * x)
         x0 = float(rng.uniform(0.5, 3.5))
         expected = a + b * x0
-        got = local_linear_fit(data, config_for([x0]), x0)
+        got = fit_value(data, config_for([x0]), x0)
         assert got == pytest.approx(expected, abs=1e-8 * (1 + abs(expected)))
 
     def test_quadratic_bias_and_oracle(self):
@@ -60,7 +80,7 @@ class TestLocalLinear:
         x = np.linspace(0.0, 1.0, 201)
         z = x ** 2
         h, x0 = 0.2, 0.5
-        got = local_linear_fit(ScatterData(x, z), config_for([x0], h=h), x0)
+        got = fit_value(ScatterData(x, z), config_for([x0], h=h), x0)
         oracle = direct_weighted_fit(x, z, h, x0)
         assert got == pytest.approx(oracle, abs=1e-12)
         c_k = tricube_kernel().c_k
@@ -79,7 +99,7 @@ class TestLocalLinear:
         assert abs(weights.sum() - 1.0) < 1e-10
         assert abs(np.sum(weights * (x - x0))) < 1e-10
         expected = float(np.sum(weights * z))
-        got = local_linear_fit(ScatterData(x, z), config_for([x0], h=h), x0)
+        got = fit_value(ScatterData(x, z), config_for([x0], h=h), x0)
         assert got == pytest.approx(expected, abs=1e-10)
 
     @settings(max_examples=30, deadline=None)
@@ -91,8 +111,8 @@ class TestLocalLinear:
         perm = rng.permutation(30)
         x0 = 1.5
         cfg = config_for([x0])
-        a = local_linear_fit(ScatterData(x, z), cfg, x0)
-        b = local_linear_fit(ScatterData(x[perm], z[perm]), cfg, x0)
+        a = fit_value(ScatterData(x, z), cfg, x0)
+        b = fit_value(ScatterData(x[perm], z[perm]), cfg, x0)
         assert a == pytest.approx(b, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -103,29 +123,26 @@ class TestLocalLinear:
         z = rng.normal(size=20)
         x0 = 1.5
         cfg = config_for([x0])
-        a = local_linear_fit(ScatterData(x, z), cfg, x0)
-        b = local_linear_fit(ScatterData(np.tile(x, 2), np.tile(z, 2)), cfg, x0)
+        a = fit_value(ScatterData(x, z), cfg, x0)
+        b = fit_value(ScatterData(np.tile(x, 2), np.tile(z, 2)), cfg, x0)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_empty_window_raises(self):
         data = ScatterData(np.array([0.0, 0.1, 0.2]), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(DegenerateWindow):
-            local_linear_fit(data, config_for([5.0]), 5.0)
+        assert_degenerate(data, config_for([5.0]), 5.0)
 
     def test_single_point_window_raises(self):
         data = ScatterData(np.array([0.0, 10.0]), np.array([1.0, 2.0]))
-        with pytest.raises(DegenerateWindow):
-            local_linear_fit(data, config_for([0.1]), 0.1)
+        assert_degenerate(data, config_for([0.1]), 0.1)
 
     def test_tied_x_only_window_raises(self):
         data = ScatterData(np.full(5, 2.0), np.arange(5.0))
-        with pytest.raises(DegenerateWindow):
-            local_linear_fit(data, config_for([2.0]), 2.0)
+        assert_degenerate(data, config_for([2.0]), 2.0)
 
     def test_ties_with_spread_are_fine(self):
         x = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
         z = np.array([1.0, 1.0, 1.0, 3.0, 3.0])
-        got = local_linear_fit(ScatterData(x, z), config_for([1.5], h=2.0), 1.5)
+        got = fit_value(ScatterData(x, z), config_for([1.5], h=2.0), 1.5)
         assert got == pytest.approx(2.0, abs=1e-9)
 
 
@@ -138,7 +155,7 @@ class TestFitCurve:
         curve = fit_curve(ScatterData(x, z), cfg)
         for k, x0 in enumerate(grid):
             assert curve.values[k] == pytest.approx(
-                local_linear_fit(ScatterData(x, z), cfg, float(x0)), abs=1e-12)
+                fit_value(ScatterData(x, z), cfg, float(x0)), abs=1e-12)
 
     def test_edge_points_flagged_not_interpolated(self):
         x = np.linspace(0, 1, 50)
@@ -164,10 +181,10 @@ class TestFitCurve:
 
 class TestKde:
     def test_single_point_peak(self):
-        assert kde(np.array([0.0]), config_for([0.0]), 0.0) == pytest.approx(70.0 / 81.0)
+        assert kde_at(np.array([0.0]), config_for([0.0]), 0.0) == pytest.approx(70.0 / 81.0)
 
     def test_outside_support_zero(self):
-        assert kde(np.array([0.0, 0.5]), config_for([0.0]), 3.0) == 0.0
+        assert kde_at(np.array([0.0, 0.5]), config_for([0.0]), 3.0) == 0.0
 
     def test_matches_brute_force(self, rng):
         x = rng.normal(size=200)
@@ -175,12 +192,12 @@ class TestKde:
         k = tricube_kernel()
         for x0 in (-0.7, 0.0, 1.3):
             brute = float(np.sum(np.asarray(k.evaluate((x - x0) / 0.4)))) / (200 * 0.4)
-            assert kde(x, cfg, x0) == pytest.approx(brute, abs=1e-12)
+            assert kde_at(x, cfg, x0) == pytest.approx(brute, abs=1e-12)
 
     def test_uniform_density_estimate(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, 200_000)
-        got = kde(x, config_for([0.5], h=0.05), 0.5)
+        got = kde_at(x, config_for([0.5], h=0.05), 0.5)
         # interior point of a flat density: MC + smoothing error only
         assert got == pytest.approx(1.0, abs=0.03)
 
@@ -190,8 +207,8 @@ class TestKde:
         pts = np.array([-1.0, 0.2, 0.9])
         vec = kde_values(x, cfg, pts)
         for k, p in enumerate(pts):
-            assert vec[k] == pytest.approx(kde(x, cfg, float(p)), abs=1e-12)
+            assert vec[k] == pytest.approx(kde_at(x, cfg, float(p)), abs=1e-12)
 
     def test_empty_sample_rejected(self, unit_config):
         with pytest.raises(GenevarError):
-            kde(np.array([]), unit_config, 0.0)
+            kde_at(np.array([]), unit_config, 0.0)
