@@ -23,6 +23,10 @@ systematic biases inflate residuals and push every statistic up.
 Gene selection compares the classical one-sample t-test against a z-test that
 plugs in the smoothed genewise standard deviation, plus the expected
 theoretical power difference between the two tests.
+
+The distribution functions are scipy.special's ufuncs, which scipy.stats
+itself calls, imported inside the functions that use them: importing
+scipy.stats costs about a second per process, and estimate needs neither.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .model import (
     GenevarError,
@@ -95,24 +98,26 @@ def validation_tests(array: ReplicatedArray, sigma_g,
     if const.n_reps != i:
         raise GenevarError(f"constants built for I={const.n_reps}, data has I={i}")
 
+    from scipy.special import chdtrc, ndtr
+
     d = array.y - array.y.mean(axis=1, keepdims=True)
     sq = (d * d).sum(axis=1)
     ab = np.abs(d).sum(axis=1)
 
     t1 = float((sq / sigma_g ** 2).sum())
-    p1 = float(stats.chi2.sf(t1, df=(i - 1) * g_count))
+    p1 = float(chdtrc((i - 1) * g_count, t1))
 
     t2 = float((ab / sigma_g).sum())
     z2 = (t2 - g_count * const.lambda_i) / (np.sqrt(g_count) * const.kappa_i)
-    p2 = float(stats.norm.sf(z2))
+    p2 = float(ndtr(-z2))
 
     t3 = float((sq.sum() - (i - 1) * (sigma_g ** 2).sum())
                / np.sqrt(2.0 * (i - 1) * (sigma_g ** 4).sum()))
-    p3 = float(stats.norm.sf(t3))
+    p3 = float(ndtr(-t3))
 
     t4 = float((ab.sum() - const.lambda_i * sigma_g.sum())
                / (const.kappa_i * np.sqrt((sigma_g ** 2).sum())))
-    p4 = float(stats.norm.sf(t4))
+    p4 = float(ndtr(-t4))
 
     return ValidationResult(array_id=array_id, t1=t1, p1=p1, t2=t2, p2=p2,
                             t3=t3, p3=p3, t4=t4, p4=p4)
@@ -146,12 +151,14 @@ def t_pvalues(means, sd, n):
     """Two-sided t statistics and p-values, with the degenerate-SD rule:
     s = 0 gives p = 0 for a nonzero mean (certain signal) and p = 1
     otherwise, flagged.  Returns (stat, p, degenerate_mask)."""
+    from scipy.special import stdtr
+
     means = np.asarray(means, dtype=float)
     sd = np.asarray(sd, dtype=float)
     degenerate = sd == 0
     safe = np.where(degenerate, 1.0, sd)
     stat = np.sqrt(n) * means / safe
-    p = 2.0 * stats.t.sf(np.abs(stat), df=n - 1)
+    p = 2.0 * stdtr(n - 1, -np.abs(stat))
     p = np.where(degenerate, np.where(means != 0, 0.0, 1.0), p)
     with np.errstate(invalid="ignore"):
         stat = np.where(degenerate,
@@ -162,12 +169,14 @@ def t_pvalues(means, sd, n):
 
 def z_pvalues(means, sigma, n):
     """Two-sided normal statistics and p-values.  Returns (stat, p)."""
+    from scipy.special import ndtr
+
     means = np.asarray(means, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0):
         raise NonpositiveSigma("z-test needs positive genewise scales")
     stat = np.sqrt(n) * means / sigma
-    return stat, 2.0 * stats.norm.sf(np.abs(stat))
+    return stat, 2.0 * ndtr(-np.abs(stat))
 
 
 def selection_counts(p_t, p_z, fold, fold_changes, alphas):
@@ -196,20 +205,23 @@ def power_increase(means, sigma_g, n: int, alpha: float, sample_sd=None):
     counts over all genes divided by the total gene count; the t-test uses
     sample_sd when provided (sigma_g otherwise).
     """
+    from scipy.special import ndtr, ndtri, nctdtr, stdtrit
+
     means = np.asarray(means, dtype=float)
     sigma_g = np.asarray(sigma_g, dtype=float)
     if np.any(sigma_g <= 0):
         raise NonpositiveSigma("power comparison needs positive scales")
-    zcrit = stats.norm.ppf(1.0 - alpha / 2.0)
-    tcrit = stats.t.ppf(1.0 - alpha / 2.0, df=n - 1)
+    zcrit = ndtri(1.0 - alpha / 2.0)
+    tcrit = stdtrit(n - 1, 1.0 - alpha / 2.0)
 
     nonzero = means != 0
     if nonzero.any():
         ncp = np.sqrt(n) * means[nonzero] / sigma_g[nonzero]
-        p_z = stats.norm.cdf(-zcrit - ncp) + stats.norm.cdf(-zcrit + ncp)
+        p_z = ndtr(-zcrit - ncp) + ndtr(-zcrit + ncp)
         with np.errstate(all="ignore"):
-            upper = stats.nct.sf(tcrit, df=n - 1, nc=ncp)
-            lower = stats.nct.cdf(-tcrit, df=n - 1, nc=ncp)
+            # P(T' > t) = P(-T' < -t), and -T' is noncentral t with ncp -ncp
+            upper = nctdtr(n - 1, -ncp, -tcrit)
+            lower = nctdtr(n - 1, ncp, -tcrit)
         # at extreme noncentrality scipy's far tail underflows to NaN; its
         # true value there is 0
         p_t = np.nan_to_num(upper, nan=0.0) + np.nan_to_num(lower, nan=0.0)

@@ -367,7 +367,7 @@ class CorrelationEstimate:
             raise NonpositiveSigma(f"sigma1={self.sigma1!r} must be positive")
         if not self.sigma2 > 0:
             raise NonpositiveSigma(f"sigma2={self.sigma2!r} must be positive")
-        if self.sigma2 < self.sigma1 ** 2 - 1e-8:
+        if self.sigma2 < self.sigma1 ** 2 * (1.0 - 1e-8):
             raise GenevarError(
                 "sigma2 < sigma1^2 beyond tolerance; moment pair is inconsistent")
         if self.n_reps is not None:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .model import (
     CorrelationEstimate,
@@ -129,6 +128,8 @@ def sample_noise(n_genes: int, n_reps: int, rho: float, rng) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def scale_moments(variance_fn: Callable = variance_function):
     """(E[s(X)], E[s(X)^2]) under the intensity design, by quadrature."""
+    from scipy import integrate  # on first use: the CLI imports this module
+
     f = intensity_density
     s1, _ = integrate.quad(
         lambda t: np.sqrt(max(float(variance_fn(t)), 0.0)) * float(f(t)),
@@ -311,7 +312,9 @@ def run_experiment(design: SimDesign,
     for name in estimators:
         if name not in ESTIMATORS:
             raise GenevarError(f"unknown estimator {name!r}")
-    truth_moments = scale_moments(design.variance_fn)
+    truth_moments = None
+    if {"corrected", "oracle"} & set(estimators):
+        truth_moments = scale_moments(design.variance_fn)
     t_runs = design.n_runs
     k = design.grid.size
     curves = {name: np.empty((t_runs, k)) for name in estimators}

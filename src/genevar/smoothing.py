@@ -36,6 +36,7 @@ from .model import (
 _DET_RTOL = 1e-12
 _DET_FLOOR = 1e-300
 _CHUNK_MAX = 256
+_SLAB_CELLS = 1 << 18   # 2 MB per float matrix of one slab
 _DENSITY_NODES = 512
 
 
@@ -77,29 +78,34 @@ def _window_pass(xs, points, h, reduce, outs):
     """Fill outs with reduce's results over the kernel windows of points.
 
     Walks points in sorted order, in _chunk_bounds runs, and finds each run's
-    data window in the sorted sample xs with one searchsorted pair.
+    data window in the sorted sample xs with one searchsorted pair.  The
+    run's rows are then split into slabs of at most _SLAB_CELLS cells (at
+    least one row each), so memory stays bounded however dense the window.
     reduce(window, u, w) gets the slice of xs within a kernel halfwidth of
     the run, u = (xs[window] - x0) / h and the raw weights K(u), both of
-    shape (run length, window length), and returns one per-point array for
-    each array in outs, which is written at the run's positions in points.
+    shape (slab length, window length), and returns one per-point array for
+    each array in outs, which is written at the slab's positions in points.
     Points with an empty window keep the initial values of outs.
 
     reduce is a callback rather than the body of a loop over a generator:
-    such a loop keeps one run's u and w alive while the next run's are
-    built, and on a large KDE those matrices are tens of MB each.
+    such a loop keeps one slab's u and w alive while the next slab's are
+    built.
     """
     order = np.argsort(points, kind="stable")
     sorted_pts = points[order]
     halfwidth = TRICUBE.support_halfwidth * h
     for start, stop in _chunk_bounds(sorted_pts, halfwidth):
-        p = sorted_pts[start:stop]
-        lo = np.searchsorted(xs, p[0] - halfwidth, side="left")
-        hi = np.searchsorted(xs, p[-1] + halfwidth, side="right")
-        if hi > lo:
-            u = (xs[lo:hi][None, :] - p[:, None]) / h
+        lo = np.searchsorted(xs, sorted_pts[start] - halfwidth, side="left")
+        hi = np.searchsorted(xs, sorted_pts[stop - 1] + halfwidth, side="right")
+        if hi <= lo:
+            continue
+        rows = max(1, _SLAB_CELLS // int(hi - lo))
+        for first in range(start, stop, rows):
+            last = min(first + rows, stop)
+            u = (xs[lo:hi][None, :] - sorted_pts[first:last, None]) / h
             parts = reduce(slice(lo, hi), u, TRICUBE.evaluate(u))
             for out, part in zip(outs, parts):
-                out[order[start:stop]] = part
+                out[order[first:last]] = part
 
 
 def local_linear_at(data: ScatterData, config: EstimationConfig, points):

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +241,32 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "table9", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+class TestImportCost:
+    """scipy.stats alone takes about a second to import, so scipy's
+    statistics and quadrature load on first use, never at start-up."""
+
+    LAZY = {"scipy.stats", "scipy.special", "scipy.integrate"}
+
+    @staticmethod
+    def scipy_modules_after(code):
+        import genevar
+
+        src = str(Path(genevar.__file__).resolve().parents[1])
+        report = ("import sys\nprint(' '.join(m for m in sys.modules "
+                  "if m.startswith('scipy')))")
+        done = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        return set(done.stdout.splitlines()[-1].split())
+
+    def test_cli_import_loads_none(self):
+        assert not self.scipy_modules_after("import genevar.cli") & self.LAZY
+
+    def test_estimate_loads_none(self, replicated_csv, tmp_path):
+        argv = ["estimate", "--input", str(replicated_csv),
+                "--out", str(tmp_path / "out")]
+        loaded = self.scipy_modules_after(
+            f"from genevar.cli import main\nassert main({argv!r}) == 0")
+        assert not loaded & self.LAZY

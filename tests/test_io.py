@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from genevar import io
 from genevar.io import read_table, write_table
 from genevar.model import IngestionError, MultiArraySet, ReplicatedArray
 
@@ -114,3 +118,158 @@ class TestIngestionErrors:
             "aa,1,1,8.0,0.2\n")
         ms = read_table(path)
         assert ms.gene_ids == ("zz", "aa")
+
+
+# ---------------------------------------------------------------------------
+# The columnar reader against the row-by-row pass
+# ---------------------------------------------------------------------------
+
+# (field index or None for a whole line, replacement tokens)
+EDITS = [
+    (None, ["", "  ", "\t"]),  # inserted lines
+    (0, ["#g", "g#1", '"g1"', '"g,1"', 'a"b', " g1 ", "g2\t", "", "  "]),
+    (1, ["1.0", "+1", "1_0", "0", "-1", " 2 ", "01", "", "x", "\u0661"]),
+    (2, ["1.0", "+1", "1_0", "0", " 2", "2"]),
+    (3, ["nan", "inf", "-inf", "1e400", "1_0", "0", "-1.5", " 7.5 ", "1e-3"]),
+    (4, ["nan", "Infinity", "1e400", "0", "-2", "1_0", "0.0", "+3"]),
+]
+
+
+def valid_rows(seed, raw, n_genes, n_reps, n_arrays):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for g in range(n_genes):
+        for r in range(n_reps):
+            for a in range(n_arrays):
+                if raw:
+                    u, v = rng.lognormal(6.0, 2.0, 2).tolist()
+                else:
+                    u, v = rng.uniform(6, 16), rng.normal()
+                rows.append(f"g{g + 1},{r + 1},{a + 1},{u!r},{v!r}")
+    return [rows[k] for k in rng.permutation(len(rows))]
+
+
+def mutate(rows, kind, at, token):
+    """Apply one edit to the data lines; at and token pick where and what."""
+    if not rows:
+        return
+    k = at % len(rows)
+    if kind == "dup":
+        rows.insert(at % (len(rows) + 1), rows[k])
+    elif kind == "drop":
+        del rows[k]
+    elif kind == "fields4":
+        rows[k] = rows[k].rsplit(",", 1)[0]
+    elif kind == "fields6":
+        rows[k] += ",1"
+    elif kind in ("quote", "pad"):
+        # csv strips the quotes and int()/float() the blanks: still valid
+        parts = rows[k].split(",")
+        f = token % len(parts)
+        parts[f] = f'"{parts[f]}"' if kind == "quote" else f" {parts[f]}\t"
+        rows[k] = ",".join(parts)
+    else:
+        field, tokens = EDITS[kind]
+        token = tokens[token % len(tokens)]
+        if field is None:
+            rows.insert(at % (len(rows) + 1), token)
+        else:
+            parts = rows[k].split(",")
+            if field < len(parts):
+                parts[field] = token
+                rows[k] = ",".join(parts)
+
+
+def outcome(path):
+    try:
+        return read_table(path)
+    except IngestionError as exc:
+        return str(exc)
+
+
+def assert_same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.gene_ids == want.gene_ids
+    assert got.n_arrays == want.n_arrays
+    for a, b in zip(got.arrays, want.arrays):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+mutations = st.lists(
+    st.tuples(st.sampled_from(["dup", "drop", "fields4", "fields6", "quote",
+                               "pad", *range(len(EDITS))]),
+              st.integers(0, 200), st.integers(0, 20)),
+    max_size=3)
+
+
+def write_rows(path, raw, rows, eol="\n", final_newline=True):
+    header = ",".join(io.RAW_HEADER if raw else io.LOG_HEADER)
+    text = eol.join([header, *rows]) + (eol if final_newline else "")
+    path.write_bytes(text.encode())
+
+
+def assert_parity(path):
+    columns = io._read_columns(path)
+    if columns is not None:
+        # whatever the columnar pass accepts, the row pass accepts too
+        want = io._read_rows(path)
+        assert columns[0] == want[0] and columns[1] == want[1]
+        assert np.array_equal(columns[2], want[2])
+        assert np.array_equal(columns[3], want[3])
+    with mock.patch.object(io, "_read_columns", lambda path: None):
+        by_rows = outcome(path)
+    assert_same(outcome(path), by_rows)
+
+
+def single_edits():
+    yield from [("dup", 0, 0), ("drop", 0, 0), ("fields4", 0, 0),
+                ("fields6", 0, 0)]
+    for kind in ("quote", "pad"):
+        yield from ((kind, 0, f) for f in range(5))
+    for kind, (_, tokens) in enumerate(EDITS):
+        yield from ((kind, 0, t) for t in range(len(tokens)))
+
+
+class TestColumnarParity:
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2)])
+    def test_every_single_edit(self, tmp_path, raw, shape):
+        for n, edit in enumerate(single_edits()):
+            rows = valid_rows(n, raw, *shape)
+            mutate(rows, *edit)
+            path = tmp_path / f"edit{n}.csv"
+            write_rows(path, raw, rows)
+            assert_parity(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), raw=st.booleans(),
+           n_genes=st.integers(1, 3), n_reps=st.integers(1, 3),
+           n_arrays=st.integers(1, 2), edits=mutations,
+           crlf=st.booleans(), final_newline=st.booleans())
+    def test_matches_row_pass(self, tmp_path_factory, seed, raw, n_genes,
+                              n_reps, n_arrays, edits, crlf, final_newline):
+        rows = valid_rows(seed, raw, n_genes, n_reps, n_arrays)
+        for edit in edits:
+            mutate(rows, *edit)
+        path = tmp_path_factory.mktemp("parity") / "t.csv"
+        write_rows(path, raw, rows, "\r\n" if crlf else "\n", final_newline)
+        assert_parity(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\n\n"),
+        lambda t: t.replace("g1,", " g1 ,").replace("g2,", "g#2,"),
+        lambda t: t.replace(",1,1,", ",+1,01,"),
+    ])
+    def test_tolerated_spellings_stay_columnar(self, tmp_path, rng, edit):
+        # common variants of a valid file must not cost the slow row pass
+        path = tmp_path / "data.csv"
+        write_table(small_set(rng), path)
+        plain = read_table(path)
+        path.write_text(edit(path.read_text().replace("gene-", "g")))
+        assert io._read_columns(path) is not None
+        got = read_table(path)
+        for a, b in zip(got.arrays, plain.arrays):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)

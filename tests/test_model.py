@@ -130,6 +130,18 @@ class TestCurveAndEstimate:
             CorrelationEstimate(rho=0.0, sigma1=1.0, sigma2=0.5,
                                 iterations=1, converged=True)
 
+    @pytest.mark.parametrize("sigma1", [1e-4, 1.0, 1e4])
+    def test_moment_tolerance_is_relative(self, sigma1):
+        # sigma2 = sigma1^2 / 2 is inconsistent at every scale of y; a
+        # rounding-size shortfall is not
+        with pytest.raises(GenevarError):
+            CorrelationEstimate(rho=0.0, sigma1=sigma1,
+                                sigma2=0.5 * sigma1 ** 2,
+                                iterations=1, converged=True)
+        CorrelationEstimate(rho=0.0, sigma1=sigma1,
+                            sigma2=sigma1 ** 2 * (1.0 - 1e-12),
+                            iterations=1, converged=True)
+
     def test_estimate_rho_bound(self):
         with pytest.raises(InvalidRho):
             CorrelationEstimate(rho=-0.6, sigma1=0.5, sigma2=0.3,

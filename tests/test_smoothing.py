@@ -212,3 +212,41 @@ class TestKde:
     def test_empty_sample_rejected(self, unit_config):
         with pytest.raises(GenevarError):
             kde_at(np.array([]), unit_config, 0.0)
+
+
+class TestSlabs:
+    """The window pass bounds memory by splitting a run's rows into slabs;
+    the slab size must not change the results."""
+
+    @staticmethod
+    def both(monkeypatch, fn):
+        from genevar import smoothing
+
+        monkeypatch.setattr(smoothing, "_SLAB_CELLS", 1 << 62)
+        whole = fn()
+        monkeypatch.setattr(smoothing, "_SLAB_CELLS", 1)
+        return whole, fn()
+
+    def test_kde_bit_identical_one_row_per_slab(self, monkeypatch, rng):
+        x = rng.normal(size=20_000)
+        pts = np.concatenate([rng.uniform(-4, 4, 3000), [-9.0, 9.0]])
+        whole, rows = self.both(
+            monkeypatch, lambda: kde_values(x, config_for([0.0], h=0.3), pts))
+        assert np.array_equal(whole, rows)
+
+    def test_local_linear_one_row_per_slab(self, monkeypatch, rng):
+        # the benchmark design; the moment sums' last bits depend on how
+        # BLAS blocks a slab, so values agree to rounding, not bit for bit
+        from genevar.simulation import sample_intensities, variance_function
+
+        x = np.concatenate([sample_intensities(60_000, rng), [30.0, 30.0]])
+        data = ScatterData(x=x, z=variance_function(x) * rng.chisquare(1, x.size))
+        pts = np.concatenate([np.linspace(6, 16, 101), x[:3000], [30.0, 40.0]])
+        cfg = config_for([6.0])
+        (v_whole, d_whole), (v_rows, d_rows) = self.both(
+            monkeypatch, lambda: local_linear_at(data, cfg, pts))
+        assert d_whole[-2:].all()
+        assert np.array_equal(d_whole, d_rows)
+        ok = ~d_whole
+        np.testing.assert_allclose(v_rows[ok], v_whole[ok], rtol=1e-12, atol=0)
+        assert np.isnan(v_rows[~ok]).all()
