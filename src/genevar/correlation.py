@@ -145,7 +145,10 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     rho_raw = None if fixed_rho is not None \
         else raw_correlation(variance_components(mset), n_reps)
 
-    points = mset.pooled_x()
+    # sorted once so each iteration's scale_at lookup walks the grid in
+    # order; the moments are means, which the order changes only in the
+    # last bits
+    points = np.sort(mset.pooled_x())
     grid = eta_mean.grid
     # Initial corrected-curve guess.  The pooled curve already targets the
     # variance scale for I >= 3; the paired curve targets roughly half of it.

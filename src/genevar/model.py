@@ -105,6 +105,8 @@ class KernelSpec:
     ----------
     evaluate : callable
         Vectorized u -> K(u); zero outside [-support_halfwidth, support_halfwidth].
+        evaluate(u, out, scratch) writes K(u) into out and overwrites
+        scratch, allocating nothing.
     support_halfwidth : float
     c_k : float
         Second moment, int u^2 K(u) du.
@@ -112,18 +114,30 @@ class KernelSpec:
         Roughness, int K(u)^2 du.
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[..., np.ndarray]
     support_halfwidth: float
     c_k: float
     d_k: float
 
 
-def _tricube(u):
+def _tricube(u, out=None, scratch=None):
+    """K(u), written into out when out and scratch (float arrays of u's
+    shape, scratch overwritten) are given, else into fresh arrays.  Either
+    way the operation order is a = min(|u|, 1), t = 1 - a*a*a,
+    K = ((70/81) t) t t."""
     # clipping |u| at 1 makes the cube factor vanish outside the support,
     # avoiding a branch on large weight matrices
-    a = np.minimum(np.abs(np.asarray(u, dtype=float)), 1.0)
-    t = 1.0 - a * a * a
-    return (70.0 / 81.0) * t * t * t
+    u = np.asarray(u, dtype=float)
+    if out is None:
+        out, scratch = np.empty(u.shape), np.empty(u.shape)
+    a = np.minimum(np.abs(u, out=out), 1.0, out=out)
+    cube = np.multiply(a, a, out=scratch)
+    cube *= a
+    t = np.subtract(1.0, cube, out=out)
+    k = np.multiply(70.0 / 81.0, t, out=scratch)
+    k *= t
+    np.multiply(k, t, out=out)
+    return out if out.ndim else out[()]
 
 
 # (70/81)(1-|u|^3)^3 on [-1, 1].  c_k = 2 (70/81) / 12 = 35/243, and
@@ -203,7 +217,7 @@ class ReplicatedArray:
             raise ShapeMismatch("x and y must be 2-d (genes x replicates)")
         if x.shape != y.shape:
             raise ShapeMismatch(f"x shape {x.shape} != y shape {y.shape}")
-        ids = tuple(str(g) for g in self.gene_ids)
+        ids = tuple(map(str, self.gene_ids))
         if len(ids) != x.shape[0]:
             raise ShapeMismatch(
                 f"{len(ids)} gene ids for {x.shape[0]} gene rows")

@@ -4,6 +4,9 @@ Both run on one kernel-window pass (_window_pass) with the fixed tricube
 kernel of model.TRICUBE: the evaluation points are sorted once, walked in
 runs that share a data window, and each run gets its raw weights K(u).
 Regression forms weighted moment sums from them; the density sums them.
+The pass allocates its u, weight and scratch matrices once and reuses them
+for every slab of rows, so the per-slab reductions may overwrite the weights
+and the scratch but must not keep views of any of them.
 
 The regression engine fits, at each evaluation point x0, a weighted
 least-squares line to (x, z) with weights K((x - x0)/h)/h and returns the
@@ -81,31 +84,43 @@ def _window_pass(xs, points, h, reduce, outs):
     data window in the sorted sample xs with one searchsorted pair.  The
     run's rows are then split into slabs of at most _SLAB_CELLS cells (at
     least one row each), so memory stays bounded however dense the window.
-    reduce(window, u, w) gets the slice of xs within a kernel halfwidth of
-    the run, u = (xs[window] - x0) / h and the raw weights K(u), both of
-    shape (slab length, window length), and returns one per-point array for
-    each array in outs, which is written at the slab's positions in points.
-    Points with an empty window keep the initial values of outs.
+    reduce(window, u, w, scratch) gets the slice of xs within a kernel
+    halfwidth of the run, u = (xs[window] - x0) / h, the raw weights K(u)
+    and a scratch matrix, all of shape (slab length, window length), and
+    returns one per-point array for each array in outs, which is written at
+    the slab's positions in points.  Points with an empty window keep the
+    initial values of outs.
 
-    reduce is a callback rather than the body of a loop over a generator:
-    such a loop keeps one slab's u and w alive while the next slab's are
-    built.
+    Every slab's matrices are views of three buffers allocated once per
+    pass and sized by the largest slab, so the next slab overwrites them:
+    reduce may overwrite w and scratch but must not keep a view of u, w or
+    scratch after it returns.
     """
     order = np.argsort(points, kind="stable")
     sorted_pts = points[order]
     halfwidth = TRICUBE.support_halfwidth * h
+    slabs = []
     for start, stop in _chunk_bounds(sorted_pts, halfwidth):
-        lo = np.searchsorted(xs, sorted_pts[start] - halfwidth, side="left")
-        hi = np.searchsorted(xs, sorted_pts[stop - 1] + halfwidth, side="right")
+        lo = int(np.searchsorted(xs, sorted_pts[start] - halfwidth, side="left"))
+        hi = int(np.searchsorted(xs, sorted_pts[stop - 1] + halfwidth, side="right"))
         if hi <= lo:
             continue
-        rows = max(1, _SLAB_CELLS // int(hi - lo))
-        for first in range(start, stop, rows):
-            last = min(first + rows, stop)
-            u = (xs[lo:hi][None, :] - sorted_pts[first:last, None]) / h
-            parts = reduce(slice(lo, hi), u, TRICUBE.evaluate(u))
-            for out, part in zip(outs, parts):
-                out[order[first:last]] = part
+        rows = max(1, _SLAB_CELLS // (hi - lo))
+        slabs.extend((first, min(first + rows, stop), lo, hi)
+                     for first in range(start, stop, rows))
+    if not slabs:
+        return
+    cells = max((last - first) * (hi - lo) for first, last, lo, hi in slabs)
+    buffers = [np.empty(cells) for _ in range(3)]
+    for first, last, lo, hi in slabs:
+        shape = (last - first, hi - lo)
+        u, w, scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+        np.subtract(xs[lo:hi][None, :], sorted_pts[first:last, None], out=u)
+        u /= h
+        TRICUBE.evaluate(u, w, scratch)
+        parts = reduce(slice(lo, hi), u, w, scratch)
+        for out, part in zip(outs, parts):
+            out[order[first:last]] = part
 
 
 def local_linear_at(data: ScatterData, config: EstimationConfig, points):
@@ -121,10 +136,10 @@ def local_linear_at(data: ScatterData, config: EstimationConfig, points):
     zs = data.z[order_x]
     h = config.bandwidth
 
-    def intercepts(window, u, w):
+    def intercepts(window, u, w, scratch):
         zw = zs[window]
         w /= h
-        wu = w * u
+        wu = np.multiply(w, u, out=scratch)
         s0 = w.sum(axis=1)
         s1 = wu.sum(axis=1)
         s2 = np.einsum("ij,ij->i", wu, u)
@@ -161,7 +176,7 @@ def kde_values(x, config: EstimationConfig, points) -> np.ndarray:
     h = config.bandwidth
     sums = np.zeros(pts.shape)
     _window_pass(np.sort(x), pts, h,
-                 lambda window, u, w: (w.sum(axis=1),), (sums,))
+                 lambda window, u, w, scratch: (w.sum(axis=1),), (sums,))
     return sums / (x.size * h)
 
 

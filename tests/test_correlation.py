@@ -15,6 +15,7 @@ from genevar.model import (
     MultiArraySet,
     NonpositiveSigma,
     TooFewArrays,
+    VarianceCurve,
     ZeroDenominator,
 )
 from genevar.simulation import SimDesign, generate_set, intensity_density, variance_function
@@ -241,6 +242,49 @@ class TestScaleEquivariance:
                                                         rel=1e-9)
         np.testing.assert_allclose(got.curve.values / c ** 2, base.curve.values,
                                    rtol=1e-9, atol=0)
+
+
+class TestShiftEquivariance:
+    """Shifting every intensity and the grid by the same c moves the fit
+    along with them: equal iterations, and rho, sigma1 and the curve equal
+    up to rounding, on the paired route and the I >= 3 one."""
+
+    @pytest.mark.parametrize("n_reps", [2, 3])
+    @pytest.mark.parametrize("c", [-5.0, 0.37, 40.0])
+    def test_shift_with_grid(self, n_reps, c):
+        ms = generate_set(SimDesign(n_genes=2000, n_replicates=n_reps,
+                                    rho=0.4, seed=7), 0)
+        base = fixed_point_solve(ms, CONFIG)
+        shifted = EstimationConfig(bandwidth=CONFIG.bandwidth,
+                                   grid=CONFIG.grid + c)
+        got = fixed_point_solve(transformed(ms, lambda x, y: (x + c, y)),
+                                shifted)
+        assert got.estimate.iterations == base.estimate.iterations
+        assert got.estimate.rho == pytest.approx(base.estimate.rho, rel=1e-9)
+        assert got.estimate.sigma1 == pytest.approx(base.estimate.sigma1,
+                                                    rel=1e-9)
+        np.testing.assert_allclose(got.curve.values, base.curve.values,
+                                   rtol=1e-9, atol=0)
+
+
+class TestMomentLookup:
+    """The fixed point reads sigma1 and sigma2 off the curve at the pooled
+    intensities; doing so over them in sorted order changes only rounding."""
+
+    @pytest.mark.parametrize("n_reps", [2, 3])
+    def test_first_iteration_moments(self, n_reps):
+        ms = generate_set(SimDesign(n_genes=1000, n_replicates=n_reps,
+                                    rho=0.4, seed=13), 0)
+        values = variance_function(CONFIG.grid)
+        values[[0, 1, 40, 41, 42, 100]] = np.nan
+        cfg = EstimationConfig(bandwidth=CONFIG.bandwidth, grid=CONFIG.grid,
+                               max_iterations=1)
+        est = fixed_point_solve(ms, cfg, initial_values=values).estimate
+        scale = VarianceCurve(grid=CONFIG.grid, values=values).scale_at(
+            ms.pooled_x())
+        assert est.iterations == 1
+        assert est.sigma1 == pytest.approx(scale.mean(), rel=1e-14)
+        assert est.sigma2 == pytest.approx((scale * scale).mean(), rel=1e-14)
 
 
 class TestExactInvariances:
