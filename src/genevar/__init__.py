@@ -38,13 +38,14 @@ from .synthetic import SyntheticData, residual_squares, synthetic_responses, unb
 from .estimators import (
     average_curves,
     clamp_nonnegative,
+    correct,
     correct_curve,
     correct_paired_curve,
-    corrected_replicate_average,
     paired_difference_curve,
     pooled_curve,
     replicate_curves,
     two_stage_curve,
+    uncorrected_curve,
 )
 from .correlation import (
     FixedPointResult,

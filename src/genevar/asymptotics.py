@@ -45,6 +45,9 @@ from .correlation import FixedPointResult
 from .synthetic import unbiasing_matrix
 
 
+FD_STEP = 0.01  # central-difference step, 1e-3 of a ten-unit intensity range
+
+
 @dataclass(frozen=True)
 class AsymptoticContext:
     """Everything the variance formulas need at one design.
@@ -53,7 +56,7 @@ class AsymptoticContext:
     plug-in otherwise); f_x is the intensity density.  curvature_fn, when
     given, supplies (s^2)'' analytically; scale_curvature_fn supplies s''.
     Otherwise second derivatives fall back to central differences with step
-    fd_step (default 0.01, i.e. 1e-3 of a ten-unit intensity range).
+    FD_STEP.
     """
 
     sigma_fn: Callable[[np.ndarray], np.ndarray]
@@ -67,7 +70,6 @@ class AsymptoticContext:
     n_reps: int
     curvature_fn: Optional[Callable] = None
     scale_curvature_fn: Optional[Callable] = None
-    fd_step: float = 0.01
 
     def __post_init__(self):
         if self.n_genes < 1 or self.n_reps < 2:
@@ -76,14 +78,15 @@ class AsymptoticContext:
             raise GenevarError("bandwidth must be positive")
 
 
-def _second_difference(fn, x, step):
+def _second_difference(fn, x):
+    step = FD_STEP
     return (float(fn(x + step)) - 2.0 * float(fn(x)) + float(fn(x - step))) / step ** 2
 
 
 def _variance_curvature(ctx: AsymptoticContext, x: float) -> float:
     if ctx.curvature_fn is not None:
         return float(ctx.curvature_fn(x))
-    return _second_difference(lambda t: ctx.sigma_fn(t) ** 2, x, ctx.fd_step)
+    return _second_difference(lambda t: ctx.sigma_fn(t) ** 2, x)
 
 
 def replicate_curve_asymptotics(ctx: AsymptoticContext, x: float):
@@ -221,7 +224,7 @@ def _shifted_target_curvature(ctx: AsymptoticContext, x: float) -> float:
     def eta2(t):
         st = float(ctx.sigma_fn(t))
         return st * st - 2.0 * ctx.rho * ctx.sigma1 * st + ctx.rho * ctx.sigma1 ** 2
-    return _second_difference(eta2, x, ctx.fd_step)
+    return _second_difference(eta2, x)
 
 
 def pooled_curve_asymptotics(ctx: AsymptoticContext, x: float):

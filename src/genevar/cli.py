@@ -106,12 +106,13 @@ def _write_manifest(outdir: Path, command: str, args, inputs):
         json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """Write equal-length columns under header.  Each column becomes Python
+    scalars in one tolist() call; csv writes a float as its repr."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _build_config(args, pooled_x) -> EstimationConfig:
@@ -151,16 +152,16 @@ def cmd_estimate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "curve.csv", ["x", "variance", "stderr", "flags"],
-               [(float(g), float(v), float(s), int(f))
-                for g, v, s, f in zip(curve.grid, curve.values, stderr, curve.flags)])
+               [curve.grid, curve.values, stderr, curve.flags])
     _write_csv(outdir / "correlation.csv",
                ["rho", "sigma1", "sigma2", "rho_raw", "iterations",
                 "converged", "clipped", "curve_change", "mode"],
-               [(float(est.rho), float(est.sigma1), float(est.sigma2),
-                 float(fp.rho_raw) if fp.rho_raw is not None else "",
-                 est.iterations, est.converged, est.clipped,
-                 float(fp.curve_change),
-                 "paired" if mset.n_replicates == 2 else "pooled")])
+               [[v] for v in (
+                   est.rho, est.sigma1, est.sigma2,
+                   fp.rho_raw if fp.rho_raw is not None else "",
+                   est.iterations, est.converged, est.clipped,
+                   fp.curve_change,
+                   "paired" if mset.n_replicates == 2 else "pooled")])
     _write_manifest(outdir, "estimate", args, [args.input])
     if not est.converged:
         print("warning: fixed point did not converge "
@@ -187,10 +188,9 @@ def cmd_validate(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "validation.csv",
-               ["array_id", "t1", "p1", "t2", "p2", "t3", "p3", "t4", "p4"],
-               [(r.array_id, r.t1, r.p1, r.t2, r.p2, r.t3, r.p3, r.t4, r.p4)
-                for r in results])
+    fields = ["array_id", "t1", "p1", "t2", "p2", "t3", "p3", "t4", "p4"]
+    _write_csv(outdir / "validation.csv", fields,
+               [[getattr(r, name) for r in results] for name in fields])
     _write_manifest(outdir, "validate", args, [args.input])
     if args.format == "table":
         print(f"{'array':<10s} {'p(T1)':>8s} {'p(T2)':>8s} {'p(T3)':>8s} {'p(T4)':>8s}")
@@ -265,21 +265,18 @@ def cmd_select(args) -> int:
     _write_csv(outdir / "gene_calls.csv",
                ["gene_id", "mean", "sample_sd", "sigma_hat", "fold_change",
                 "t_stat", "p_t", "z_stat", "p_z", "flagged"],
-               [(gid, float(means[k]), float(sample_sd[k]), float(sigma_hat[k]),
-                 float(fold[k]), float(t_stat[k]), float(p_t[k]),
-                 float(z_stat[k]), float(p_z[k]), bool(flagged[k]))
-                for k, gid in enumerate(super_array.gene_ids)])
+               [super_array.gene_ids, means, sample_sd, sigma_hat, fold,
+                t_stat, p_t, z_stat, p_z, flagged])
 
     counts_rows = selection_counts(p_t, p_z, fold, args.fold_changes, args.alphas)
     _write_csv(outdir / "counts.csv",
-               ["fold_change", "alpha", "t_selected", "z_selected"], counts_rows)
+               ["fold_change", "alpha", "t_selected", "z_selected"],
+               zip(*counts_rows))
 
-    power_rows = []
-    for alpha in args.alphas:
-        theo, emp = power_increase(means, sigma_hat, n, alpha, sample_sd=sample_sd)
-        power_rows.append((alpha, float(theo), float(emp)))
+    power = [power_increase(means, sigma_hat, n, alpha, sample_sd=sample_sd)
+             for alpha in args.alphas]
     _write_csv(outdir / "power.csv", ["alpha", "theoretical", "empirical"],
-               power_rows)
+               [args.alphas, *zip(*power)])
     _write_manifest(outdir, "select", args, [args.input])
 
     if args.format == "table":
@@ -313,27 +310,22 @@ def cmd_simulate(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    names = report.estimators
+    metrics = [report.metrics[name] for name in names]
     _write_csv(outdir / "report.csv", ["estimator", "bias2", "var", "mise"],
-               [(name, report.metrics[name].bias2, report.metrics[name].var,
-                 report.metrics[name].mise) for name in report.estimators])
+               [names, [m.bias2 for m in metrics], [m.var for m in metrics],
+                [m.mise for m in metrics]])
     if report.parameter_stats:
-        _write_csv(outdir / "params.csv",
-                   ["parameter", "truth", "mean", "bias2", "var", "mse"],
-                   [(name, p.truth, p.mean, p.bias2, p.var, p.mse)
-                    for name, p in report.parameter_stats.items()])
-    curve_header = ["x", "truth"] + [f"{name}_median_run" for name in report.estimators]
-    curve_rows = []
-    for k, xk in enumerate(report.grid):
-        row = [float(xk), float(report.truth[k])]
-        row.extend(float(report.metrics[name].median_curve[k])
-                   for name in report.estimators)
-        curve_rows.append(tuple(row))
-    _write_csv(outdir / "curves.csv", curve_header, curve_rows)
-    _write_csv(outdir / "ise.csv",
-               ["run"] + list(report.estimators),
-               [tuple([t] + [float(report.metrics[name].ise[t])
-                             for name in report.estimators])
-                for t in range(design.n_runs)])
+        stats = report.parameter_stats
+        fields = ["truth", "mean", "bias2", "var", "mse"]
+        _write_csv(outdir / "params.csv", ["parameter", *fields],
+                   [list(stats)] + [[getattr(p, f) for p in stats.values()]
+                                    for f in fields])
+    _write_csv(outdir / "curves.csv",
+               ["x", "truth"] + [f"{name}_median_run" for name in names],
+               [report.grid, report.truth] + [m.median_curve for m in metrics])
+    _write_csv(outdir / "ise.csv", ["run", *names],
+               [range(design.n_runs)] + [m.ise for m in metrics])
     _write_manifest(outdir, "simulate", args, [])
     if args.format == "table":
         print(report.format_table())

@@ -36,7 +36,6 @@ import numpy as np
 from .model import (
     CorrelationEstimate,
     EstimationConfig,
-    GenevarError,
     MultiArraySet,
     NonpositiveSigma,
     TooFewArrays,
@@ -48,14 +47,13 @@ from .model import (
 from .estimators import (
     average_curves,
     clamp_nonnegative,
-    correct_curve,
-    correct_paired_curve,
-    paired_difference_curve,
-    pooled_curve,
+    correct,
+    uncorrected_curve,
 )
-from .synthetic import synthetic_responses
 
 RHO_MARGIN = 1e-6  # keeps the equicorrelation matrix strictly positive definite
+CONVERGENCE_TOL = 1e-3  # on the rho move and the relative sigma1 move
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -112,34 +110,24 @@ def corrected_correlation(rho_raw: float, sigma1: float, sigma2: float,
 class FixedPointResult:
     estimate: CorrelationEstimate
     curve: VarianceCurve              # mean of per-array corrected curves
-    per_array: tuple                  # corrected curve per array
     uncorrected: tuple                # raw per-array curves fed to the root
     rho_raw: Optional[float]          # REML ratio, None when rho was fixed
     curve_change: float               # sup-norm curve move on the last iteration
-    rho_path: tuple
 
 
 def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
-                      fixed_rho: Optional[float] = None,
-                      initial_values=None) -> FixedPointResult:
+                      fixed_rho: Optional[float] = None) -> FixedPointResult:
     """Jointly estimate (rho, s1, s2) and the corrected variance curve.
 
     A fixed_rho pins the correlation itself, in which case convergence is
-    judged on s1 and a single array suffices.  initial_values replaces the
-    default starting curve (grid-aligned variance values), e.g. to restart
-    from a previous solution.  Non-convergence is reported through the
-    returned flag, never raised.
+    judged on s1 and a single array suffices.  Non-convergence within
+    MAX_ITERATIONS is reported through the returned flag, never raised.
     """
     for a in mset.arrays:
         validate(a)
     n_reps = mset.n_replicates
-    paired = n_reps == 2
 
-    if paired:
-        uncorrected = tuple(paired_difference_curve(a, config) for a in mset.arrays)
-    else:
-        uncorrected = tuple(
-            pooled_curve(synthetic_responses(a), config) for a in mset.arrays)
+    uncorrected = tuple(uncorrected_curve(a, config) for a in mset.arrays)
     eta_mean = average_curves(uncorrected)
 
     rho_raw = None if fixed_rho is not None \
@@ -152,14 +140,9 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     grid = eta_mean.grid
     # Initial corrected-curve guess.  The pooled curve already targets the
     # variance scale for I >= 3; the paired curve targets roughly half of it.
-    if initial_values is not None:
-        current = np.clip(np.asarray(initial_values, dtype=float), 0.0, None)
-        if current.shape != grid.shape:
-            raise GenevarError("initial_values must match the grid length")
-    else:
-        current = np.clip(eta_mean.values, 0.0, None)
-        if paired:
-            current = 2.0 * current
+    current = np.clip(eta_mean.values, 0.0, None)
+    if n_reps == 2:
+        current = 2.0 * current
 
     rho = float(fixed_rho) if fixed_rho is not None else 0.0
     sigma1 = sigma2 = float("nan")
@@ -167,10 +150,9 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     converged = False
     clipped = False
     curve_change = float("inf")
-    rho_path = []
     iterations = 0
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         scale = VarianceCurve(grid=grid, values=current).scale_at(points)
         sigma1 = float(scale.mean())
         sigma2 = float((scale * scale).mean())
@@ -186,12 +168,10 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
             # clamp kicks in on alternate iterations) and would settle into a
             # two-cycle instead of the fixed point.
             rho = proposal if prev_rho is None else 0.5 * (prev_rho + proposal)
-        rho_path.append(rho)
         est = CorrelationEstimate(rho=rho, sigma1=sigma1, sigma2=sigma2,
                                   iterations=iterations, converged=False,
                                   clipped=clipped, n_reps=n_reps)
-        corrected = correct_paired_curve(eta_mean, est) if paired \
-            else correct_curve(eta_mean, est)
+        corrected = correct(eta_mean, est)
         # The curve update is damped for the same reason as the rho update:
         # the paired-route scale map has derivative -1 at its fixed point
         # (a neutral two-cycle), and near clamped discriminants the I >= 3
@@ -210,7 +190,7 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
             if prev_sigma1 is not None else float("inf")
         if fixed_rho is None and prev_rho is not None:
             move = max(move, abs(rho - prev_rho))
-        if move < config.convergence_tol:
+        if move < CONVERGENCE_TOL:
             converged = True
             break
         prev_rho = rho
@@ -219,17 +199,12 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     estimate = CorrelationEstimate(rho=rho, sigma1=sigma1, sigma2=sigma2,
                                    iterations=iterations, converged=converged,
                                    clipped=clipped, n_reps=n_reps)
-    if paired:
-        per_array = tuple(correct_paired_curve(c, estimate) for c in uncorrected)
-    else:
-        per_array = tuple(correct_curve(c, estimate) for c in uncorrected)
-    mean_curve = clamp_nonnegative(average_curves(per_array))
+    mean_curve = clamp_nonnegative(
+        average_curves(correct(c, estimate) for c in uncorrected))
     return FixedPointResult(
         estimate=estimate,
         curve=mean_curve,
-        per_array=per_array,
         uncorrected=uncorrected,
         rho_raw=rho_raw,
         curve_change=curve_change,
-        rho_path=tuple(rho_path),
     )

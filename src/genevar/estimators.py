@@ -17,6 +17,8 @@ correlation-corrected curve
 The I=2 case collapses to smoothing the squared half-differences, with target
 s^2(x)/4 + s2/4 - rho s1 s(x)/2 and corrected root
 rho s1 + sqrt(rho^2 s1^2 - s2 + 4 eta^2(x)).
+uncorrected_curve and correct pick between the two routes by the replicate
+count; the fixed point and the simulation harness go through them.
 
 A naive two-stage baseline treats the gene effect as a smooth function of
 intensity: smooth Y on X, then smooth the squared residuals.  It is badly
@@ -39,7 +41,7 @@ from .model import (
     VarianceCurve,
 )
 from .smoothing import ScatterData, fit_curve, local_linear_at
-from .synthetic import SyntheticData
+from .synthetic import SyntheticData, synthetic_responses
 
 _STAGE1_NODES = 512
 
@@ -103,12 +105,6 @@ def correct_curve(eta: VarianceCurve, corr: CorrelationEstimate) -> VarianceCurv
     return _root_to_variance(eta.grid, r * s1, disc, eta.flags)
 
 
-def corrected_replicate_average(curves, corr: CorrelationEstimate) -> VarianceCurve:
-    """Apply the correction per replicate curve, then average (the alternative
-    route; the pooled route is the default)."""
-    return average_curves([correct_curve(c, corr) for c in curves])
-
-
 def paired_difference_curve(array: ReplicatedArray,
                             config: EstimationConfig) -> VarianceCurve:
     """I=2 estimator: smooth (Y_g1 - Y_g2)^2 / 4 against both intensity
@@ -131,6 +127,23 @@ def correct_paired_curve(eta2: VarianceCurve,
     return _root_to_variance(eta2.grid, r * s1, disc, eta2.flags)
 
 
+def uncorrected_curve(array: ReplicatedArray,
+                      config: EstimationConfig) -> VarianceCurve:
+    """The uncorrected curve of one array: the paired-difference fit at I=2,
+    the pooled synthetic-response fit at I >= 3."""
+    if array.n_replicates == 2:
+        return paired_difference_curve(array, config)
+    return pooled_curve(synthetic_responses(array), config)
+
+
+def correct(eta: VarianceCurve, corr: CorrelationEstimate) -> VarianceCurve:
+    """Corrected curve from an uncorrected_curve, by the root that matches
+    corr.n_reps (the pooled root when it is unset)."""
+    if corr.n_reps == 2:
+        return correct_paired_curve(eta, corr)
+    return correct_curve(eta, corr)
+
+
 def two_stage_curve(array: ReplicatedArray, config: EstimationConfig) -> VarianceCurve:
     """Naive baseline: fit a mean curve to pooled (X, Y), then smooth the
     squared residuals on X.
@@ -139,8 +152,10 @@ def two_stage_curve(array: ReplicatedArray, config: EstimationConfig) -> Varianc
     interpolated to the data points (interpolation error is far below the
     noise level).
     """
-    xs = array.x.ravel()
-    ys = array.y.ravel()
+    # sorted once: both stages then hand sorted data to the window pass
+    order = np.argsort(array.x, axis=None, kind="stable")
+    xs = array.x.ravel()[order]
+    ys = array.y.ravel()[order]
     dense = np.linspace(xs.min(), xs.max(), _STAGE1_NODES)
     vals, degenerate = local_linear_at(ScatterData(xs, ys), config, dense)
     if degenerate.any():

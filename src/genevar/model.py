@@ -157,7 +157,7 @@ def tricube_kernel() -> KernelSpec:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Smoothing and fixed-point settings shared by all estimators.
+    """Smoothing settings shared by all estimators.
 
     bandwidth is in log2-intensity units; grid is the strictly increasing
     sequence of evaluation points for variance curves.
@@ -165,8 +165,6 @@ class EstimationConfig:
 
     bandwidth: float
     grid: np.ndarray
-    convergence_tol: float = 1e-3
-    max_iterations: int = 100
 
     def __post_init__(self):
         if not self.bandwidth > 0:
@@ -178,21 +176,20 @@ class EstimationConfig:
             raise GenevarError("grid must be strictly increasing")
         if not np.all(np.isfinite(grid)):
             raise NonFinite("grid contains non-finite values")
-        if not self.convergence_tol > 0:
-            raise GenevarError("convergence_tol must be positive")
-        if self.max_iterations < 1:
-            raise GenevarError("max_iterations must be >= 1")
         object.__setattr__(self, "grid", _readonly(grid))
 
 
-def default_grid(x, n_points: int = 101, trim: float = 0.005) -> np.ndarray:
-    """Equispaced grid over the central (1 - 2*trim) mass of the pooled
+GRID_TRIM = 0.005   # mass trimmed from each tail by default_grid
+
+
+def default_grid(x, n_points: int = 101) -> np.ndarray:
+    """Equispaced grid over the central (1 - 2*GRID_TRIM) mass of the pooled
     intensities.  Real data needs a data-driven range; trimming keeps the
     endpoints inside the region where the design density is not vanishing."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise GenevarError("cannot build a grid from empty data")
-    lo, hi = np.quantile(x, [trim, 1.0 - trim])
+    lo, hi = np.quantile(x, [GRID_TRIM, 1.0 - GRID_TRIM])
     if not hi > lo:
         raise GenevarError("degenerate intensity range; cannot build a grid")
     return np.linspace(lo, hi, n_points)

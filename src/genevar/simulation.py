@@ -28,7 +28,6 @@ run t alone.  Displayed values follow the x1000 convention.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -45,17 +44,17 @@ from .model import (
 from .correlation import fixed_point_solve
 from .estimators import (
     average_curves,
-    correct_curve,
-    correct_paired_curve,
-    paired_difference_curve,
-    pooled_curve,
+    correct,
     replicate_curves,
     two_stage_curve,
+    uncorrected_curve,
 )
 from .synthetic import synthetic_responses
 
 X_LOW = 6.0
+X_KINK = 12.0   # the variance function's break point
 X_HIGH = 16.0
+_GAUSS_NODES = 32
 POLY_WEIGHT = 0.7
 
 
@@ -125,18 +124,24 @@ def sample_noise(n_genes: int, n_reps: int, rho: float, rng) -> np.ndarray:
     return rng.standard_normal((n_genes, n_reps)) @ factor.T
 
 
-@functools.lru_cache(maxsize=16)
 def scale_moments(variance_fn: Callable = variance_function):
-    """(E[s(X)], E[s(X)^2]) under the intensity design, by quadrature."""
-    from scipy import integrate  # on first use: the CLI imports this module
+    """(E[s(X)], E[s(X)^2]) under the intensity design.
 
-    f = intensity_density
-    s1, _ = integrate.quad(
-        lambda t: np.sqrt(max(float(variance_fn(t)), 0.0)) * float(f(t)),
-        X_LOW, X_HIGH, limit=400)
-    s2, _ = integrate.quad(lambda t: float(variance_fn(t)) * float(f(t)),
-                           X_LOW, X_HIGH, limit=400)
-    return float(s1), float(s2)
+    Composite Gauss-Legendre with _GAUSS_NODES nodes on [X_LOW, X_KINK] and
+    [X_KINK, X_HIGH], for the design's variance function and an injected one
+    alike.  On each piece the design's s^2 times the density is a polynomial
+    of degree 5, which the rule integrates exactly.
+    """
+    u, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    s1 = s2 = 0.0
+    for lo, hi in ((X_LOW, X_KINK), (X_KINK, X_HIGH)):
+        half = 0.5 * (hi - lo)
+        t = lo + half * (u + 1.0)
+        v = np.asarray(variance_fn(t), dtype=float)
+        fw = half * w * intensity_density(t)
+        s1 += float(fw @ np.sqrt(np.clip(v, 0.0, None)))
+        s2 += float(fw @ v)
+    return s1, s2
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +198,7 @@ def generate_set(design: SimDesign, run: int) -> MultiArraySet:
 
 
 # Estimator names accepted by run_experiment.
-ESTIMATORS = ("replicate_average", "pooled", "corrected", "oracle", "two_stage")
+ESTIMATORS = ("replicate_average", "corrected", "oracle", "two_stage")
 
 
 def _run_once(design: SimDesign, run: int, estimators, truth_moments):
@@ -201,48 +206,34 @@ def _run_once(design: SimDesign, run: int, estimators, truth_moments):
     # multi-array averaging convention); correlation comes from all arrays.
     config = design.config()
     mset = generate_set(design, run)
-    paired = design.n_replicates == 2
     out = {}
     params = None
 
-    synthetic = None
-    needs_pooled = {"pooled", "corrected", "oracle"} & set(estimators)
-    if not paired and ({"replicate_average"} & set(estimators) or needs_pooled):
-        synthetic = [synthetic_responses(a) for a in mset.arrays]
-
     if "replicate_average" in estimators:
-        if paired:
+        if design.n_replicates == 2:
             raise GenevarError("replicate_average needs I >= 3")
         out["replicate_average"] = np.mean(
-            [average_curves(replicate_curves(sd, config)).values
-             for sd in synthetic], axis=0)
+            [average_curves(replicate_curves(synthetic_responses(a),
+                                             config)).values
+             for a in mset.arrays], axis=0)
 
-    fp = None
+    uncorrected = None
     if "corrected" in estimators:
         fp = fixed_point_solve(mset, config)
         est = fp.estimate
         out["corrected"] = fp.curve.values
         params = (est.rho, est.sigma1, est.sigma2)
-
-    base = None
-    if needs_pooled:
-        if fp is not None:
-            base = fp.uncorrected
-        elif paired:
-            base = [paired_difference_curve(a, config) for a in mset.arrays]
-        else:
-            base = [pooled_curve(sd, config) for sd in synthetic]
-    if "pooled" in estimators:
-        out["pooled"] = np.mean([c.values for c in base], axis=0)
+        uncorrected = fp.uncorrected
 
     if "oracle" in estimators:
+        if uncorrected is None:
+            uncorrected = [uncorrected_curve(a, config) for a in mset.arrays]
         s1_true, s2_true = truth_moments
         est = CorrelationEstimate(rho=design.rho, sigma1=s1_true,
                                   sigma2=s2_true, iterations=0,
                                   converged=True, n_reps=design.n_replicates)
-        corrector = correct_paired_curve if paired else correct_curve
         out["oracle"] = np.mean(
-            [corrector(c, est).values for c in base], axis=0)
+            [correct(c, est).values for c in uncorrected], axis=0)
 
     if "two_stage" in estimators:
         out["two_stage"] = np.mean(
@@ -312,9 +303,7 @@ def run_experiment(design: SimDesign,
     for name in estimators:
         if name not in ESTIMATORS:
             raise GenevarError(f"unknown estimator {name!r}")
-    truth_moments = None
-    if {"corrected", "oracle"} & set(estimators):
-        truth_moments = scale_moments(design.variance_fn)
+    truth_moments = scale_moments(design.variance_fn)
     t_runs = design.n_runs
     k = design.grid.size
     curves = {name: np.empty((t_runs, k)) for name in estimators}

@@ -94,17 +94,9 @@ class TestEstimate:
                      "--rho", "0.0", "--format", "csv"]) == 0
 
     def test_nonconvergence_exit_code(self, replicated_csv, tmp_path, monkeypatch):
-        import genevar.cli as cli_mod
+        import genevar.correlation
 
-        real = cli_mod.fixed_point_solve
-
-        def starved(mset, config, **kwargs):
-            from genevar.model import EstimationConfig
-            cfg = EstimationConfig(bandwidth=config.bandwidth, grid=config.grid,
-                                   convergence_tol=1e-12, max_iterations=1)
-            return real(mset, cfg, **kwargs)
-
-        monkeypatch.setattr(cli_mod, "fixed_point_solve", starved)
+        monkeypatch.setattr(genevar.correlation, "MAX_ITERATIONS", 1)
         out = tmp_path / "out"
         code = main(["estimate", "--input", str(replicated_csv),
                      "--out", str(out), "--format", "csv"])
@@ -245,7 +237,8 @@ class TestSimulate:
 
 class TestImportCost:
     """scipy.stats alone takes about a second to import, so scipy's
-    statistics and quadrature load on first use, never at start-up."""
+    statistics load on first use, never at start-up, and no command needs
+    scipy's quadrature."""
 
     LAZY = {"scipy.stats", "scipy.special", "scipy.integrate"}
 
@@ -270,3 +263,12 @@ class TestImportCost:
         loaded = self.scipy_modules_after(
             f"from genevar.cli import main\nassert main({argv!r}) == 0")
         assert not loaded & self.LAZY
+
+    def test_simulate_loads_no_quadrature(self, tmp_path):
+        # the truth moments use numpy's Gauss-Legendre nodes, not scipy
+        argv = ["simulate", "--preset", "table2", "--rho", "0.3",
+                "--n-genes", "300", "--reps", "1", "--format", "csv",
+                "--out", str(tmp_path / "out")]
+        loaded = self.scipy_modules_after(
+            f"from genevar.cli import main\nassert main({argv!r}) == 0")
+        assert "scipy.integrate" not in loaded

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from genevar import correlation
 from genevar.correlation import (
     VarianceComponents,
     corrected_correlation,
@@ -151,19 +152,11 @@ class TestFixedPoint:
         fp = fixed_point_solve(generate_set(d, 0), unit_config)
         assert fp.estimate.sigma2 >= fp.estimate.sigma1 ** 2 - 1e-10
 
-    def test_restart_from_solution_is_stable(self, unit_config):
-        d = SimDesign(rho=0.6, n_runs=1, seed=41)
-        ms = generate_set(d, 0)
-        fp = fixed_point_solve(ms, unit_config)
-        again = fixed_point_solve(ms, unit_config,
-                                  initial_values=fp.curve.values)
-        assert abs(again.estimate.rho - fp.estimate.rho) < unit_config.convergence_tol
-
-    def test_nonconvergence_flag_not_exception(self, unit_config):
+    def test_nonconvergence_flag_not_exception(self, unit_config,
+                                               monkeypatch):
+        monkeypatch.setattr(correlation, "MAX_ITERATIONS", 1)
         d = SimDesign(rho=0.6, n_runs=1, seed=47)
-        cfg = EstimationConfig(bandwidth=1.0, grid=unit_config.grid,
-                               max_iterations=1)
-        fp = fixed_point_solve(generate_set(d, 0), cfg)
+        fp = fixed_point_solve(generate_set(d, 0), unit_config)
         assert not fp.estimate.converged
         assert fp.estimate.iterations == 1
 
@@ -272,15 +265,19 @@ class TestMomentLookup:
     intensities; doing so over them in sorted order changes only rounding."""
 
     @pytest.mark.parametrize("n_reps", [2, 3])
-    def test_first_iteration_moments(self, n_reps):
+    def test_first_iteration_moments(self, n_reps, monkeypatch):
+        monkeypatch.setattr(correlation, "MAX_ITERATIONS", 1)
         ms = generate_set(SimDesign(n_genes=1000, n_replicates=n_reps,
                                     rho=0.4, seed=13), 0)
-        values = variance_function(CONFIG.grid)
-        values[[0, 1, 40, 41, 42, 100]] = np.nan
-        cfg = EstimationConfig(bandwidth=CONFIG.bandwidth, grid=CONFIG.grid,
-                               max_iterations=1)
-        est = fixed_point_solve(ms, cfg, initial_values=values).estimate
-        scale = VarianceCurve(grid=CONFIG.grid, values=values).scale_at(
+        # a grid wider than the data leaves undefined points at both ends,
+        # which the lookup must skip
+        cfg = EstimationConfig(bandwidth=0.5, grid=np.linspace(4.0, 18.0, 141))
+        fp = fixed_point_solve(ms, cfg)
+        start = np.clip(np.mean([c.values for c in fp.uncorrected], axis=0),
+                        0.0, None) * (2.0 if n_reps == 2 else 1.0)
+        assert np.isnan(start[[0, -1]]).all()
+        est = fp.estimate
+        scale = VarianceCurve(grid=cfg.grid, values=start).scale_at(
             ms.pooled_x())
         assert est.iterations == 1
         assert est.sigma1 == pytest.approx(scale.mean(), rel=1e-14)

@@ -5,12 +5,13 @@ from genevar.estimators import (
     average_curves,
     clamp_nonnegative,
     correct_curve,
+    correct,
     correct_paired_curve,
-    corrected_replicate_average,
     paired_difference_curve,
     pooled_curve,
     replicate_curves,
     two_stage_curve,
+    uncorrected_curve,
 )
 from genevar.model import (
     FLAG_CLAMPED,
@@ -263,27 +264,43 @@ class TestClamp:
         assert np.array_equal(once.flags, twice.flags)
 
 
-class TestPerReplicateCorrectionAgreement:
-    def test_agrees_with_pooled_route(self, unit_config):
-        # correcting each replicate curve then averaging agrees with the
-        # corrected pooled curve within twice the Monte Carlo standard error
-        from genevar.correlation import fixed_point_solve
+class TestRoute:
+    """uncorrected_curve and correct pick the estimator of the replicate
+    count; each must be exactly the function it stands for."""
+
+    @pytest.fixture(params=[2, 3])
+    def array(self, request):
         from genevar.simulation import SimDesign, generate_set
 
-        t_runs = 12
-        d = SimDesign(rho=0.4, n_runs=t_runs, seed=31)
-        route_a = np.empty((t_runs, unit_config.grid.size))
-        route_b = np.empty((t_runs, unit_config.grid.size))
-        for t in range(t_runs):
-            ms = generate_set(d, t)
-            fp = fixed_point_solve(ms, unit_config)
-            sd = synthetic_responses(ms.arrays[0])
-            route_a[t] = correct_curve(pooled_curve(sd, unit_config),
-                                       fp.estimate).values
-            route_b[t] = corrected_replicate_average(
-                replicate_curves(sd, unit_config), fp.estimate).values
-        interior = (unit_config.grid >= 8) & (unit_config.grid <= 15)
-        mean_a = route_a.mean(axis=0)[interior]
-        mean_b = route_b.mean(axis=0)[interior]
-        se = np.maximum(route_a.std(axis=0), route_b.std(axis=0))[interior] / np.sqrt(t_runs)
-        assert np.all(np.abs(mean_a - mean_b) <= 2.0 * se)
+        d = SimDesign(n_genes=500, n_replicates=request.param, n_arrays=1,
+                      rho=0.3, seed=5)
+        return generate_set(d, 0).arrays[0]
+
+    def test_uncorrected_curve(self, array, unit_config):
+        got = uncorrected_curve(array, unit_config)
+        if array.n_replicates == 2:
+            want = paired_difference_curve(array, unit_config)
+        else:
+            want = pooled_curve(synthetic_responses(array), unit_config)
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+        assert np.array_equal(got.flags, want.flags)
+
+    def test_correct(self, array, unit_config):
+        eta = uncorrected_curve(array, unit_config)
+        corr = CorrelationEstimate(rho=0.3, sigma1=0.42, sigma2=0.19,
+                                   iterations=1, converged=True,
+                                   n_reps=array.n_replicates)
+        got = correct(eta, corr)
+        root = correct_paired_curve if array.n_replicates == 2 \
+            else correct_curve
+        want = root(eta, corr)
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+        assert np.array_equal(got.flags, want.flags)
+
+    def test_unset_replicate_count_takes_pooled_root(self):
+        eta = VarianceCurve(grid=np.linspace(0, 1, 5),
+                            values=np.linspace(0.1, 0.5, 5))
+        corr = estimate(0.3, 0.42, 0.19)
+        assert corr.n_reps is None
+        assert np.array_equal(correct(eta, corr).values,
+                              correct_curve(eta, corr).values)

@@ -110,8 +110,10 @@ class TestConfig:
 
     def test_default_grid_trims_tails(self, rng):
         x = rng.normal(size=20000)
-        grid = default_grid(x, n_points=51, trim=0.01)
+        grid = default_grid(x, n_points=51)
         assert grid.size == 51
+        assert grid[0] == np.quantile(x, 0.005)
+        assert grid[-1] == np.quantile(x, 0.995)
         assert grid[0] > x.min() and grid[-1] < x.max()
         assert np.all(np.diff(grid) > 0)
 

@@ -56,6 +56,20 @@ class TestVarianceFunction:
         assert s1 == pytest.approx(0.4217, abs=1e-3)
         assert s2 == pytest.approx(0.1857, abs=1e-3)
 
+    @pytest.mark.parametrize("variance_fn", [
+        variance_function,
+        lambda x: np.full(np.shape(x), 0.49),
+    ], ids=["design", "constant"])
+    def test_moments_match_quadrature_with_break_point(self, variance_fn):
+        def quad(g):
+            return integrate.quad(lambda t: g(float(variance_fn(t)))
+                                  * float(intensity_density(t)),
+                                  6, 16, points=[12.0], limit=400)[0]
+
+        s1, s2 = scale_moments(variance_fn)
+        assert s1 == pytest.approx(quad(np.sqrt), rel=1e-14)
+        assert s2 == pytest.approx(quad(lambda v: v), rel=1e-14)
+
 
 class TestEffects:
     def test_no_active_genes(self, rng):
@@ -148,7 +162,7 @@ class TestRunExperiment:
     def test_zero_noise_degenerate_run(self):
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         d = SimDesign(n_genes=300, n_active=40, n_runs=2, seed=5, variance_fn=zero)
-        rep = run_experiment(d, estimators=("replicate_average", "pooled"))
+        rep = run_experiment(d, estimators=("replicate_average",))
         for name in rep.estimators:
             m = rep.metrics[name]
             assert m.bias2 == pytest.approx(0.0, abs=1e-20)
@@ -195,6 +209,24 @@ class TestRunExperiment:
         assert set(rep.parameter_stats) == {"rho", "sigma1", "sigma2"}
         p = rep.parameter_stats["rho"]
         assert p.mse == pytest.approx(p.bias2 + p.var, abs=1e-15)
+
+    def test_paired_oracle_is_mean_paired_root(self):
+        # at I=2 the oracle corrects each array's paired-difference curve
+        # with the paired root and the true moments
+        from genevar.estimators import correct_paired_curve, paired_difference_curve
+        from genevar.model import CorrelationEstimate
+
+        d = SimDesign(n_genes=300, n_replicates=2, n_arrays=3, rho=0.4,
+                      n_runs=1, seed=43)
+        rep = run_experiment(d, estimators=("oracle",))
+        s1, s2 = scale_moments()
+        truth = CorrelationEstimate(rho=0.4, sigma1=s1, sigma2=s2,
+                                    iterations=0, converged=True, n_reps=2)
+        want = np.mean([correct_paired_curve(
+            paired_difference_curve(a, d.config()), truth).values
+            for a in generate_set(d, 0).arrays], axis=0)
+        assert np.array_equal(rep.metrics["oracle"].mean_curve, want,
+                              equal_nan=True)
 
     def test_unknown_estimator_rejected(self):
         d = SimDesign(n_genes=100, n_active=20, n_runs=1, seed=1)
