@@ -22,7 +22,10 @@ count; the fixed point and the simulation harness go through them.
 
 A naive two-stage baseline treats the gene effect as a smooth function of
 intensity: smooth Y on X, then smooth the squared residuals.  It is badly
-biased when the gene effects are not smooth in X.
+biased when the gene effects are not smooth in X.  Its stage-1 mean fit is
+evaluated from linearly binned moments (smoothing.local_linear_binned, with
+smoothing._BIN_REFINE = 4 bins per node spacing); every other curve here
+comes from the exact window pass.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .model import (
     ReplicatedArray,
     VarianceCurve,
 )
-from .smoothing import ScatterData, fit_curve, local_linear_at
+from .smoothing import ScatterData, fit_curve, local_linear_binned
 from .synthetic import SyntheticData, synthetic_responses
 
 _STAGE1_NODES = 512
@@ -148,16 +151,18 @@ def two_stage_curve(array: ReplicatedArray, config: EstimationConfig) -> Varianc
     """Naive baseline: fit a mean curve to pooled (X, Y), then smooth the
     squared residuals on X.
 
-    The stage-1 fit is evaluated on _STAGE1_NODES equispaced points and
-    interpolated to the data points (interpolation error is far below the
-    noise level).
+    The stage-1 fit is evaluated on _STAGE1_NODES equispaced points from
+    moments binned onto a grid smoothing._BIN_REFINE = 4 times finer
+    (local_linear_binned), and interpolated to the data points; binning and
+    interpolation errors are far below the noise level.  Stage 2 is the
+    exact fit_curve.
     """
-    # sorted once: both stages then hand sorted data to the window pass
+    # sorted once: stage 2 then hands sorted data to the window pass
     order = np.argsort(array.x, axis=None, kind="stable")
     xs = array.x.ravel()[order]
     ys = array.y.ravel()[order]
-    dense = np.linspace(xs.min(), xs.max(), _STAGE1_NODES)
-    vals, degenerate = local_linear_at(ScatterData(xs, ys), config, dense)
+    dense, vals, degenerate = local_linear_binned(
+        ScatterData(xs, ys), config, _STAGE1_NODES)
     if degenerate.any():
         raise DegenerateWindow(
             f"stage-1 mean fit undefined at {int(degenerate.sum())} grid points")

@@ -169,13 +169,17 @@ class EstimationConfig:
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise GenevarError("bandwidth must be positive")
+        # the degenerate-window rule scales with h^2, so that must be finite
+        h = float(self.bandwidth)
+        if not np.isfinite(h * h):
+            raise NonFinite("bandwidth must be finite, with a finite square")
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size < 1:
             raise GenevarError("grid must be a nonempty 1-d sequence")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise GenevarError("grid must be strictly increasing")
         if not np.all(np.isfinite(grid)):
             raise NonFinite("grid contains non-finite values")
+        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+            raise GenevarError("grid must be strictly increasing")
         object.__setattr__(self, "grid", _readonly(grid))
 
 

@@ -40,6 +40,7 @@ from .model import (
     InvalidRho,
     MultiArraySet,
     ReplicatedArray,
+    TooFewReplicates,
 )
 from .correlation import fixed_point_solve
 from .estimators import (
@@ -166,8 +167,15 @@ class SimDesign:
     variance_fn: Callable = variance_function
 
     def __post_init__(self):
+        if self.n_runs < 1:
+            raise GenevarError(f"n_runs={self.n_runs} (--reps) must be at least 1")
+        if self.n_replicates < 2:
+            raise TooFewReplicates(
+                f"n_replicates={self.n_replicates} (--replicates) must be at least 2")
         if self.n_active > self.n_genes:
-            raise GenevarError("n_active cannot exceed n_genes")
+            raise GenevarError(
+                f"n_genes={self.n_genes} (--n-genes) is below the design's "
+                f"{self.n_active} active genes; use at least {self.n_active}")
         if not (-1.0 / (self.n_replicates - 1) < self.rho < 1.0):
             raise InvalidRho(f"rho={self.rho!r} invalid for I={self.n_replicates}")
         if self.effect_mode not in ("gene", "smooth"):

@@ -18,6 +18,12 @@ T_l = sum w u^l z, the intercept is
 which reproduces constants and linear functions exactly.  A point is
 degenerate when the normal-equation determinant S_0 S_2 - S_1^2 falls below
 1e-12 * (S_0 h^2 + eps): fewer than two distinct x values carry weight there.
+_solve applies that rule and the formula to the moments of both fits below.
+
+local_linear_binned approximates the same fit at equispaced nodes from
+linearly binned moments; it serves the two-stage baseline's stage-1 mean
+fit, where it is several times cheaper.  Every other curve, and every test
+oracle, uses the exact pass.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ _DET_FLOOR = 1e-300
 _CHUNK_MAX = 256
 _SLAB_CELLS = 1 << 18   # 2 MB per float matrix of one slab
 _DENSITY_NODES = 512
+_BIN_REFINE = 4         # bins per node spacing in local_linear_binned
 
 
 def _chunk_bounds(points, halfwidth):
@@ -123,6 +130,15 @@ def _window_pass(xs, points, h, reduce, outs):
             out[order[first:last]] = part
 
 
+def _solve(s0, s1, s2, t0, t1, h):
+    """(intercept, degenerate) from the window moments; degenerate points,
+    where the determinant fails the 1e-12 rule, hold NaN."""
+    det = s0 * s2 - s1 * s1
+    ok = det > _DET_RTOL * (s0 * h * h + _DET_FLOOR)
+    safe = np.where(ok, det, 1.0)
+    return np.where(ok, (s2 * t0 - s1 * t1) / safe, np.nan), ~ok
+
+
 def local_linear_at(data: ScatterData, config: EstimationConfig, points):
     """Local linear fit at arbitrary points.
 
@@ -145,15 +161,55 @@ def local_linear_at(data: ScatterData, config: EstimationConfig, points):
         s2 = np.einsum("ij,ij->i", wu, u)
         t0 = w @ zw
         t1 = wu @ zw
-        det = s0 * s2 - s1 * s1
-        ok = det > _DET_RTOL * (s0 * h * h + _DET_FLOOR)
-        safe = np.where(ok, det, 1.0)
-        return np.where(ok, (s2 * t0 - s1 * t1) / safe, np.nan), ~ok
+        return _solve(s0, s1, s2, t0, t1, h)
 
     values = np.full(pts.shape, np.nan)
     degenerate = np.ones(pts.shape, dtype=bool)
     _window_pass(xs, pts, h, intercepts, (values, degenerate))
     return values, degenerate
+
+
+def local_linear_binned(data: ScatterData, config: EstimationConfig, n_nodes):
+    """Local linear fit at n_nodes equispaced nodes spanning the data, from
+    linearly binned moments (Fan & Marron 1994).
+
+    Each (x, z) is split linearly between the two nearest points of a grid
+    _BIN_REFINE times finer than the nodes; the moments at each node are a
+    discrete convolution of the bin counts and response sums with the taps
+    K(u) u^l / h.  Besides the determinant rule, a node is degenerate when
+    its open window (x0 - h, x0 + h) holds fewer than two distinct x.
+    n_nodes must be at least 2.  Returns (nodes, values, degenerate);
+    degenerate nodes hold NaN.
+    """
+    h = config.bandwidth
+    distinct = np.unique(data.x)
+    lo, hi = distinct[0], distinct[-1]
+    nodes = np.linspace(lo, hi, n_nodes)
+    sparse = (np.searchsorted(distinct, nodes + h, side="left")
+              - np.searchsorted(distinct, nodes - h, side="right")) < 2
+    if hi == lo:
+        return nodes, np.full(nodes.shape, np.nan), sparse
+    bins = _BIN_REFINE * (n_nodes - 1) + 1
+    step = (hi - lo) / (bins - 1)
+    pos = (data.x - lo) / step
+    left = np.minimum(pos.astype(np.intp), bins - 2)
+    right_share = pos - left
+    index = np.concatenate([left, left + 1])
+    share = np.concatenate([1.0 - right_share, right_share])
+    zshare = share * np.concatenate([data.z, data.z])
+    binned = np.stack([np.bincount(index, weights=share, minlength=bins),
+                       np.bincount(index, weights=zshare, minlength=bins)])
+    # taps at bin offsets -reach..reach; no bin lies further off than bins - 1
+    reach = min(int(h / step), bins - 1)
+    u = np.arange(-reach, reach + 1) * (step / h)
+    w = TRICUBE.evaluate(u) / h
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(binned, ((0, 0), (reach, reach))), u.size, axis=1)
+    counts, sums = windows[:, ::_BIN_REFINE] @ np.stack([w, w * u, w * u * u], axis=1)
+    s0, s1, s2 = counts.T
+    t0, t1, _ = sums.T
+    values, degenerate = _solve(s0, s1, s2, t0, t1, h)
+    return nodes, np.where(sparse, np.nan, values), degenerate | sparse
 
 
 def fit_curve(data: ScatterData, config: EstimationConfig) -> VarianceCurve:

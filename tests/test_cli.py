@@ -103,6 +103,18 @@ class TestEstimate:
         assert code == EXIT_NONCONVERGENCE
         assert (out / "curve.csv").exists()  # outputs still written
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bandwidth", "inf"], "bandwidth must be finite"),
+        (["--bandwidth", "1e308"], "bandwidth must be finite"),
+        (["--grid", "nan:9:5"], "grid contains non-finite values"),
+    ])
+    def test_invalid_config_exit_code(self, replicated_csv, tmp_path, capsys,
+                                      flags, message):
+        assert main(["estimate", "--input", str(replicated_csv),
+                     "--out", str(tmp_path / "out"), "--format", "csv"]
+                    + flags) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_ingestion_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n")
@@ -228,6 +240,18 @@ class TestSimulate:
                      "--out", str(out), "--format", "csv"]) == 0
         rows = {r["estimator"] for r in read_rows(out / "report.csv")}
         assert rows == {"two_stage", "replicate_average"}
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--reps", "0"], "(--reps) must be at least 1"),
+        (["--replicates", "1"], "(--replicates) must be at least 2"),
+        (["--n-genes", "249"], "(--n-genes) is below the design's 250 active genes"),
+    ])
+    def test_argument_edges_exit_code(self, tmp_path, capsys, flags, message):
+        args = ["simulate", "--preset", "table1", "--reps", "1",
+                "--n-genes", "250", "--out", str(tmp_path / "out"),
+                "--format", "csv"]
+        assert main(args + flags) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_unknown_preset_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

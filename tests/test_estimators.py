@@ -18,6 +18,7 @@ from genevar.model import (
     FLAG_DEGENERATE,
     FLAG_NEGATIVE_DISCRIMINANT,
     CorrelationEstimate,
+    DegenerateWindow,
     GenevarError,
     InvalidReplicateCount,
     VarianceCurve,
@@ -238,6 +239,18 @@ class TestTwoStage:
         curve = two_stage_curve(ms.arrays[0], unit_config)
         interior = (unit_config.grid > 7) & (unit_config.grid < 15)
         assert np.nanmax(np.abs(curve.values[interior] - 0.36)) < 0.06
+
+    def test_stage1_gap_wider_than_window_raises(self, unit_config, rng):
+        # clusters on [6, 7] and [10, 11]: stage-1 nodes in the gap have an
+        # empty window at h = 1
+        x = np.where(rng.random((300, 3)) < 0.5, 6.0, 10.0) + rng.random((300, 3))
+        with pytest.raises(DegenerateWindow, match="stage-1 mean fit undefined"):
+            two_stage_curve(make_array(rng.normal(size=(300, 3)), x=x), unit_config)
+
+    def test_stage1_single_intensity_raises(self, unit_config, rng):
+        x = np.full((300, 3), 9.0)
+        with pytest.raises(DegenerateWindow, match="at 512 grid points"):
+            two_stage_curve(make_array(rng.normal(size=(300, 3)), x=x), unit_config)
 
 
 class TestClamp:

@@ -108,6 +108,16 @@ class TestConfig:
         with pytest.raises(GenevarError):
             EstimationConfig(bandwidth=0.0, grid=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("h", [math.inf, 1e308])
+    def test_bandwidth_finite(self, h):
+        # 1e308 is finite, but its square, which the degenerate rule uses, is not
+        with pytest.raises(NonFinite, match="bandwidth must be finite"):
+            EstimationConfig(bandwidth=h, grid=np.array([1.0, 2.0]))
+
+    def test_grid_finiteness_checked_before_order(self):
+        with pytest.raises(NonFinite, match="non-finite"):
+            EstimationConfig(bandwidth=1.0, grid=np.linspace(np.nan, 9.0, 5))
+
     def test_default_grid_trims_tails(self, rng):
         x = rng.normal(size=20000)
         grid = default_grid(x, n_points=51)

@@ -363,3 +363,54 @@ class TestReusedBuffers:
             mp.setattr(smoothing, "_SLAB_CELLS", slab_cells)
             assert_matches_reference(ScatterData(x, z), config_for([0.0], h=h),
                                      points)
+
+
+class TestBinned:
+    """local_linear_binned approximates the exact pass at equispaced nodes;
+    the exact local_linear_at is the oracle."""
+
+    @pytest.mark.parametrize("effect_mode", ["gene", "smooth"])
+    def test_table1_design_within_bound(self, effect_mode):
+        # two_stage_curve's stage 1 on the table1 design: 2000 genes, I=3,
+        # J=4, the 512 nodes; bound fixed at 1e-4 sd(y) before measuring
+        from genevar.simulation import SimDesign, generate_set
+
+        design = SimDesign(n_runs=3, seed=1, effect_mode=effect_mode)
+        config = config_for([6.0])
+        for run in range(design.n_runs):
+            for array in generate_set(design, run).arrays:
+                data = ScatterData(array.x.ravel(), array.y.ravel())
+                nodes, values, degenerate = smoothing.local_linear_binned(
+                    data, config, 512)
+                exact, exact_degenerate = local_linear_at(data, config, nodes)
+                assert not degenerate.any() and not exact_degenerate.any()
+                assert np.max(np.abs(values - exact)) <= 1e-4 * np.std(data.z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=60),
+           st.sampled_from([0.1, 0.35, 1.0, 2.5]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_exact_degenerate_nodes_stay_degenerate(self, ticks, h, seed):
+        # lattice x: ties, gaps wider than 2h and a single distinct x
+        x = 0.25 * np.asarray(ticks, dtype=float)
+        z = np.random.default_rng(seed).normal(size=x.size)
+        data, config = ScatterData(x, z), config_for([0.0], h=h)
+        nodes, values, degenerate = smoothing.local_linear_binned(data, config, 512)
+        _, exact_degenerate = local_linear_at(data, config, nodes)
+        assert not np.any(exact_degenerate & ~degenerate)
+        assert np.array_equal(np.isnan(values), degenerate)
+
+    def test_constant_response_reproduced(self, rng):
+        x = rng.uniform(6.0, 16.0, 3000)
+        nodes, values, degenerate = smoothing.local_linear_binned(
+            ScatterData(x, np.full(x.size, 2.5)), config_for([6.0]), 512)
+        assert np.array_equal(nodes, np.linspace(x.min(), x.max(), 512))
+        assert not degenerate.any()
+        assert np.max(np.abs(values - 2.5)) <= 1e-12 * 2.5
+
+    def test_single_distinct_x_is_degenerate_without_division(self):
+        with np.errstate(all="raise"):
+            nodes, values, degenerate = smoothing.local_linear_binned(
+                ScatterData(np.full(50, 9.0), np.arange(50.0)), config_for([6.0]), 8)
+        assert np.array_equal(nodes, np.full(8, 9.0))
+        assert degenerate.all() and np.isnan(values).all()
