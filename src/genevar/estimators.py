@@ -22,10 +22,12 @@ count; the fixed point and the simulation harness go through them.
 
 A naive two-stage baseline treats the gene effect as a smooth function of
 intensity: smooth Y on X, then smooth the squared residuals.  It is badly
-biased when the gene effects are not smooth in X.  Its stage-1 mean fit is
-evaluated from linearly binned moments (smoothing.local_linear_binned, with
-smoothing._BIN_REFINE = 4 bins per node spacing); every other curve here
-comes from the exact window pass.
+biased when the gene effects are not smooth in X.
+
+Every fit here comes from linearly binned moments on a lattice through the
+equispaced evaluation points (smoothing._lattice_fit): the curves on
+config.grid through smoothing.fit_curve, and the baseline's stage-1 mean fit
+through smoothing.local_linear_binned.  Binning needs no sorted input.
 """
 
 from __future__ import annotations
@@ -151,23 +153,19 @@ def two_stage_curve(array: ReplicatedArray, config: EstimationConfig) -> Varianc
     """Naive baseline: fit a mean curve to pooled (X, Y), then smooth the
     squared residuals on X.
 
-    The stage-1 fit is evaluated on _STAGE1_NODES equispaced points from
-    moments binned onto a grid smoothing._BIN_REFINE = 4 times finer
-    (local_linear_binned), and interpolated to the data points; binning and
-    interpolation errors are far below the noise level.  Stage 2 is the
-    exact fit_curve.
+    The stage-1 fit is evaluated on _STAGE1_NODES equispaced points spanning
+    the data (local_linear_binned) and interpolated to the data points;
+    binning and interpolation errors are far below the noise level.  Stage 2
+    is fit_curve.
     """
-    # sorted once: stage 2 then hands sorted data to the window pass
-    order = np.argsort(array.x, axis=None, kind="stable")
-    xs = array.x.ravel()[order]
-    ys = array.y.ravel()[order]
+    x, y = array.x.ravel(), array.y.ravel()
     dense, vals, degenerate = local_linear_binned(
-        ScatterData(xs, ys), config, _STAGE1_NODES)
+        ScatterData(x, y), config, _STAGE1_NODES)
     if degenerate.any():
         raise DegenerateWindow(
             f"stage-1 mean fit undefined at {int(degenerate.sum())} grid points")
-    resid2 = (ys - np.interp(xs, dense, vals)) ** 2
-    return fit_curve(ScatterData(xs, resid2), config)
+    resid2 = (y - np.interp(x, dense, vals)) ** 2
+    return fit_curve(ScatterData(x, resid2), config)
 
 
 def clamp_nonnegative(curve: VarianceCurve) -> VarianceCurve:

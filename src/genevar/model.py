@@ -159,8 +159,11 @@ def tricube_kernel() -> KernelSpec:
 class EstimationConfig:
     """Smoothing settings shared by all estimators.
 
-    bandwidth is in log2-intensity units; grid is the strictly increasing
-    sequence of evaluation points for variance curves.
+    bandwidth is in log2-intensity units; grid is the strictly increasing,
+    equispaced sequence of evaluation points for variance curves (the
+    binned fits place a lattice node on every grid point).  A grid whose
+    steps differ by more than rounding (a relative 1e-9, or a few ulps of
+    its largest point) raises GenevarError.
     """
 
     bandwidth: float
@@ -178,8 +181,14 @@ class EstimationConfig:
             raise GenevarError("grid must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(grid)):
             raise NonFinite("grid contains non-finite values")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise GenevarError("grid must be strictly increasing")
+        if grid.size > 1:
+            steps = np.diff(grid)
+            if not np.all(steps > 0):
+                raise GenevarError("grid must be strictly increasing")
+            spacing = (grid[-1] - grid[0]) / (grid.size - 1)
+            slack = 1e-9 * spacing + 8 * np.spacing(np.abs(grid).max())
+            if np.abs(steps - spacing).max() > slack:
+                raise GenevarError("grid must be equispaced")
         object.__setattr__(self, "grid", _readonly(grid))
 
 

@@ -1,29 +1,33 @@
 """Local linear kernel regression and kernel density estimation.
 
-Both run on one kernel-window pass (_window_pass) with the fixed tricube
-kernel of model.TRICUBE: the evaluation points are sorted once, walked in
-runs that share a data window, and each run gets its raw weights K(u).
-Regression forms weighted moment sums from them; the density sums them.
-The pass allocates its u, weight and scratch matrices once and reuses them
-for every slab of rows, so the per-slab reductions may overwrite the weights
-and the scratch but must not keep views of any of them.
-
 The regression engine fits, at each evaluation point x0, a weighted
-least-squares line to (x, z) with weights K((x - x0)/h)/h and returns the
-intercept.  Writing u = (x - x0)/h, w = K(u)/h and S_l = sum w u^l,
-T_l = sum w u^l z, the intercept is
+least-squares line to (x, z) with weights K((x - x0)/h)/h, K the fixed
+tricube kernel of model.TRICUBE, and returns the intercept.  Writing
+u = (x - x0)/h, w = K(u)/h and S_l = sum w u^l, T_l = sum w u^l z, the
+intercept is
 
     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2),
 
 which reproduces constants and linear functions exactly.  A point is
 degenerate when the normal-equation determinant S_0 S_2 - S_1^2 falls below
 1e-12 * (S_0 h^2 + eps): fewer than two distinct x values carry weight there.
-_solve applies that rule and the formula to the moments of both fits below.
+_solve applies that rule and the formula to the moments of both routes below.
 
-local_linear_binned approximates the same fit at equispaced nodes from
-linearly binned moments; it serves the two-stage baseline's stage-1 mean
-fit, where it is several times cheaper.  Every other curve, and every test
-oracle, uses the exact pass.
+Curves on equispaced points -- fit_curve on config.grid and
+local_linear_binned on the two-stage baseline's stage-1 nodes -- come from
+one lattice engine, _lattice_fit: linear binning onto a lattice through the
+points, then the moments by a discrete convolution with the kernel taps
+(Fan & Marron 1994; Wand 1994).  On the benchmark designs its values are
+within 1e-4 sd(z) of the exact fit's.
+
+local_linear_at (the exact fit at arbitrary points, and the tests' oracle)
+and kde_values run on one exact kernel-window pass (_window_pass): the
+evaluation points are sorted once, walked in runs that share a data window,
+and each run gets its raw weights K(u).  Regression forms weighted moment
+sums from them; the density sums them.  The pass allocates its u, weight and
+scratch matrices once and reuses them for every slab of rows, so the
+per-slab reductions may overwrite the weights and the scratch but must not
+keep views of any of them.
 """
 
 from __future__ import annotations
@@ -47,7 +51,11 @@ _DET_FLOOR = 1e-300
 _CHUNK_MAX = 256
 _SLAB_CELLS = 1 << 18   # 2 MB per float matrix of one slab
 _DENSITY_NODES = 512
-_BIN_REFINE = 4         # bins per node spacing in local_linear_binned
+# lattice steps per bandwidth in _lattice_fit, at least: the binning error
+# falls like the step squared, and 256 keeps it below 1e-4 sd(z) on the
+# table2 design (measured 8.5e-5; 3.5e-4 at 128)
+_TAPS_PER_H = 256
+_LATTICE_MAX = 1 << 19  # lattice nodes per binned fit, at most (4 MB per row of bins)
 
 
 def _chunk_bounds(points, halfwidth):
@@ -169,53 +177,103 @@ def local_linear_at(data: ScatterData, config: EstimationConfig, points):
     return values, degenerate
 
 
-def local_linear_binned(data: ScatterData, config: EstimationConfig, n_nodes):
-    """Local linear fit at n_nodes equispaced nodes spanning the data, from
-    linearly binned moments (Fan & Marron 1994).
+def _lattice_fit(data: ScatterData, h, points):
+    """Local linear fit at equispaced points from linearly binned moments
+    (Fan & Marron 1994; Wand 1994).  Returns (values, degenerate);
+    degenerate points hold NaN.
 
-    Each (x, z) is split linearly between the two nearest points of a grid
-    _BIN_REFINE times finer than the nodes; the moments at each node are a
-    discrete convolution of the bin counts and response sums with the taps
-    K(u) u^l / h.  Besides the determinant rule, a node is degenerate when
-    its open window (x0 - h, x0 + h) holds fewer than two distinct x.
-    n_nodes must be at least 2.  Returns (nodes, values, degenerate);
-    degenerate nodes hold NaN.
+    points must be strictly increasing with a common spacing g, or a single
+    point (then g = h / _TAPS_PER_H).  The lattice step is g / R, with R the
+    smallest integer that makes it at most h / _TAPS_PER_H (up to a relative
+    1e-9, so that rounding in g or h cannot flip R); every point is then a
+    lattice node.  Each (x, z) is split linearly between its two nearest
+    nodes with np.bincount, and the moments at the points are one strided
+    matmul of the bin counts and response sums with the taps K(u) u^l / h.
+    The lattice and the taps are cropped to the nodes where the data meet a
+    window of some point.  Where that would still take more than
+    _LATTICE_MAX nodes, R is lowered, so the step exceeds h / _TAPS_PER_H;
+    if R = 1 is still too fine, GenevarError is raised.
+
+    Besides the determinant rule, a point is degenerate when the x in its
+    open window shrunk by one lattice step, (x0 - h + step, x0 + h - step),
+    span no more than one step; this covers fewer than two distinct x.
     """
-    h = config.bandwidth
-    distinct = np.unique(data.x)
-    lo, hi = distinct[0], distinct[-1]
+    n = points.size
+    spacing = (points[-1] - points[0]) / (n - 1) if n > 1 else h / _TAPS_PER_H
+    rel = (data.x - points[0]) / spacing          # data positions, in units of g
+    lo_x, hi_x = rel.min(), rel.max()
+    furthest = max(hi_x, n - 1 - lo_x)            # from any point to any datum
+    refine = int(min(max(np.ceil(spacing * _TAPS_PER_H / h * (1.0 - 1e-9)), 1.0),
+                     _LATTICE_MAX))
+    while True:
+        # taps reach at most the furthest datum's node
+        reach = int(min(np.floor(h / spacing * refine), furthest * refine + 1.0))
+        # the points whose windows can hold data; the lattice spans their windows
+        first = max(0, int(np.ceil(lo_x - (reach + 1) / refine)))
+        last = min(n - 1, int(np.floor(hi_x + (reach + 1) / refine)))
+        size = (last - first) * refine + 2 * reach + 1
+        if size <= _LATTICE_MAX or refine == 1:
+            break
+        refine = max(1, min(refine - 1, refine * _LATTICE_MAX // size))
+    if size > _LATTICE_MAX:
+        raise GenevarError(
+            f"a binned fit needs {size} lattice nodes, more than {_LATTICE_MAX}: "
+            "the grid spacing is too fine for the data range")
+    step = spacing / refine
+    values = np.full(n, np.nan)
+    degenerate = np.ones(n, dtype=bool)
+    if first <= last:
+        # lattice nodes 0..size-1, node 0 at point first's window edge; data
+        # off the lattice land on the discarded nodes -1 and size (and size+1)
+        pos = np.clip(rel * refine - (first * refine - reach), -1.0, size)
+        left = np.floor(pos)
+        right_share = pos - left
+        index = np.concatenate([left, left + 1.0]).astype(np.intp) + 1
+        share = np.concatenate([1.0 - right_share, right_share])
+        zshare = share * np.concatenate([data.z, data.z])
+        u = np.arange(-reach, reach + 1) * (step / h)
+        w = TRICUBE.evaluate(u) / h
+        taps = np.stack([w, w * u, w * u * u], axis=1)
+
+        def moments(weights, n_taps):
+            bins = np.bincount(index, weights=weights, minlength=size + 3)
+            windows = np.lib.stride_tricks.sliding_window_view(
+                bins[1:size + 1], u.size)[::refine]
+            return (windows @ taps[:, :n_taps]).T
+
+        s0, s1, s2 = moments(share, 3)
+        t0, t1 = moments(zshare, 2)
+        values[first:last + 1], degenerate[first:last + 1] = _solve(
+            s0, s1, s2, t0, t1, h)
+    # binning cannot resolve x closer than a step, and it smears a datum
+    # within a step of the window's edge onto an inner node, weighting it
+    # far above its exact K(u): so the x must span more than a step, a step
+    # inside the window's edges
+    xs = np.sort(data.x)
+    lo = np.searchsorted(xs, points - (h - step), side="right")
+    hi = np.searchsorted(xs, points + (h - step), side="left")
+    spread = xs[np.maximum(hi - 1, 0)] - xs[np.minimum(lo, xs.size - 1)]
+    sparse = (hi - lo < 2) | (spread <= step)
+    values[sparse] = np.nan
+    return values, degenerate | sparse
+
+
+def local_linear_binned(data: ScatterData, config: EstimationConfig, n_nodes):
+    """Local linear fit at n_nodes equispaced nodes spanning the data, by
+    the lattice engine of _lattice_fit.  n_nodes must be at least 2.
+    Returns (nodes, values, degenerate); degenerate nodes hold NaN."""
+    lo, hi = data.x.min(), data.x.max()
     nodes = np.linspace(lo, hi, n_nodes)
-    sparse = (np.searchsorted(distinct, nodes + h, side="left")
-              - np.searchsorted(distinct, nodes - h, side="right")) < 2
     if hi == lo:
-        return nodes, np.full(nodes.shape, np.nan), sparse
-    bins = _BIN_REFINE * (n_nodes - 1) + 1
-    step = (hi - lo) / (bins - 1)
-    pos = (data.x - lo) / step
-    left = np.minimum(pos.astype(np.intp), bins - 2)
-    right_share = pos - left
-    index = np.concatenate([left, left + 1])
-    share = np.concatenate([1.0 - right_share, right_share])
-    zshare = share * np.concatenate([data.z, data.z])
-    binned = np.stack([np.bincount(index, weights=share, minlength=bins),
-                       np.bincount(index, weights=zshare, minlength=bins)])
-    # taps at bin offsets -reach..reach; no bin lies further off than bins - 1
-    reach = min(int(h / step), bins - 1)
-    u = np.arange(-reach, reach + 1) * (step / h)
-    w = TRICUBE.evaluate(u) / h
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(binned, ((0, 0), (reach, reach))), u.size, axis=1)
-    counts, sums = windows[:, ::_BIN_REFINE] @ np.stack([w, w * u, w * u * u], axis=1)
-    s0, s1, s2 = counts.T
-    t0, t1, _ = sums.T
-    values, degenerate = _solve(s0, s1, s2, t0, t1, h)
-    return nodes, np.where(sparse, np.nan, values), degenerate | sparse
+        return nodes, np.full(nodes.shape, np.nan), np.ones(nodes.shape, dtype=bool)
+    return (nodes, *_lattice_fit(data, config.bandwidth, nodes))
 
 
 def fit_curve(data: ScatterData, config: EstimationConfig) -> VarianceCurve:
-    """Local linear fit over config.grid; degenerate grid points are flagged
-    (value NaN), never interpolated."""
-    values, degenerate = local_linear_at(data, config, config.grid)
+    """Local linear fit over the equispaced config.grid by the lattice
+    engine of _lattice_fit; degenerate grid points are flagged (value NaN),
+    never interpolated."""
+    values, degenerate = _lattice_fit(data, config.bandwidth, config.grid)
     flags = np.where(degenerate, FLAG_DEGENERATE, 0).astype(np.uint8)
     return VarianceCurve(grid=config.grid, values=values, flags=flags)
 

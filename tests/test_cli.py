@@ -10,7 +10,7 @@ import pytest
 
 from genevar.cli import EXIT_INGESTION, EXIT_NONCONVERGENCE, EXIT_VALIDATION, main
 from genevar.io import write_table
-from genevar.model import MultiArraySet, ReplicatedArray
+from genevar.model import FLAG_DEGENERATE, MultiArraySet, ReplicatedArray
 from genevar.simulation import SimDesign, generate_set, sample_intensities, variance_function
 
 
@@ -114,6 +114,29 @@ class TestEstimate:
                      "--out", str(tmp_path / "out"), "--format", "csv"]
                     + flags) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    def test_unequal_grid_exit_code(self, replicated_csv, tmp_path, capsys,
+                                    monkeypatch):
+        # every grid the CLI builds is equispaced; a producer that is not
+        # must stop with the validation exit code
+        import genevar.cli
+
+        monkeypatch.setattr(genevar.cli, "default_grid",
+                            lambda x, n_points=101: np.geomspace(7.0, 15.0, n_points))
+        assert main(["estimate", "--input", str(replicated_csv),
+                     "--out", str(tmp_path / "out"), "--format", "csv"]
+                    ) == EXIT_VALIDATION
+        assert "grid must be equispaced" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bandwidth, degenerate", [("0.05", 21), ("1000", 0)])
+    def test_extreme_bandwidths(self, replicated_csv, tmp_path, bandwidth,
+                                degenerate):
+        # the degenerate grid points the exact window pass gives on this input
+        out = tmp_path / "out"
+        assert main(["estimate", "--input", str(replicated_csv), "--out",
+                     str(out), "--format", "csv", "--bandwidth", bandwidth]) == 0
+        flags = [int(r["flags"]) for r in read_rows(out / "curve.csv")]
+        assert sum(f & FLAG_DEGENERATE for f in flags) == degenerate
 
     def test_ingestion_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

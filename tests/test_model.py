@@ -118,6 +118,18 @@ class TestConfig:
         with pytest.raises(NonFinite, match="non-finite"):
             EstimationConfig(bandwidth=1.0, grid=np.linspace(np.nan, 9.0, 5))
 
+    @pytest.mark.parametrize("grid", [np.geomspace(1.0, 10.0, 5),
+                                      [0.0, 1.0, 2.0001]])
+    def test_grid_must_be_equispaced(self, grid):
+        with pytest.raises(GenevarError, match="grid must be equispaced"):
+            EstimationConfig(bandwidth=1.0, grid=np.asarray(grid))
+
+    @pytest.mark.parametrize("grid", [np.linspace(6.0, 16.0, 101) + 40.0,
+                                      np.linspace(1e6, 1e6 + 1.0, 101),
+                                      [3.0]])
+    def test_equispaced_up_to_rounding_accepted(self, grid):
+        EstimationConfig(bandwidth=1.0, grid=np.asarray(grid))
+
     def test_default_grid_trims_tails(self, rng):
         x = rng.normal(size=20000)
         grid = default_grid(x, n_points=51)

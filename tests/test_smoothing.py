@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genevar import smoothing
 from genevar.model import (
@@ -148,17 +148,19 @@ class TestLocalLinear:
         assert got == pytest.approx(2.0, abs=1e-9)
 
 
-class TestFitCurve:
-    def test_pointwise_equals_scalar_fit(self, rng):
+    def test_vectorized_equals_scalar_fit(self, rng):
         x = rng.uniform(0, 5, 80)
         z = rng.normal(size=80)
         grid = np.linspace(0.5, 4.5, 9)
         cfg = config_for(grid)
-        curve = fit_curve(ScatterData(x, z), cfg)
+        values, degenerate = local_linear_at(ScatterData(x, z), cfg, grid)
+        assert not degenerate.any()
         for k, x0 in enumerate(grid):
-            assert curve.values[k] == pytest.approx(
+            assert values[k] == pytest.approx(
                 fit_value(ScatterData(x, z), cfg, float(x0)), abs=1e-12)
 
+
+class TestFitCurve:
     def test_edge_points_flagged_not_interpolated(self):
         x = np.linspace(0, 1, 50)
         z = np.ones(50)
@@ -414,3 +416,122 @@ class TestBinned:
                 ScatterData(np.full(50, 9.0), np.arange(50.0)), config_for([6.0]), 8)
         assert np.array_equal(nodes, np.full(8, 9.0))
         assert degenerate.all() and np.isnan(values).all()
+
+    # fit_curve runs the same lattice engine on config.grid
+
+    def test_fit_curve_table2_design_within_bound(self):
+        # the table2 design (2000 genes, J=4, rho=0.6), seed 1, runs 0-2:
+        # each array's replicate columns and I=3 pooled fit, and the I=2
+        # paired fit on the same design with two replicates; bound fixed
+        # at 2e-4 sd(z) before measuring
+        from genevar.simulation import SimDesign, generate_set
+        from genevar.synthetic import synthetic_responses
+
+        fits = []
+        for n_reps in (3, 2):
+            design = SimDesign(n_runs=3, seed=1, rho=0.6, n_replicates=n_reps)
+            for run in range(design.n_runs):
+                for array in generate_set(design, run).arrays:
+                    if n_reps == 2:
+                        z = 0.25 * (array.y[:, 0] - array.y[:, 1]) ** 2
+                        fits.append(ScatterData(array.x.T.ravel(),
+                                                np.concatenate([z, z])))
+                        continue
+                    sdata = synthetic_responses(array)
+                    x, z = sdata.source.x, sdata.z
+                    fits.extend(ScatterData(x[:, i], z[:, i]) for i in range(3))
+                    fits.append(ScatterData(x.ravel(), z.ravel()))
+        assert len(fits) == 3 * 4 * 4 + 3 * 4
+        config = design.config()
+        for data in fits:
+            curve = fit_curve(data, config)
+            exact, exact_degenerate = local_linear_at(data, config, config.grid)
+            assert not exact_degenerate.any() and curve.evaluable.all()
+            assert np.max(np.abs(curve.values - exact)) <= 2e-4 * np.std(data.z)
+
+    @settings(max_examples=100, deadline=None)
+    @example(ticks=[0, 4], start=1e-8, n_points=1, spacing=0.05, h=1.0, seed=0)
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=60),
+           st.floats(-4.0, 4.0), st.integers(1, 40),
+           st.sampled_from([0.05, 0.1, 0.25, 0.3]),
+           st.sampled_from([0.1, 0.35, 1.0, 2.5]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_fit_curve_exact_degenerate_points_stay_degenerate(
+            self, ticks, start, n_points, spacing, h, seed):
+        # lattice x: ties, gaps wider than 2h, a single distinct x, and
+        # grids reaching past the data
+        x = 0.25 * np.asarray(ticks, dtype=float)
+        z = np.random.default_rng(seed).normal(size=x.size)
+        grid = start + spacing * np.arange(n_points)
+        data, config = ScatterData(x, z), config_for(grid, h=h)
+        curve = fit_curve(data, config)
+        degenerate = ~curve.evaluable
+        _, exact_degenerate = local_linear_at(data, config, grid)
+        assert not np.any(exact_degenerate & ~degenerate)
+        assert np.array_equal(np.isnan(curve.values), degenerate)
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, 1e-6, 5.0]],
+                             ids=["second_x_at_window_edge", "near_tie"])
+    def test_fit_curve_flags_what_the_lattice_cannot_resolve(self, x):
+        # at x0 = 1e-8, h = 1: a second x 1e-8 inside the window's edge, and
+        # two x 1e-6 apart with the third outside the window, carry too
+        # little spread for the exact determinant rule; linear binning
+        # would smear either onto a lattice step
+        x = np.asarray(x)
+        data = ScatterData(x, np.arange(x.size, dtype=float))
+        config = config_for([1e-8])
+        assert local_linear_at(data, config, config.grid)[1].all()
+        curve = fit_curve(data, config)
+        assert not curve.evaluable.any() and np.isnan(curve.values).all()
+
+    def test_fit_curve_constant_response_reproduced(self, rng):
+        x = rng.uniform(6.0, 16.0, 3000)
+        curve = fit_curve(ScatterData(x, np.full(x.size, 2.5)),
+                          config_for(np.linspace(6.0, 16.0, 101)))
+        assert curve.evaluable.all()
+        assert np.max(np.abs(curve.values - 2.5)) <= 1e-12 * 2.5
+
+    @pytest.mark.parametrize("c", [0.1, 2.9, 7.1, 40.0])
+    def test_refinement_does_not_flip_under_rounding(self, rng, c):
+        # g = 0.1 and h = 0.8 put the exact g _TAPS_PER_H / h on the integer
+        # 32; the shifted grids' spacings round it to 32 + 1e-14 (c = 0.1,
+        # 7.1), 32 - 7e-15 (2.9) and 32 (40), and a different refinement
+        # would move values by ~1e-5
+        h = 0.1 * smoothing._TAPS_PER_H / 32
+        x = rng.uniform(6.0, 16.0, 2000)
+        z = rng.chisquare(1, x.size)
+        grid = np.linspace(6.0, 16.0, 101)
+        base = fit_curve(ScatterData(x, z), config_for(grid, h=h))
+        shifted = fit_curve(ScatterData(x + c, z), config_for(grid + c, h=h))
+        np.testing.assert_allclose(shifted.values, base.values, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("h", [1e-5, 0.05, 1000.0, 1e4])
+    def test_memory_bounded_at_extreme_bandwidths(self, h):
+        # a narrow window asks for a long lattice, a wide one for long taps;
+        # both stay within one row of _LATTICE_MAX bins and the flags keep
+        # the exact pass's
+        import tracemalloc
+
+        from genevar.simulation import SimDesign, generate_set
+
+        array = generate_set(SimDesign(n_genes=300, n_active=40, n_runs=1,
+                                       seed=101), 0).arrays[0]
+        data = ScatterData(array.x.ravel(), array.y.ravel())
+        config = config_for(np.linspace(6.0, 16.0, 101), h=h)
+        tracemalloc.start()
+        try:
+            curve = fit_curve(data, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * smoothing._LATTICE_MAX + (1 << 20)
+        _, exact_degenerate = local_linear_at(data, config, config.grid)
+        assert not np.any(exact_degenerate & curve.evaluable)
+
+    def test_lattice_too_long_at_unit_refinement_raises(self):
+        # a grid step of 1e-7 over data spanning 10: even one lattice node
+        # per grid step is 1e8 nodes
+        x = np.linspace(0.0, 10.0, 50)
+        config = config_for(5.0 + 1e-7 * np.arange(11), h=1.0)
+        with pytest.raises(GenevarError, match="lattice nodes"):
+            fit_curve(ScatterData(x, x), config)
