@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Paired parent/change benchmark: writes BENCH_<pr>.json at the repo root.
 
-    python3 scripts/bench_pairs.py --pr 8 [--parent HEAD~1] [--pairs 10]
-        [--workloads simulate_tables_n2k ...] [--parent-checkout DIR]
+    python3 scripts/bench_pairs.py --pr 8 --parent HEAD~1
 
-The change is this checkout's working tree; the parent is the commit
---parent (default HEAD), checked out with ``git worktree add --detach`` into
-a temporary directory that is removed at the end, or an existing checkout
-given by --parent-checkout.  For every workload it runs
+The change is the commit HEAD and the parent the commit --parent; each is
+extracted with ``git archive`` into its own temporary directory, so both
+sides run from their committed files only, and the directories are removed
+at the end.  A parent with HEAD's tree is refused, since the run would
+compare the change with itself.  For every workload of BENCHMARK.json it
+runs
 
     python3 perfbench/run.py --workload W --seed 1000+i --seconds 24 --trace 0
 
-in --pairs alternating pairs (pair i runs the parent first when i is even,
-the change first when i is odd; both sides of a pair share the seed), each
-side from its own checkout, then one ``--trace 1`` run per workload and side
-at seed 1000.  Per end-to-end metric the file holds each side's quartiles
-over its runs, how many pairs the change won, the ratio of the medians and
-whether the medians differ, in the better direction, by more than the
-parent's interquartile range.  Needs only the standard library and numpy.
+in PAIRS alternating pairs (pair i runs the parent first when i is even,
+the change first when i is odd; both sides of a pair share the seed), then
+one ``--trace 1`` run per workload and side at seed 1000.  Per end-to-end
+metric the file holds each side's quartiles over its runs, how many pairs
+the change won, the ratio of the medians and whether the medians differ,
+in the better direction, by more than the parent's interquartile range.
+Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 24
 SEED0 = 1000
+PAIRS = 10
 TRACED_KEYS = (
     "io.self_s", "model.self_s", "synthetic.self_s", "smoothing.self_s",
     "estimators.self_s", "correlation.self_s", "asymptotics.self_s",
@@ -106,21 +108,21 @@ def cpu_model():
     return platform.processor() or platform.machine()
 
 
-def run(pr, parent_dir: Path, pairs, workloads):
+def run(pr, sides, commits):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    names = workloads or [w["name"] for w in bench["workloads"]]
-    sides = {"parent": parent_dir, "change": ROOT}
+    names = [w["name"] for w in bench["workloads"]]
     report = {
         "command": (f"python3 perfbench/run.py --workload W --seed S "
                     f"--seconds {SECONDS} --trace 0"),
         "design": (f"alternating pairs: pair i runs parent then change when i "
                    f"is even, change then parent when odd; both sides of a pair "
                    f"share seed {SEED0}+i; parent = the commit this change is "
-                   f"based on, each side run from its own checkout; quartiles "
-                   f"are numpy's linear percentiles over the {pairs} runs of a side"),
-        "nproc": os.cpu_count(), "cpu_model": cpu_model(),
-        "python": platform.python_version(), "pairs": pairs, "workloads": {},
+                   f"based on, each side run from a git archive of its commit; "
+                   f"quartiles are numpy's linear percentiles over the {PAIRS} "
+                   f"runs of a side"),
+        "commits": commits, "nproc": os.cpu_count(), "cpu_model": cpu_model(),
+        "python": platform.python_version(), "pairs": PAIRS, "workloads": {},
         "traced": {"command": (f"python3 perfbench/run.py --workload W --seed "
                                f"{SEED0} --seconds {SECONDS} --trace 1"),
                    "note": ("one traced run per workload and side; per-module "
@@ -131,7 +133,7 @@ def run(pr, parent_dir: Path, pairs, workloads):
     }
     for name in names:
         runs = {"parent": [], "change": []}
-        for i in range(pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 result = perfbench(sides[side], name, SEED0 + i, 0)
@@ -155,28 +157,37 @@ def run(pr, parent_dir: Path, pairs, workloads):
     print(f"wrote {out}")
 
 
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def extract(commit, directory: Path):
+    """The committed files of commit, unpacked into directory."""
+    directory.mkdir()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive,
+                   check=True)
+    return directory
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="number in BENCH_<pr>.json")
-    parser.add_argument("--parent", default="HEAD", help="parent commit")
-    parser.add_argument("--parent-checkout", type=Path, default=None,
-                        help="an existing checkout of the parent to use "
-                             "instead of a temporary git worktree")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", nargs="*", default=None)
+    parser.add_argument("--parent", required=True,
+                        help="the commit the change (HEAD) is based on")
     args = parser.parse_args(argv)
-    if args.parent_checkout is not None:
-        run(args.pr, args.parent_checkout.resolve(), args.pairs, args.workloads)
-        return
+    commits = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}"),
+               "change": git("rev-parse", "--verify", "HEAD^{commit}")}
+    if git("rev-parse", commits["parent"] + "^{tree}") == git(
+            "rev-parse", "HEAD^{tree}"):
+        sys.exit(f"--parent {args.parent} has the same files as HEAD; "
+                 "commit the change first")
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir),
-                        args.parent], cwd=ROOT, check=True)
-        try:
-            run(args.pr, parent_dir, args.pairs, args.workloads)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(parent_dir)], cwd=ROOT, check=False)
+        sides = {side: extract(commit, Path(tmp) / side)
+                 for side, commit in commits.items()}
+        run(args.pr, sides, commits)
 
 
 if __name__ == "__main__":

@@ -25,9 +25,10 @@ intensity: smooth Y on X, then smooth the squared residuals.  It is badly
 biased when the gene effects are not smooth in X.
 
 Every fit here comes from linearly binned moments on a lattice through the
-equispaced evaluation points (smoothing._lattice_fit): the curves on
-config.grid through smoothing.fit_curve, and the baseline's stage-1 mean fit
-through smoothing.local_linear_binned.  Binning needs no sorted input.
+equispaced evaluation points (smoothing._lattice_fit, which fits windows
+too sparse to bin exactly): the curves on config.grid through
+smoothing.fit_curve, and the baseline's stage-1 mean fit through
+smoothing.local_linear_binned.  Neither needs sorted input.
 """
 
 from __future__ import annotations

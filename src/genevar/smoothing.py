@@ -17,17 +17,20 @@ Curves on equispaced points -- fit_curve on config.grid and
 local_linear_binned on the two-stage baseline's stage-1 nodes -- come from
 one lattice engine, _lattice_fit: linear binning onto a lattice through the
 points, then the moments by a discrete convolution with the kernel taps
-(Fan & Marron 1994; Wand 1994).  On the benchmark designs its values are
-within 1e-4 sd(z) of the exact fit's.
+(Fan & Marron 1994; Wand 1994).  Points whose window holds too few x for
+binning get the exact fit instead.  The degenerate flags agree with the
+exact pass's on every design tested, and the values are within 1e-4 sd(z)
+of it on the benchmark designs and on a 300-gene input at bandwidths from
+0.05 to 1000; that bound is measured, not proved.
 
-local_linear_at (the exact fit at arbitrary points, and the tests' oracle)
-and kde_values run on one exact kernel-window pass (_window_pass): the
-evaluation points are sorted once, walked in runs that share a data window,
-and each run gets its raw weights K(u).  Regression forms weighted moment
-sums from them; the density sums them.  The pass allocates its u, weight and
-scratch matrices once and reuses them for every slab of rows, so the
-per-slab reductions may overwrite the weights and the scratch but must not
-keep views of any of them.
+local_linear_at (the exact fit at arbitrary points, and the tests' oracle),
+the lattice engine's sparse windows and kde_values run on one exact
+kernel-window pass (_window_pass): the evaluation points are sorted once,
+walked in runs that share a data window, and each run gets its raw weights
+K(u).  Regression forms weighted moment sums from them; the density sums
+them.  The pass allocates its u, weight and scratch matrices once and
+reuses them for every slab of rows, so the per-slab reductions may
+overwrite the weights and the scratch but must not keep views of any of them.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ _DENSITY_NODES = 512
 # table2 design (measured 8.5e-5; 3.5e-4 at 128)
 _TAPS_PER_H = 256
 _LATTICE_MAX = 1 << 19  # lattice nodes per binned fit, at most (4 MB per row of bins)
+# x per lattice-fit window, at least; sparser windows get the exact fit.  At
+# 32 the 300-gene, J=4 CLI input stays within 3e-5 sd(z) of exact at every
+# bandwidth from 0.05 to 1 (16: 3e-5, 8: 3e-4), and no window of the
+# 2000-gene benchmark designs at h = 1 holds fewer (the least holds 42)
+_EXACT_BELOW = 32
 
 
 def _chunk_bounds(points, halfwidth):
@@ -147,18 +155,10 @@ def _solve(s0, s1, s2, t0, t1, h):
     return np.where(ok, (s2 * t0 - s1 * t1) / safe, np.nan), ~ok
 
 
-def local_linear_at(data: ScatterData, config: EstimationConfig, points):
-    """Local linear fit at arbitrary points.
-
-    Returns (values, degenerate_mask); degenerate points hold NaN.
-    """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(pts)):
-        raise NonFinite("evaluation points must be finite")
-    order_x = np.argsort(data.x, kind="stable")
-    xs = data.x[order_x]
-    zs = data.z[order_x]
-    h = config.bandwidth
+def _exact_fit(xs, zs, h, points):
+    """Exact local linear fit at points from the sample (xs, zs) sorted by
+    x, by one _window_pass.  Returns (values, degenerate); degenerate points
+    hold NaN."""
 
     def intercepts(window, u, w, scratch):
         zw = zs[window]
@@ -171,40 +171,65 @@ def local_linear_at(data: ScatterData, config: EstimationConfig, points):
         t1 = wu @ zw
         return _solve(s0, s1, s2, t0, t1, h)
 
-    values = np.full(pts.shape, np.nan)
-    degenerate = np.ones(pts.shape, dtype=bool)
-    _window_pass(xs, pts, h, intercepts, (values, degenerate))
+    values = np.full(points.shape, np.nan)
+    degenerate = np.ones(points.shape, dtype=bool)
+    _window_pass(xs, points, h, intercepts, (values, degenerate))
     return values, degenerate
+
+
+def local_linear_at(data: ScatterData, config: EstimationConfig, points):
+    """Local linear fit at arbitrary points.
+
+    Returns (values, degenerate_mask); degenerate points hold NaN.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise NonFinite("evaluation points must be finite")
+    order_x = np.argsort(data.x, kind="stable")
+    return _exact_fit(data.x[order_x], data.z[order_x], config.bandwidth, pts)
 
 
 def _lattice_fit(data: ScatterData, h, points):
     """Local linear fit at equispaced points from linearly binned moments
-    (Fan & Marron 1994; Wand 1994).  Returns (values, degenerate);
-    degenerate points hold NaN.
+    (Fan & Marron 1994; Wand 1994), with the exact fit where a window holds
+    too few x for binning.  Returns (values, degenerate); degenerate points
+    hold NaN.
 
     points must be strictly increasing with a common spacing g, or a single
     point (then g = h / _TAPS_PER_H).  The lattice step is g / R, with R the
-    smallest integer that makes it at most h / _TAPS_PER_H (up to a relative
-    1e-9, so that rounding in g or h cannot flip R); every point is then a
-    lattice node.  Each (x, z) is split linearly between its two nearest
-    nodes with np.bincount, and the moments at the points are one strided
-    matmul of the bin counts and response sums with the taps K(u) u^l / h.
-    The lattice and the taps are cropped to the nodes where the data meet a
-    window of some point.  Where that would still take more than
-    _LATTICE_MAX nodes, R is lowered, so the step exceeds h / _TAPS_PER_H;
-    if R = 1 is still too fine, GenevarError is raised.
+    smallest integer that makes it at most s / _TAPS_PER_H, where s is h or,
+    if smaller, a quarter of the range of x: the binning error grows with
+    the step relative to the spread of x in a window, which is about h for
+    a narrow window and the data's own spread for a wide one.  R is found up
+    to a relative 1e-9, so that rounding in g, h or x cannot flip it; every
+    point is then a lattice node.  Each (x, z) is split linearly between its
+    two nearest nodes with np.bincount, and the moments at the points are
+    one strided matmul of the bin counts and response sums with the taps
+    K(u) u^l / h.  The lattice and the taps are cropped to the nodes where
+    the data meet a window of some point.  Where that would still take more
+    than _LATTICE_MAX nodes, R is lowered, so the step exceeds
+    s / _TAPS_PER_H and the binned values lose accuracy; if R = 1 is still
+    too fine, GenevarError is raised.
 
-    Besides the determinant rule, a point is degenerate when the x in its
-    open window shrunk by one lattice step, (x0 - h + step, x0 + h - step),
-    span no more than one step; this covers fewer than two distinct x.
+    A point whose window, shrunk by one lattice step to
+    (x0 - h + step, x0 + h - step), holds fewer than _EXACT_BELOW x, or x
+    spanning no more than one step, is fitted by the exact pass instead,
+    values and degenerate flags both.  Binning cannot resolve x closer than
+    a step, and it smears a datum near the window's edge onto an inner
+    node, far above its exact weight; in a sparse window that moves the
+    fit by up to several sd(z), and it flags points the exact rule
+    evaluates or evaluates points it flags.  So the flags are the exact
+    pass's wherever such a window decides them, and elsewhere each binned
+    point has at least _EXACT_BELOW x spread over more than a step.
     """
     n = points.size
     spacing = (points[-1] - points[0]) / (n - 1) if n > 1 else h / _TAPS_PER_H
     rel = (data.x - points[0]) / spacing          # data positions, in units of g
     lo_x, hi_x = rel.min(), rel.max()
     furthest = max(hi_x, n - 1 - lo_x)            # from any point to any datum
-    refine = int(min(max(np.ceil(spacing * _TAPS_PER_H / h * (1.0 - 1e-9)), 1.0),
-                     _LATTICE_MAX))
+    scale = min(h, 0.25 * (hi_x - lo_x) * spacing) if hi_x > lo_x else h
+    refine = int(min(max(np.ceil(spacing * _TAPS_PER_H / scale * (1.0 - 1e-9)),
+                         1.0), _LATTICE_MAX))
     while True:
         # taps reach at most the furthest datum's node
         reach = int(min(np.floor(h / spacing * refine), furthest * refine + 1.0))
@@ -245,17 +270,16 @@ def _lattice_fit(data: ScatterData, h, points):
         t0, t1 = moments(zshare, 2)
         values[first:last + 1], degenerate[first:last + 1] = _solve(
             s0, s1, s2, t0, t1, h)
-    # binning cannot resolve x closer than a step, and it smears a datum
-    # within a step of the window's edge onto an inner node, weighting it
-    # far above its exact K(u): so the x must span more than a step, a step
-    # inside the window's edges
     xs = np.sort(data.x)
     lo = np.searchsorted(xs, points - (h - step), side="right")
     hi = np.searchsorted(xs, points + (h - step), side="left")
     spread = xs[np.maximum(hi - 1, 0)] - xs[np.minimum(lo, xs.size - 1)]
-    sparse = (hi - lo < 2) | (spread <= step)
-    values[sparse] = np.nan
-    return values, degenerate | sparse
+    sparse = (hi - lo < _EXACT_BELOW) | (spread <= step)
+    if sparse.any():
+        order = np.argsort(data.x, kind="stable")
+        values[sparse], degenerate[sparse] = _exact_fit(
+            xs, data.z[order], h, points[sparse])
+    return values, degenerate
 
 
 def local_linear_binned(data: ScatterData, config: EstimationConfig, n_nodes):
@@ -272,7 +296,8 @@ def local_linear_binned(data: ScatterData, config: EstimationConfig, n_nodes):
 def fit_curve(data: ScatterData, config: EstimationConfig) -> VarianceCurve:
     """Local linear fit over the equispaced config.grid by the lattice
     engine of _lattice_fit; degenerate grid points are flagged (value NaN),
-    never interpolated."""
+    never interpolated.  See the module docstring for how close the values
+    and flags are to the exact pass's."""
     values, degenerate = _lattice_fit(data, config.bandwidth, config.grid)
     flags = np.where(degenerate, FLAG_DEGENERATE, 0).astype(np.uint8)
     return VarianceCurve(grid=config.grid, values=values, flags=flags)

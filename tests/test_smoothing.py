@@ -456,7 +456,7 @@ class TestBinned:
            st.sampled_from([0.05, 0.1, 0.25, 0.3]),
            st.sampled_from([0.1, 0.35, 1.0, 2.5]),
            st.integers(0, 2 ** 32 - 1))
-    def test_fit_curve_exact_degenerate_points_stay_degenerate(
+    def test_fit_curve_flags_equal_the_exact_pass(
             self, ticks, start, n_points, spacing, h, seed):
         # lattice x: ties, gaps wider than 2h, a single distinct x, and
         # grids reaching past the data
@@ -467,7 +467,7 @@ class TestBinned:
         curve = fit_curve(data, config)
         degenerate = ~curve.evaluable
         _, exact_degenerate = local_linear_at(data, config, grid)
-        assert not np.any(exact_degenerate & ~degenerate)
+        assert np.array_equal(degenerate, exact_degenerate)
         assert np.array_equal(np.isnan(curve.values), degenerate)
 
     @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, 1e-6, 5.0]],
@@ -476,13 +476,55 @@ class TestBinned:
         # at x0 = 1e-8, h = 1: a second x 1e-8 inside the window's edge, and
         # two x 1e-6 apart with the third outside the window, carry too
         # little spread for the exact determinant rule; linear binning
-        # would smear either onto a lattice step
+        # would smear either onto a lattice step, so such windows take the
+        # exact fit
         x = np.asarray(x)
         data = ScatterData(x, np.arange(x.size, dtype=float))
         config = config_for([1e-8])
         assert local_linear_at(data, config, config.grid)[1].all()
         curve = fit_curve(data, config)
         assert not curve.evaluable.any() and np.isnan(curve.values).all()
+
+    def test_fit_curve_evaluates_a_close_pair_the_exact_pass_evaluates(self):
+        # h = 1 on a 0.1 grid (lattice step ~0.0038): the windows around
+        # 10 hold only two x, 0.003 apart, which the exact determinant rule
+        # resolves (det ~7e-6); the fit must not flag them
+        x = np.array([10.0, 10.003])
+        data = ScatterData(x, np.array([1.0, 2.0]))
+        config = config_for(np.linspace(6.0, 16.0, 101))
+        exact, exact_degenerate = local_linear_at(data, config, config.grid)
+        curve = fit_curve(data, config)
+        assert (~exact_degenerate).sum() == 19
+        assert np.array_equal(curve.evaluable, ~exact_degenerate)
+        np.testing.assert_allclose(curve.values[curve.evaluable],
+                                   exact[~exact_degenerate], rtol=1e-9)
+
+    @pytest.mark.parametrize("h", [0.05, 0.2, 1.0, 1000.0])
+    def test_fit_curve_sparse_input_within_bound(self, h):
+        # the 300-gene, J=4 input of the CLI tests on its default grid: each
+        # array's replicate columns and I=3 pooled fit hold from none to a
+        # few hundred x per window; the flags must be the exact pass's and
+        # the values within the module's 1e-4 sd(z)
+        from genevar.model import default_grid
+        from genevar.simulation import SimDesign, generate_set
+        from genevar.synthetic import synthetic_responses
+
+        ms = generate_set(SimDesign(n_genes=300, n_active=40, n_arrays=4,
+                                    rho=0.3, n_runs=1, seed=101), 0)
+        config = config_for(
+            default_grid(np.concatenate([a.x.ravel() for a in ms.arrays])), h=h)
+        for array in ms.arrays:
+            sdata = synthetic_responses(array)
+            x, z = sdata.source.x, sdata.z
+            for data in [ScatterData(x[:, i], z[:, i]) for i in range(3)] + [
+                    ScatterData(x.ravel(), z.ravel())]:
+                curve = fit_curve(data, config)
+                exact, exact_degenerate = local_linear_at(data, config,
+                                                          config.grid)
+                assert np.array_equal(curve.evaluable, ~exact_degenerate)
+                ok = curve.evaluable
+                assert np.all(np.abs(curve.values[ok] - exact[ok])
+                              <= 1e-4 * np.std(data.z))
 
     def test_fit_curve_constant_response_reproduced(self, rng):
         x = rng.uniform(6.0, 16.0, 3000)
