@@ -1,29 +1,49 @@
 #!/usr/bin/env python3
-"""Desk-scale reproduction of the three benchmark tables.
+"""Desk-scale reproduction of the benchmark tables.
 
-Runs the gene-effect comparison (two-stage baseline vs residual-based
-estimator, smooth and nonsmooth effects), the correlation sweep for the
-uncorrected / corrected / oracle curves, and the parameter-recovery stats,
-printing each table and optionally writing full-precision CSVs.
+Runs ``genevar simulate`` for the gene-effect comparison (the table1
+preset: two-stage baseline vs residual-based estimator, smooth and
+nonsmooth effects) and for the correlation sweep (the table2 preset:
+uncorrected / corrected / oracle curves, with the parameter-recovery
+stats), printing each table.  Every design writes simulate's files
+(report.csv, curves.csv, ise.csv, params.csv for table2, manifest.json)
+to its own subdirectory of --out, or of a temporary directory removed at
+the end when --out is not given.
 
     python scripts/reproduce_tables.py --reps 100 --out results/
 """
 
 import argparse
-import csv
+import tempfile
 from pathlib import Path
 
-from genevar.simulation import SimDesign, run_experiment
+from genevar.cli import main as genevar
+
+RHOS = (-0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8)
 
 
-def write_report(report, path):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["estimator", "bias2", "var", "mise"])
-        for name in report.estimators:
-            m = report.metrics[name]
-            writer.writerow([name, repr(m.bias2), repr(m.var), repr(m.mise)])
+def simulate(out, name, args, *flags):
+    """One simulate run into out/name; stops on a nonzero exit code."""
+    code = genevar(["simulate", *flags, "--reps", str(args.reps),
+                    "--seed", str(args.seed), "--out", str(out / name),
+                    "--format", "table"])
+    if code:
+        raise SystemExit(code)
+    print()
+
+
+def run(args, out):
+    print("== gene-effect designs (two-stage baseline vs residual-based) ==")
+    for mode in ("smooth", "nonsmooth"):
+        print(f"-- {mode} effects --")
+        simulate(out, f"effects_{mode}", args,
+                 "--preset", "table1", "--alpha-mode", mode)
+
+    print("== correlation sweep (uncorrected / corrected / oracle) ==")
+    for rho in RHOS:
+        print(f"-- rho = {rho:+.1f} --")
+        simulate(out, f"correlation_{rho:+.1f}", args,
+                 "--preset", "table2", "--rho", str(rho))
 
 
 def main():
@@ -31,31 +51,14 @@ def main():
     parser.add_argument("--reps", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None,
-                        help="directory for full-precision CSVs")
+                        help="directory for simulate's outputs, one "
+                             "subdirectory per design")
     args = parser.parse_args()
-
-    print("== gene-effect designs (two-stage baseline vs residual-based) ==")
-    for mode in ("smooth", "gene"):
-        design = SimDesign(rho=0.0, n_runs=args.reps, seed=args.seed,
-                           effect_mode=mode)
-        report = run_experiment(design, estimators=("two_stage", "replicate_average"))
-        label = "smooth" if mode == "smooth" else "nonsmooth"
-        print(f"-- {label} effects --")
-        print(report.format_table())
-        if args.out:
-            write_report(report, args.out / f"effects_{label}.csv")
-        print()
-
-    print("== correlation sweep (uncorrected / corrected / oracle) ==")
-    for rho in (-0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8):
-        design = SimDesign(rho=rho, n_runs=args.reps, seed=args.seed)
-        report = run_experiment(
-            design, estimators=("replicate_average", "corrected", "oracle"))
-        print(f"-- rho = {rho:+.1f} --")
-        print(report.format_table())
-        if args.out:
-            write_report(report, args.out / f"correlation_{rho:+.1f}.csv")
-        print()
+    if args.out is not None:
+        run(args, args.out)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        run(args, Path(tmp))
 
 
 if __name__ == "__main__":

@@ -105,8 +105,6 @@ class KernelSpec:
     ----------
     evaluate : callable
         Vectorized u -> K(u); zero outside [-support_halfwidth, support_halfwidth].
-        evaluate(u, out, scratch) writes K(u) into out and overwrites
-        scratch, allocating nothing.
     support_halfwidth : float
     c_k : float
         Second moment, int u^2 K(u) du.
@@ -114,30 +112,19 @@ class KernelSpec:
         Roughness, int K(u)^2 du.
     """
 
-    evaluate: Callable[..., np.ndarray]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     support_halfwidth: float
     c_k: float
     d_k: float
 
 
-def _tricube(u, out=None, scratch=None):
-    """K(u), written into out when out and scratch (float arrays of u's
-    shape, scratch overwritten) are given, else into fresh arrays.  Either
-    way the operation order is a = min(|u|, 1), t = 1 - a*a*a,
-    K = ((70/81) t) t t."""
+def _tricube(u):
+    """K(u), as a = min(|u|, 1), t = 1 - a*a*a, K = ((70/81) t) t t."""
     # clipping |u| at 1 makes the cube factor vanish outside the support,
-    # avoiding a branch on large weight matrices
-    u = np.asarray(u, dtype=float)
-    if out is None:
-        out, scratch = np.empty(u.shape), np.empty(u.shape)
-    a = np.minimum(np.abs(u, out=out), 1.0, out=out)
-    cube = np.multiply(a, a, out=scratch)
-    cube *= a
-    t = np.subtract(1.0, cube, out=out)
-    k = np.multiply(70.0 / 81.0, t, out=scratch)
-    k *= t
-    np.multiply(k, t, out=out)
-    return out if out.ndim else out[()]
+    # avoiding a branch
+    a = np.minimum(np.abs(u), 1.0)
+    t = 1.0 - a * a * a
+    return (70.0 / 81.0) * t * t * t
 
 
 # (70/81)(1-|u|^3)^3 on [-1, 1].  c_k = 2 (70/81) / 12 = 35/243, and
@@ -172,7 +159,7 @@ class EstimationConfig:
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise GenevarError("bandwidth must be positive")
-        # the degenerate-window rule scales with h^2, so that must be finite
+        # the asymptotic bias scales with h^2, so that must be finite
         h = float(self.bandwidth)
         if not np.isfinite(h * h):
             raise NonFinite("bandwidth must be finite, with a finite square")

@@ -9,9 +9,14 @@ intercept is
     (S_2 T_0 - S_1 T_1) / (S_0 S_2 - S_1^2),
 
 which reproduces constants and linear functions exactly.  A point is
-degenerate when the normal-equation determinant S_0 S_2 - S_1^2 falls below
-1e-12 * (S_0 h^2 + eps): fewer than two distinct x values carry weight there.
-_solve applies that rule and the formula to the moments of both routes below.
+degenerate when the normal-equation determinant S_0 S_2 - S_1^2 is at most
+1e-12 S_0^2.  The ratio of the two is the weighted variance of u, so the
+rule does not depend on the scale of x or h: a point is degenerate when the
+weighted sd of its window's x is at most 1e-6 h (or no x carries weight).
+Fewer than two distinct x values in the open window is the common case, but
+a bandwidth vast beside the spread of x, such as 1e30 on log2 intensities,
+flags every point too.  _solve applies that rule and the formula to the
+moments of both routes below.
 
 Curves on equispaced points -- fit_curve on config.grid and
 local_linear_binned on the two-stage baseline's stage-1 nodes -- come from
@@ -24,13 +29,11 @@ of it on the benchmark designs and on a 300-gene input at bandwidths from
 0.05 to 1000; that bound is measured, not proved.
 
 local_linear_at (the exact fit at arbitrary points, and the tests' oracle),
-the lattice engine's sparse windows and kde_values run on one exact
-kernel-window pass (_window_pass): the evaluation points are sorted once,
-walked in runs that share a data window, and each run gets its raw weights
-K(u).  Regression forms weighted moment sums from them; the density sums
-them.  The pass allocates its u, weight and scratch matrices once and
-reuses them for every slab of rows, so the per-slab reductions may
-overwrite the weights and the scratch but must not keep views of any of them.
+the lattice engine's sparse windows and kde_values are plain per-point
+passes over the sorted sample: _windows finds every point's kernel window
+with one searchsorted pair and yields, point by point, the window and
+u = (x - x0)/h.  Regression reduces the weights K(u)/h to the five moment
+sums; the density sums K(u).  A row holds at most n floats.
 """
 
 from __future__ import annotations
@@ -50,9 +53,6 @@ from .model import (
 )
 
 _DET_RTOL = 1e-12
-_DET_FLOOR = 1e-300
-_CHUNK_MAX = 256
-_SLAB_CELLS = 1 << 18   # 2 MB per float matrix of one slab
 _DENSITY_NODES = 512
 # lattice steps per bandwidth in _lattice_fit, at least: the binning error
 # falls like the step squared, and 256 keeps it below 1e-4 sd(z) on the
@@ -64,20 +64,6 @@ _LATTICE_MAX = 1 << 19  # lattice nodes per binned fit, at most (4 MB per row of
 # bandwidth from 0.05 to 1 (16: 3e-5, 8: 3e-4), and no window of the
 # 2000-gene benchmark designs at h = 1 holds fewer (the least holds 42)
 _EXACT_BELOW = 32
-
-
-def _chunk_bounds(points, halfwidth):
-    """Split sorted points into runs whose span stays within one kernel
-    halfwidth (capped at _CHUNK_MAX), so each run shares a tight data window."""
-    bounds = []
-    start = 0
-    m = points.size
-    while start < m:
-        stop = int(np.searchsorted(points, points[start] + halfwidth, side="right"))
-        stop = max(start + 1, min(stop, start + _CHUNK_MAX, m))
-        bounds.append((start, stop))
-        start = stop
-    return bounds
 
 
 @dataclass(frozen=True)
@@ -100,81 +86,38 @@ class ScatterData:
         object.__setattr__(self, "z", z)
 
 
-def _window_pass(xs, points, h, reduce, outs):
-    """Fill outs with reduce's results over the kernel windows of points.
-
-    Walks points in sorted order, in _chunk_bounds runs, and finds each run's
-    data window in the sorted sample xs with one searchsorted pair.  The
-    run's rows are then split into slabs of at most _SLAB_CELLS cells (at
-    least one row each), so memory stays bounded however dense the window.
-    reduce(window, u, w, scratch) gets the slice of xs within a kernel
-    halfwidth of the run, u = (xs[window] - x0) / h, the raw weights K(u)
-    and a scratch matrix, all of shape (slab length, window length), and
-    returns one per-point array for each array in outs, which is written at
-    the slab's positions in points.  Points with an empty window keep the
-    initial values of outs.
-
-    Every slab's matrices are views of three buffers allocated once per
-    pass and sized by the largest slab, so the next slab overwrites them:
-    reduce may overwrite w and scratch but must not keep a view of u, w or
-    scratch after it returns.
-    """
-    order = np.argsort(points, kind="stable")
-    sorted_pts = points[order]
+def _windows(xs, points, h):
+    """Yield (i, window, u) for each point whose kernel window in the sorted
+    sample xs holds data: window is the slice of xs within a kernel
+    halfwidth of points[i], and u = (xs[window] - points[i]) / h."""
     halfwidth = TRICUBE.support_halfwidth * h
-    slabs = []
-    for start, stop in _chunk_bounds(sorted_pts, halfwidth):
-        lo = int(np.searchsorted(xs, sorted_pts[start] - halfwidth, side="left"))
-        hi = int(np.searchsorted(xs, sorted_pts[stop - 1] + halfwidth, side="right"))
-        if hi <= lo:
-            continue
-        rows = max(1, _SLAB_CELLS // (hi - lo))
-        slabs.extend((first, min(first + rows, stop), lo, hi)
-                     for first in range(start, stop, rows))
-    if not slabs:
-        return
-    cells = max((last - first) * (hi - lo) for first, last, lo, hi in slabs)
-    buffers = [np.empty(cells) for _ in range(3)]
-    for first, last, lo, hi in slabs:
-        shape = (last - first, hi - lo)
-        u, w, scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
-        np.subtract(xs[lo:hi][None, :], sorted_pts[first:last, None], out=u)
-        u /= h
-        TRICUBE.evaluate(u, w, scratch)
-        parts = reduce(slice(lo, hi), u, w, scratch)
-        for out, part in zip(outs, parts):
-            out[order[first:last]] = part
+    lo = np.searchsorted(xs, points - halfwidth, side="left")
+    hi = np.searchsorted(xs, points + halfwidth, side="right")
+    for i in np.flatnonzero(hi > lo):
+        window = slice(lo[i], hi[i])
+        yield i, window, (xs[window] - points[i]) / h
 
 
-def _solve(s0, s1, s2, t0, t1, h):
+def _solve(s0, s1, s2, t0, t1):
     """(intercept, degenerate) from the window moments; degenerate points,
-    where the determinant fails the 1e-12 rule, hold NaN."""
+    where the determinant is at most 1e-12 s0^2, hold NaN."""
     det = s0 * s2 - s1 * s1
-    ok = det > _DET_RTOL * (s0 * h * h + _DET_FLOOR)
+    ok = det > _DET_RTOL * (s0 * s0)
     safe = np.where(ok, det, 1.0)
     return np.where(ok, (s2 * t0 - s1 * t1) / safe, np.nan), ~ok
 
 
 def _exact_fit(xs, zs, h, points):
     """Exact local linear fit at points from the sample (xs, zs) sorted by
-    x, by one _window_pass.  Returns (values, degenerate); degenerate points
-    hold NaN."""
-
-    def intercepts(window, u, w, scratch):
+    x.  Returns (values, degenerate); degenerate points, and points whose
+    window holds no data, hold NaN."""
+    moments = np.zeros((5, points.size))
+    for i, window, u in _windows(xs, points, h):
+        w = TRICUBE.evaluate(u) / h
+        wu = w * u
         zw = zs[window]
-        w /= h
-        wu = np.multiply(w, u, out=scratch)
-        s0 = w.sum(axis=1)
-        s1 = wu.sum(axis=1)
-        s2 = np.einsum("ij,ij->i", wu, u)
-        t0 = w @ zw
-        t1 = wu @ zw
-        return _solve(s0, s1, s2, t0, t1, h)
-
-    values = np.full(points.shape, np.nan)
-    degenerate = np.ones(points.shape, dtype=bool)
-    _window_pass(xs, points, h, intercepts, (values, degenerate))
-    return values, degenerate
+        moments[:, i] = w.sum(), wu.sum(), wu @ u, w @ zw, wu @ zw
+    return _solve(*moments)
 
 
 def local_linear_at(data: ScatterData, config: EstimationConfig, points):
@@ -269,7 +212,7 @@ def _lattice_fit(data: ScatterData, h, points):
         s0, s1, s2 = moments(share, 3)
         t0, t1 = moments(zshare, 2)
         values[first:last + 1], degenerate[first:last + 1] = _solve(
-            s0, s1, s2, t0, t1, h)
+            s0, s1, s2, t0, t1)
     xs = np.sort(data.x)
     lo = np.searchsorted(xs, points - (h - step), side="right")
     hi = np.searchsorted(xs, points + (h - step), side="left")
@@ -314,8 +257,8 @@ def kde_values(x, config: EstimationConfig, points) -> np.ndarray:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     h = config.bandwidth
     sums = np.zeros(pts.shape)
-    _window_pass(np.sort(x), pts, h,
-                 lambda window, u, w, scratch: (w.sum(axis=1),), (sums,))
+    for i, _, u in _windows(np.sort(x), pts, h):
+        sums[i] = TRICUBE.evaluate(u).sum()
     return sums / (x.size * h)
 
 

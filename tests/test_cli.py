@@ -128,15 +128,27 @@ class TestEstimate:
                     ) == EXIT_VALIDATION
         assert "grid must be equispaced" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bandwidth, degenerate", [("0.05", 21), ("1000", 0)])
+    @pytest.mark.parametrize("bandwidth, degenerate",
+                             [("0.05", 21), ("1000", 0), ("10000", 0)])
     def test_extreme_bandwidths(self, replicated_csv, tmp_path, bandwidth,
                                 degenerate):
-        # the degenerate grid points the exact window pass gives on this input
+        # the degenerate grid points the exact window pass gives on this
+        # input; a window holding every gene is never degenerate, however
+        # wide
         out = tmp_path / "out"
         assert main(["estimate", "--input", str(replicated_csv), "--out",
                      str(out), "--format", "csv", "--bandwidth", bandwidth]) == 0
         flags = [int(r["flags"]) for r in read_rows(out / "curve.csv")]
         assert sum(f & FLAG_DEGENERATE for f in flags) == degenerate
+
+    def test_bandwidth_vast_beside_the_intensity_spread_fails(
+            self, replicated_csv, tmp_path, capsys):
+        # the weighted sd of every window's x is below 1e-6 h, so every
+        # grid point is degenerate
+        assert main(["estimate", "--input", str(replicated_csv), "--out",
+                     str(tmp_path / "out"), "--format", "csv",
+                     "--bandwidth", "1e30"]) == EXIT_VALIDATION
+        assert "no evaluable points" in capsys.readouterr().err
 
     def test_ingestion_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

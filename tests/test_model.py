@@ -98,6 +98,15 @@ class TestKernels:
         fine = np.linspace(-1, 1, 200_001)
         assert abs(np.trapezoid(k.evaluate(fine), fine) - 1.0) < 1e-9
 
+    def test_tricube_is_the_formula(self, rng):
+        u = np.concatenate([rng.uniform(-1.5, 1.5, 999), [-1.0, 0.0, 1.0]])
+        a = np.minimum(np.abs(u), 1.0)
+        t = 1.0 - a * a * a
+        assert np.array_equal(tricube_kernel().evaluate(u),
+                              (70.0 / 81.0) * t * t * t)
+        t = 1.0 - 0.5 * 0.5 * 0.5
+        assert tricube_kernel().evaluate(-0.5) == (70.0 / 81.0) * t * t * t
+
 
 class TestConfig:
     def test_grid_must_increase(self):
