@@ -37,7 +37,6 @@ from .smoothing import (
 from .synthetic import SyntheticData, residual_squares, synthetic_responses, unbiasing_matrix
 from .estimators import (
     average_curves,
-    clamp_nonnegative,
     correct,
     correct_curve,
     correct_paired_curve,

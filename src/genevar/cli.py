@@ -7,6 +7,13 @@ validate   per-array bias tests T1..T4 with p-values
 select     t-test vs z-test gene calls, counts grid, power report
 simulate   benchmark presets (table1 / table2 / table3)
 
+Every command takes --out, --bandwidth, --rho and --format; the three input
+commands add --input and --grid, and run one load-and-fit step (_fit): the
+grid from the pooled intensities, the fixed point, which checks every array,
+and the intensity density.  simulate evaluates on the design's grid.  In
+table format each command prints a summary to stdout: estimate one line
+(rho, sigma1, sigma2, iterations, converged), the others a table.
+
 Every command writes a manifest.json (flags, package and library versions,
 input digests) sufficient to re-run bit-identically; simulate's flags include
 its --seed.  Exit codes:
@@ -17,7 +24,6 @@ analysis, 5 estimation did not converge.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -36,7 +42,6 @@ from .model import (
     ReplicatedArray,
     TooFewArrays,
     default_grid,
-    validate,
 )
 from .asymptotics import corrected_curve_stderr
 from .correlation import fixed_point_solve
@@ -48,7 +53,7 @@ from .inference import (
     validation_tests,
     z_pvalues,
 )
-from .io import read_table
+from .io import read_table, write_csv
 from .simulation import SimDesign, run_experiment
 from .smoothing import density_interpolator
 
@@ -106,63 +111,55 @@ def _write_manifest(outdir: Path, command: str, args, inputs):
         json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _write_csv(path: Path, header, columns):
-    """Write equal-length columns under header.  Each column becomes Python
-    scalars in one tolist() call; csv writes a float as its repr."""
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
-
-
-def _build_config(args, pooled_x) -> EstimationConfig:
+def _fit(args, mset: MultiArraySet, rho):
+    """The fit behind estimate, validate and select: the config from the
+    pooled intensities, the fixed point (which checks every array) and the
+    intensity density.  Returns (config, fixed point, density)."""
+    if rho is None and mset.n_arrays < 2:
+        raise TooFewArrays(
+            "J=1: replicate correlation is not estimable; pass --rho to pin it")
+    pooled_x = mset.pooled_x()
     try:
-        if args.grid:
-            if ":" in args.grid:
-                lo, hi, n = args.grid.split(":")
-                grid = np.linspace(float(lo), float(hi), int(n))
-            else:
-                grid = default_grid(pooled_x, n_points=int(args.grid))
+        if args.grid and ":" in args.grid:
+            lo, hi, n = args.grid.split(":")
+            grid = np.linspace(float(lo), float(hi), int(n))
+        elif args.grid:
+            grid = default_grid(pooled_x, n_points=int(args.grid))
         else:
             grid = default_grid(pooled_x)
     except ValueError as exc:
         raise GenevarError(f"bad --grid {args.grid!r}: {exc}") from None
-    return EstimationConfig(bandwidth=args.bandwidth, grid=grid)
-
-
-def _fit_model(mset: MultiArraySet, config: EstimationConfig, rho_flag):
-    if rho_flag is None and mset.n_arrays < 2:
-        raise TooFewArrays(
-            "J=1: replicate correlation is not estimable; pass --rho to pin it")
-    return fixed_point_solve(mset, config, fixed_rho=rho_flag)
+    config = EstimationConfig(bandwidth=args.bandwidth, grid=grid)
+    fp = fixed_point_solve(mset, config, fixed_rho=rho)
+    return config, fp, density_interpolator(pooled_x, config)
 
 
 def cmd_estimate(args) -> int:
     mset = read_table(args.input)
-    for a in mset.arrays:
-        validate(a)
-    config = _build_config(args, mset.pooled_x())
-    fp = _fit_model(mset, config, args.rho)
+    config, fp, density = _fit(args, mset, args.rho)
     est = fp.estimate
     curve = fp.curve
-    stderr = corrected_curve_stderr(
-        fp, mset.n_genes, mset.n_arrays, config,
-        density_interpolator(mset.pooled_x(), config))
+    stderr = corrected_curve_stderr(fp, mset.n_genes, mset.n_arrays, config,
+                                    density)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "curve.csv", ["x", "variance", "stderr", "flags"],
-               [curve.grid, curve.values, stderr, curve.flags])
-    _write_csv(outdir / "correlation.csv",
-               ["rho", "sigma1", "sigma2", "rho_raw", "iterations",
-                "converged", "clipped", "curve_change", "mode"],
-               [[v] for v in (
-                   est.rho, est.sigma1, est.sigma2,
-                   fp.rho_raw if fp.rho_raw is not None else "",
-                   est.iterations, est.converged, est.clipped,
-                   fp.curve_change,
-                   "paired" if mset.n_replicates == 2 else "pooled")])
+    write_csv(outdir / "curve.csv", ["x", "variance", "stderr", "flags"],
+              [curve.grid, curve.values, stderr, curve.flags])
+    write_csv(outdir / "correlation.csv",
+              ["rho", "sigma1", "sigma2", "rho_raw", "iterations",
+               "converged", "clipped", "curve_change", "mode"],
+              [[v] for v in (
+                  est.rho, est.sigma1, est.sigma2,
+                  fp.rho_raw if fp.rho_raw is not None else "",
+                  est.iterations, est.converged, est.clipped,
+                  fp.curve_change,
+                  "paired" if mset.n_replicates == 2 else "pooled")])
     _write_manifest(outdir, "estimate", args, [args.input])
+    if args.format == "table":
+        print(f"rho {est.rho:.4f}  sigma1 {est.sigma1:.4f}  "
+              f"sigma2 {est.sigma2:.4f}  iterations {est.iterations}  "
+              f"converged {est.converged}")
     if not est.converged:
         print("warning: fixed point did not converge "
               f"(iterations={est.iterations})", file=sys.stderr)
@@ -175,11 +172,7 @@ def cmd_validate(args) -> int:
     if mset.n_replicates < 2:
         raise NoReplicatedGenes(
             "validation needs genes with at least two replicates per array")
-    for a in mset.arrays:
-        validate(a)
-    config = _build_config(args, mset.pooled_x())
-    fp = _fit_model(mset, config, args.rho)
-    density = density_interpolator(mset.pooled_x(), config)
+    _, fp, density = _fit(args, mset, args.rho)
 
     results = []
     for j, array in enumerate(mset.arrays, start=1):
@@ -189,8 +182,8 @@ def cmd_validate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fields = ["array_id", "t1", "p1", "t2", "p2", "t3", "p3", "t4", "p4"]
-    _write_csv(outdir / "validation.csv", fields,
-               [[getattr(r, name) for r in results] for name in fields])
+    write_csv(outdir / "validation.csv", fields,
+              [[getattr(r, name) for r in results] for name in fields])
     _write_manifest(outdir, "validate", args, [args.input])
     if args.format == "table":
         print(f"{'array':<10s} {'p(T1)':>8s} {'p(T2)':>8s} {'p(T3)':>8s} {'p(T4)':>8s}")
@@ -244,12 +237,8 @@ def cmd_select(args) -> int:
         x=np.hstack([a.x for a in mset.arrays]),
         y=np.hstack([a.y for a in mset.arrays]),
         gene_ids=mset.gene_ids)
-    validate(super_array)
-    config = _build_config(args, super_array.x.ravel())
-    rho = args.rho if args.rho is not None else 0.0
-    fp = fixed_point_solve(MultiArraySet(arrays=(super_array,)), config,
-                           fixed_rho=rho)
-    density = density_interpolator(super_array.x.ravel(), config)
+    _, fp, density = _fit(args, MultiArraySet(arrays=(super_array,)),
+                          args.rho if args.rho is not None else 0.0)
     sigma_hat = np.sqrt(np.clip(gene_sigma(fp.curve, super_array.x, density),
                                 1e-12, None))
 
@@ -262,21 +251,21 @@ def cmd_select(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "gene_calls.csv",
-               ["gene_id", "mean", "sample_sd", "sigma_hat", "fold_change",
-                "t_stat", "p_t", "z_stat", "p_z", "flagged"],
-               [super_array.gene_ids, means, sample_sd, sigma_hat, fold,
-                t_stat, p_t, z_stat, p_z, flagged])
+    write_csv(outdir / "gene_calls.csv",
+              ["gene_id", "mean", "sample_sd", "sigma_hat", "fold_change",
+               "t_stat", "p_t", "z_stat", "p_z", "flagged"],
+              [super_array.gene_ids, means, sample_sd, sigma_hat, fold,
+               t_stat, p_t, z_stat, p_z, flagged])
 
     counts_rows = selection_counts(p_t, p_z, fold, args.fold_changes, args.alphas)
-    _write_csv(outdir / "counts.csv",
-               ["fold_change", "alpha", "t_selected", "z_selected"],
-               zip(*counts_rows))
+    write_csv(outdir / "counts.csv",
+              ["fold_change", "alpha", "t_selected", "z_selected"],
+              zip(*counts_rows))
 
     power = [power_increase(means, sigma_hat, n, alpha, sample_sd=sample_sd)
              for alpha in args.alphas]
-    _write_csv(outdir / "power.csv", ["alpha", "theoretical", "empirical"],
-               [args.alphas, *zip(*power)])
+    write_csv(outdir / "power.csv", ["alpha", "theoretical", "empirical"],
+              [args.alphas, *zip(*power)])
     _write_manifest(outdir, "select", args, [args.input])
 
     if args.format == "table":
@@ -312,37 +301,40 @@ def cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     names = report.estimators
     metrics = [report.metrics[name] for name in names]
-    _write_csv(outdir / "report.csv", ["estimator", "bias2", "var", "mise"],
-               [names, [m.bias2 for m in metrics], [m.var for m in metrics],
-                [m.mise for m in metrics]])
+    write_csv(outdir / "report.csv", ["estimator", "bias2", "var", "mise"],
+              [names, [m.bias2 for m in metrics], [m.var for m in metrics],
+               [m.mise for m in metrics]])
     if report.parameter_stats:
         stats = report.parameter_stats
         fields = ["truth", "mean", "bias2", "var", "mse"]
-        _write_csv(outdir / "params.csv", ["parameter", *fields],
-                   [list(stats)] + [[getattr(p, f) for p in stats.values()]
-                                    for f in fields])
-    _write_csv(outdir / "curves.csv",
-               ["x", "truth"] + [f"{name}_median_run" for name in names],
-               [report.grid, report.truth] + [m.median_curve for m in metrics])
-    _write_csv(outdir / "ise.csv", ["run", *names],
-               [range(design.n_runs)] + [m.ise for m in metrics])
+        write_csv(outdir / "params.csv", ["parameter", *fields],
+                  [list(stats)] + [[getattr(p, f) for p in stats.values()]
+                                   for f in fields])
+    write_csv(outdir / "curves.csv",
+              ["x", "truth"] + [f"{name}_median_run" for name in names],
+              [report.grid, report.truth] + [m.median_curve for m in metrics])
+    write_csv(outdir / "ise.csv", ["run", *names],
+              [range(design.n_runs)] + [m.ise for m in metrics])
     _write_manifest(outdir, "simulate", args, [])
     if args.format == "table":
         print(report.format_table())
     return EXIT_OK
 
 
-def _add_common(parser, with_input=True):
-    if with_input:
-        parser.add_argument("--input", required=True, help="input CSV path")
+def _add_common(parser):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--bandwidth", type=float, default=1.0,
                         help="kernel bandwidth in log2-intensity units")
-    parser.add_argument("--grid", default=None,
-                        help="'lo:hi:n' or point count (default 101, data-driven range)")
     parser.add_argument("--rho", type=float, default=None,
                         help="override the replicate correlation")
     parser.add_argument("--format", choices=["csv", "table"], default="table")
+
+
+def _add_input(parser):
+    parser.add_argument("--input", required=True, help="input CSV path")
+    parser.add_argument("--grid", default=None,
+                        help="'lo:hi:n' or point count (default 101, data-driven range)")
+    _add_common(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,15 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", help="variance curve and correlation report")
-    _add_common(p)
+    _add_input(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("validate", help="per-array bias tests T1..T4")
-    _add_common(p)
+    _add_input(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("select", help="t-test vs z-test gene selection")
-    _add_common(p)
+    _add_input(p)
     p.add_argument("--alphas", type=_float_list, default=DEFAULT_ALPHAS,
                    help="comma-separated significance levels")
     p.add_argument("--fold-changes", type=_float_list, default=DEFAULT_FOLD_CHANGES,
@@ -373,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="benchmark presets")
     p.add_argument("--preset", choices=sorted(PRESETS), required=True)
-    _add_common(p, with_input=False)
+    _add_common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=100, help="number of runs")
     p.add_argument("--n-genes", type=int, default=2000)

@@ -46,7 +46,6 @@ from .model import (
 )
 from .estimators import (
     average_curves,
-    clamp_nonnegative,
     correct,
     uncorrected_curve,
 )
@@ -199,11 +198,9 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     estimate = CorrelationEstimate(rho=rho, sigma1=sigma1, sigma2=sigma2,
                                    iterations=iterations, converged=converged,
                                    clipped=clipped, n_reps=n_reps)
-    mean_curve = clamp_nonnegative(
-        average_curves(correct(c, estimate) for c in uncorrected))
     return FixedPointResult(
         estimate=estimate,
-        curve=mean_curve,
+        curve=average_curves(correct(c, estimate) for c in uncorrected),
         uncorrected=uncorrected,
         rho_raw=rho_raw,
         curve_change=curve_change,

@@ -168,11 +168,3 @@ def two_stage_curve(array: ReplicatedArray, config: EstimationConfig) -> Varianc
     resid2 = (y - np.interp(x, dense, vals)) ** 2
     return fit_curve(ScatterData(x, resid2), config)
 
-
-def clamp_nonnegative(curve: VarianceCurve) -> VarianceCurve:
-    """Clamp final variance values at zero, flagging every clamped point."""
-    below = np.isfinite(curve.values) & (curve.values < 0)
-    values = np.where(below, 0.0, curve.values)
-    flags = np.array(curve.flags, dtype=np.uint8, copy=True)
-    flags[below] |= FLAG_CLAMPED
-    return VarianceCurve(grid=curve.grid, values=values, flags=flags)

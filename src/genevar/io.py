@@ -186,17 +186,24 @@ def _read_rows(path):
     return raw, tuple(gene_order), a3, b3
 
 
-def write_table(mset: MultiArraySet, path) -> None:
-    """Serialize in the log layout with round-trip decimal precision."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns under header.  Each column becomes Python
+    scalars in one tolist() call; csv writes a float as its repr, which
+    round-trips."""
+    with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(LOG_HEADER)
-        for a_idx, array in enumerate(mset.arrays, start=1):
-            for g_idx, gene in enumerate(array.gene_ids):
-                for r_idx in range(array.n_replicates):
-                    writer.writerow([
-                        gene, r_idx + 1, a_idx,
-                        repr(float(array.x[g_idx, r_idx])),
-                        repr(float(array.y[g_idx, r_idx])),
-                    ])
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def write_table(mset: MultiArraySet, path) -> None:
+    """Serialize in the log layout with round-trip decimal precision: one
+    row per (array, gene, replicate), in that order."""
+    n_arrays, n_reps = mset.n_arrays, mset.n_replicates
+    genes = np.repeat(np.array(mset.gene_ids, dtype=object), n_reps)
+    write_csv(path, LOG_HEADER, [
+        np.tile(genes, n_arrays),
+        np.tile(np.arange(1, n_reps + 1), n_arrays * mset.n_genes),
+        np.repeat(np.arange(1, n_arrays + 1), genes.size),
+        mset.pooled_x(),
+        mset.stacked_y().ravel()])

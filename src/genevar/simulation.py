@@ -28,7 +28,7 @@ run t alone.  Displayed values follow the x1000 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,6 +57,8 @@ X_KINK = 12.0   # the variance function's break point
 X_HIGH = 16.0
 _GAUSS_NODES = 32
 POLY_WEIGHT = 0.7
+GRID = np.linspace(X_LOW, X_HIGH, 101)  # where every design is evaluated
+GRID.setflags(write=False)
 
 
 def intensity_density(x) -> np.ndarray:
@@ -151,7 +153,8 @@ class SimDesign:
 
     effect_mode 'gene' draws per-gene levels; 'smooth' uses the bump effect
     of the intensity.  variance_fn is an injection point for constant or
-    degenerate noise studies; the truth and oracle moments follow it.
+    degenerate noise studies; the truth and oracle moments follow it.  Every
+    design is evaluated on the module's GRID, 101 points over [X_LOW, X_HIGH].
     """
 
     n_genes: int = 2000
@@ -163,7 +166,6 @@ class SimDesign:
     n_runs: int = 100
     seed: int = 0
     effect_mode: str = "gene"
-    grid: np.ndarray = field(default_factory=lambda: np.linspace(X_LOW, X_HIGH, 101))
     variance_fn: Callable = variance_function
 
     def __post_init__(self):
@@ -180,10 +182,9 @@ class SimDesign:
             raise InvalidRho(f"rho={self.rho!r} invalid for I={self.n_replicates}")
         if self.effect_mode not in ("gene", "smooth"):
             raise GenevarError("effect_mode must be 'gene' or 'smooth'")
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
 
     def config(self) -> EstimationConfig:
-        return EstimationConfig(bandwidth=self.bandwidth, grid=self.grid)
+        return EstimationConfig(bandwidth=self.bandwidth, grid=GRID)
 
 
 def _rng(design: SimDesign, *key) -> np.random.Generator:
@@ -313,8 +314,7 @@ def run_experiment(design: SimDesign,
             raise GenevarError(f"unknown estimator {name!r}")
     truth_moments = scale_moments(design.variance_fn)
     t_runs = design.n_runs
-    k = design.grid.size
-    curves = {name: np.empty((t_runs, k)) for name in estimators}
+    curves = {name: np.empty((t_runs, GRID.size)) for name in estimators}
     params = np.full((t_runs, 3), np.nan)
 
     for t in range(t_runs):
@@ -324,8 +324,8 @@ def run_experiment(design: SimDesign,
         if par is not None:
             params[t] = par
 
-    truth = np.asarray(design.variance_fn(design.grid), dtype=float)
-    weights = intensity_density(design.grid)
+    truth = np.asarray(design.variance_fn(GRID), dtype=float)
+    weights = intensity_density(GRID)
     wsum = weights.sum()
 
     metrics = {}
@@ -363,4 +363,4 @@ def run_experiment(design: SimDesign,
 
     return SimulationReport(design=design, estimators=tuple(estimators),
                             metrics=metrics, parameter_stats=parameter_stats,
-                            grid=design.grid, truth=truth, weights=weights)
+                            grid=GRID, truth=truth, weights=weights)

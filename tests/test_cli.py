@@ -72,6 +72,21 @@ class TestEstimate:
         for fname in ("curve.csv", "correlation.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_table_format_prints_one_summary_line(self, replicated_csv,
+                                                  tmp_path, capsys):
+        # the default format adds a line on stdout and changes no file
+        table, plain = tmp_path / "table", tmp_path / "csv"
+        assert main(["estimate", "--input", str(replicated_csv),
+                     "--out", str(table)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("rho ") and "converged True" in lines[0]
+        assert main(["estimate", "--input", str(replicated_csv),
+                     "--out", str(plain), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == ""
+        for fname in ("curve.csv", "correlation.csv"):
+            assert (table / fname).read_bytes() == (plain / fname).read_bytes()
+
     def test_two_replicate_route(self, tmp_path):
         d = SimDesign(n_genes=500, n_active=0, n_replicates=2, n_arrays=3,
                       rho=0.2, n_runs=1, seed=55)
@@ -287,6 +302,14 @@ class TestSimulate:
                 "--format", "csv"]
         assert main(args + flags) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    def test_grid_is_usage_error(self, tmp_path):
+        # simulate evaluates on the design's grid and offers no --grid
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--preset", "table1", "--n-genes", "300",
+                  "--reps", "1", "--grid", "6:16:11",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
     def test_unknown_preset_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

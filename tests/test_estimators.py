@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genevar.estimators import (
     average_curves,
-    clamp_nonnegative,
     correct_curve,
     correct,
     correct_paired_curve,
@@ -14,7 +14,6 @@ from genevar.estimators import (
     uncorrected_curve,
 )
 from genevar.model import (
-    FLAG_CLAMPED,
     FLAG_DEGENERATE,
     FLAG_NEGATIVE_DISCRIMINANT,
     CorrelationEstimate,
@@ -253,28 +252,31 @@ class TestTwoStage:
             two_stage_curve(make_array(rng.normal(size=(300, 3)), x=x), unit_config)
 
 
-class TestClamp:
-    def test_examples(self):
-        grid = np.linspace(0, 1, 3)
-        curve = VarianceCurve(grid=grid, values=np.array([-1.0, 0.5, 0.0]))
-        got = clamp_nonnegative(curve)
-        assert np.array_equal(got.values, [0.0, 0.5, 0.0])
-        assert got.flags[0] & FLAG_CLAMPED
-        assert got.flags[1] == 0
+class TestCorrectIsNonnegative:
+    """Both roots return sigma^2 with sigma clipped at zero, so every finite
+    corrected value is >= 0 whatever eta and rho; the fixed point's average
+    of such curves needs no final clamp."""
 
-    def test_all_negative(self):
-        grid = np.linspace(0, 1, 4)
-        got = clamp_nonnegative(VarianceCurve(grid=grid, values=np.full(4, -2.0)))
-        assert np.array_equal(got.values, np.zeros(4))
-        assert np.all(got.flags & FLAG_CLAMPED)
+    route = st.sampled_from([2, 3]).flatmap(lambda i: st.tuples(
+        st.just(i), st.floats(-1.0 / (i - 1), 1.0,
+                              exclude_min=True, exclude_max=True)))
 
-    def test_idempotent(self, rng):
-        grid = np.linspace(0, 1, 6)
-        curve = VarianceCurve(grid=grid, values=rng.normal(size=6))
-        once = clamp_nonnegative(curve)
-        twice = clamp_nonnegative(once)
-        assert np.array_equal(once.values, twice.values)
-        assert np.array_equal(once.flags, twice.flags)
+    @settings(max_examples=200, deadline=None)
+    @given(route=route,
+           sigma1=st.floats(1e-3, 1e3),
+           spread=st.floats(1.0, 10.0),
+           eta=st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(np.nan)),
+                        min_size=1, max_size=20))
+    def test_finite_values_nonnegative(self, route, sigma1, spread, eta):
+        n_reps, rho = route
+        corr = CorrelationEstimate(rho=rho, sigma1=sigma1,
+                                   sigma2=spread * sigma1 ** 2, iterations=0,
+                                   converged=True, n_reps=n_reps)
+        got = correct(VarianceCurve(grid=np.arange(len(eta), dtype=float),
+                                    values=eta), corr)
+        finite = np.isfinite(got.values)
+        assert np.all(got.values[finite] >= 0)
+        assert np.array_equal(finite, np.isfinite(eta))
 
 
 class TestRoute:

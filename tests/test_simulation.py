@@ -4,6 +4,7 @@ from scipy import integrate
 
 from genevar.model import GenevarError, InvalidRho
 from genevar.simulation import (
+    GRID,
     SimDesign,
     generate_set,
     intensity_density,
@@ -192,15 +193,15 @@ class TestRunExperiment:
         for rho in (-0.4, 0.2, 0.8):
             d = SimDesign(rho=rho, n_runs=t_runs, seed=37)
             moments = scale_moments(d.variance_fn)
-            corrected = np.empty((t_runs, d.grid.size))
-            oracle = np.empty((t_runs, d.grid.size))
+            corrected = np.empty((t_runs, GRID.size))
+            oracle = np.empty((t_runs, GRID.size))
             for t in range(t_runs):
                 out, _ = _run_once(d, t, ("corrected", "oracle"), moments)
                 corrected[t] = out["corrected"]
                 oracle[t] = out["oracle"]
             se = np.maximum(corrected.std(axis=0), oracle.std(axis=0)) / np.sqrt(t_runs)
             gap = np.abs(corrected.mean(axis=0) - oracle.mean(axis=0))
-            interior = (d.grid >= 7) & (d.grid <= 15)
+            interior = (GRID >= 7) & (GRID <= 15)
             assert np.all(gap[interior] <= 2 * se[interior] + 1e-4)
 
     def test_parameter_stats_present_with_corrected(self):
