@@ -118,21 +118,20 @@ def _fit(args, mset: MultiArraySet, rho):
     if rho is None and mset.n_arrays < 2:
         raise TooFewArrays(
             "J=1: replicate correlation is not estimable; pass --rho to pin it")
-    # pooled_x() is rebuilt, not held across the fit: a held copy raised
-    # select's peak RSS by 4.6 MB on 20k genes
+    pooled_x = mset.pooled_x()
     try:
         if args.grid and ":" in args.grid:
             lo, hi, n = args.grid.split(":")
             grid = np.linspace(float(lo), float(hi), int(n))
         elif args.grid:
-            grid = default_grid(mset.pooled_x(), n_points=int(args.grid))
+            grid = default_grid(pooled_x, n_points=int(args.grid))
         else:
-            grid = default_grid(mset.pooled_x())
+            grid = default_grid(pooled_x)
     except ValueError as exc:
         raise GenevarError(f"bad --grid {args.grid!r}: {exc}") from None
     config = EstimationConfig(bandwidth=args.bandwidth, grid=grid)
     fp = fixed_point_solve(mset, config, fixed_rho=rho)
-    return config, fp, density_interpolator(mset.pooled_x(), config)
+    return config, fp, density_interpolator(pooled_x, config)
 
 
 def cmd_estimate(args) -> int:

@@ -288,6 +288,10 @@ class MultiArraySet:
         return np.stack([a.y for a in self.arrays])
 
     def pooled_x(self) -> np.ndarray:
+        """Every intensity, array by array; a read-only view for one array,
+        whose copy would raise select's peak RSS."""
+        if len(self.arrays) == 1:
+            return self.arrays[0].x.ravel()
         return np.concatenate([a.x.ravel() for a in self.arrays])
 
 
