@@ -292,8 +292,7 @@ def cmd_simulate(args) -> int:
         bandwidth=args.bandwidth,
         n_runs=args.reps,
         seed=args.seed,
-        effect_mode="smooth" if (args.preset == "table1"
-                                 and args.alpha_mode == "smooth") else "gene",
+        effect_mode="smooth" if args.alpha_mode == "smooth" else "gene",
     )
     report = run_experiment(design, estimators=estimators)
 
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=3)
     p.add_argument("--arrays", type=int, default=4)
     p.add_argument("--alpha-mode", choices=["smooth", "nonsmooth"],
-                   default="nonsmooth", help="gene-effect style for table1")
+                   default="nonsmooth", help="gene effects: a level per gene or a bump in x")
     p.set_defaults(func=cmd_simulate)
     return parser
 

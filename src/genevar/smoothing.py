@@ -18,22 +18,22 @@ a bandwidth vast beside the spread of x, such as 1e30 on log2 intensities,
 flags every point too.  _solve applies that rule and the formula to the
 moments of both routes below.
 
-Curves on equispaced points -- fit_curve on config.grid and
-local_linear_binned on the two-stage baseline's stage-1 nodes -- come from
-one lattice engine, _lattice_fit: linear binning onto a lattice through the
-points, then the moments by a discrete convolution with the kernel taps
-(Fan & Marron 1994; Wand 1994).  Points whose window holds too few x for
-binning get the exact fit instead.  The degenerate flags agree with the
-exact pass's on every design tested, and the values are within 1e-4 sd(z)
-of it on the benchmark designs and on a 300-gene input at bandwidths from
-0.05 to 1000; that bound is measured, not proved.
+Curves on equispaced points (fit_curve on config.grid, local_linear_binned
+on the two-stage baseline's stage-1 nodes) and density_interpolator's
+density come from one lattice engine, _lattice_sums: linear binning, then
+the window sums by one strided matmul with the kernel taps (Fan & Marron
+1994; Wand 1994).  The density takes S_0 alone; the fits take the five
+moments, with the exact fit where a window holds too few x for binning.
+Their flags agree with the exact pass's on every design tested, and their
+values are within 1e-4 sd(z) of it on the benchmark designs and on a
+300-gene input at bandwidths from 0.05 to 1000 (measured, not proved).
 
-local_linear_at (the exact fit at arbitrary points, and the tests' oracle),
-the lattice engine's sparse windows and kde_values are plain per-point
-passes over the sorted sample: _windows finds every point's kernel window
-with one searchsorted pair and yields, point by point, the window and
-u = (x - x0)/h.  Regression reduces the weights K(u)/h to the five moment
-sums; the density sums K(u).  A row holds at most n floats.
+local_linear_at (the exact fit at arbitrary points), the fits' sparse
+windows and kde_values (the exact density) -- the tests' oracles -- are
+plain per-point passes over the sorted sample: _windows finds every point's
+kernel window with one searchsorted pair and yields, point by point, the
+window and u = (x - x0)/h.  Regression reduces the weights K(u)/h to the
+five moment sums; the density sums K(u).  A row holds at most n floats.
 """
 
 from __future__ import annotations
@@ -132,11 +132,11 @@ def local_linear_at(data: ScatterData, config: EstimationConfig, points):
     return _exact_fit(data.x[order_x], data.z[order_x], config.bandwidth, pts)
 
 
-def _lattice_fit(data: ScatterData, h, points):
-    """Local linear fit at equispaced points from linearly binned moments
-    (Fan & Marron 1994; Wand 1994), with the exact fit where a window holds
-    too few x for binning.  Returns (values, degenerate); degenerate points
-    hold NaN.
+def _lattice_sums(x, h, points, *weights):
+    """Window sums at equispaced points from linearly binned x: for each
+    (v, k) in weights, v a weight per datum or None for unit weights, the
+    sums of v K(u) u^l / h, l < k <= 3.  Returns (step, sums), sums[i] of
+    shape (k, points.size); a window that meets no datum sums to 0.
 
     points must be strictly increasing with a common spacing g, or a single
     point (then g = h / _TAPS_PER_H).  The lattice step is g / R, with R the
@@ -145,29 +145,17 @@ def _lattice_fit(data: ScatterData, h, points):
     the step relative to the spread of x in a window, which is about h for
     a narrow window and the data's own spread for a wide one.  R is found up
     to a relative 1e-9, so that rounding in g, h or x cannot flip it; every
-    point is then a lattice node.  Each (x, z) is split linearly between its
-    two nearest nodes with np.bincount, and the moments at the points are
-    one strided matmul of the bin counts and response sums with the taps
-    K(u) u^l / h.  The lattice and the taps are cropped to the nodes where
-    the data meet a window of some point.  Where that would still take more
-    than _LATTICE_MAX nodes, R is lowered, so the step exceeds
-    s / _TAPS_PER_H and the binned values lose accuracy; if R = 1 is still
-    too fine, GenevarError is raised.
-
-    A point whose window, shrunk by one lattice step to
-    (x0 - h + step, x0 + h - step), holds fewer than _EXACT_BELOW x, or x
-    spanning no more than one step, is fitted by the exact pass instead,
-    values and degenerate flags both.  Binning cannot resolve x closer than
-    a step, and it smears a datum near the window's edge onto an inner
-    node, far above its exact weight; in a sparse window that moves the
-    fit by up to several sd(z), and it flags points the exact rule
-    evaluates or evaluates points it flags.  So the flags are the exact
-    pass's wherever such a window decides them, and elsewhere each binned
-    point has at least _EXACT_BELOW x spread over more than a step.
+    point is then a lattice node.  Each x is split linearly between its two
+    nearest nodes with np.bincount, and the sums at the points are one
+    strided matmul of the bins with the taps K(u) u^l / h.  The lattice and
+    the taps are cropped to the nodes where the data meet a window of some
+    point.  Where that would still take more than _LATTICE_MAX nodes, R is
+    lowered, so the step exceeds s / _TAPS_PER_H and the sums lose
+    accuracy; if R = 1 is still too fine, GenevarError is raised.
     """
     n = points.size
     spacing = (points[-1] - points[0]) / (n - 1) if n > 1 else h / _TAPS_PER_H
-    rel = (data.x - points[0]) / spacing          # data positions, in units of g
+    rel = (x - points[0]) / spacing               # data positions, in units of g
     lo_x, hi_x = rel.min(), rel.max()
     furthest = max(hi_x, n - 1 - lo_x)            # from any point to any datum
     scale = min(h, 0.25 * (hi_x - lo_x) * spacing) if hi_x > lo_x else h
@@ -188,8 +176,7 @@ def _lattice_fit(data: ScatterData, h, points):
             f"a binned fit needs {size} lattice nodes, more than {_LATTICE_MAX}: "
             "the grid spacing is too fine for the data range")
     step = spacing / refine
-    values = np.full(n, np.nan)
-    degenerate = np.ones(n, dtype=bool)
+    sums = [np.zeros((k, n)) for _, k in weights]
     if first <= last:
         # lattice nodes 0..size-1, node 0 at point first's window edge; data
         # off the lattice land on the discarded nodes -1 and size (and size+1)
@@ -198,21 +185,37 @@ def _lattice_fit(data: ScatterData, h, points):
         right_share = pos - left
         index = np.concatenate([left, left + 1.0]).astype(np.intp) + 1
         share = np.concatenate([1.0 - right_share, right_share])
-        zshare = share * np.concatenate([data.z, data.z])
         u = np.arange(-reach, reach + 1) * (step / h)
         w = TRICUBE.evaluate(u) / h
         taps = np.stack([w, w * u, w * u * u], axis=1)
-
-        def moments(weights, n_taps):
-            bins = np.bincount(index, weights=weights, minlength=size + 3)
+        for (v, k), out in zip(weights, sums):
+            bins = np.bincount(index, share if v is None
+                               else share * np.concatenate([v, v]), size + 3)
             windows = np.lib.stride_tricks.sliding_window_view(
                 bins[1:size + 1], u.size)[::refine]
-            return (windows @ taps[:, :n_taps]).T
+            out[:, first:last + 1] = (windows @ taps[:, :k]).T
+            del bins, windows  # one row of bins at a time
+    return step, sums
 
-        s0, s1, s2 = moments(share, 3)
-        t0, t1 = moments(zshare, 2)
-        values[first:last + 1], degenerate[first:last + 1] = _solve(
-            s0, s1, s2, t0, t1)
+
+def _lattice_fit(data: ScatterData, h, points):
+    """Local linear fit at equispaced points from the moments of
+    _lattice_sums, with the exact fit where a window holds too few x for
+    binning.  Returns (values, degenerate); degenerate points hold NaN.
+
+    A point whose window, shrunk by one lattice step to
+    (x0 - h + step, x0 + h - step), holds fewer than _EXACT_BELOW x, or x
+    spanning no more than one step, is fitted by the exact pass instead,
+    values and degenerate flags both.  Binning cannot resolve x closer than
+    a step, and it smears a datum near the window's edge onto an inner
+    node, far above its exact weight; in a sparse window that moves the
+    fit by up to several sd(z), and it flags points the exact rule
+    evaluates or evaluates points it flags.  So the flags are the exact
+    pass's wherever such a window decides them, and elsewhere each binned
+    point has at least _EXACT_BELOW x spread over more than a step.
+    """
+    step, (s, t) = _lattice_sums(data.x, h, points, (None, 3), (data.z, 2))
+    values, degenerate = _solve(*s, *t)
     xs = np.sort(data.x)
     lo = np.searchsorted(xs, points - (h - step), side="right")
     hi = np.searchsorted(xs, points + (h - step), side="left")
@@ -263,13 +266,19 @@ def kde_values(x, config: EstimationConfig, points) -> np.ndarray:
 
 
 def density_interpolator(sample, config: EstimationConfig):
-    """Density of sample evaluated once on a dense grid of _DENSITY_NODES
-    points, then interpolated; avoids a fresh kernel pass per gene on large
-    inputs.  Returns a callable mapping points to density values."""
+    """The density of kde_values, binned (Silverman 1982) as S_0 / n at
+    _DENSITY_NODES equispaced nodes over the sample and the kernel's reach,
+    then interpolated.  S_0 comes from _lattice_sums with unit weights; no
+    sparse fallback, as no ratio can go unstable.  Within 1e-5 of its
+    maximum of kde_values at the nodes on the tested designs.  Returns a
+    callable mapping points to density values."""
     sample = np.asarray(sample, dtype=float).ravel()
+    if not np.all(np.isfinite(sample)):
+        raise NonFinite("density sample contains non-finite entries")
     pad = TRICUBE.support_halfwidth * config.bandwidth
     grid = np.linspace(sample.min() - pad, sample.max() + pad, _DENSITY_NODES)
-    dens = kde_values(sample, config, grid)
+    _, ((s0,),) = _lattice_sums(sample, config.bandwidth, grid, (None, 1))
+    dens = s0 / sample.size
 
     def density(points):
         return np.interp(np.atleast_1d(np.asarray(points, dtype=float)),

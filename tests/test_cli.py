@@ -291,6 +291,17 @@ class TestSimulate:
         rows = {r["estimator"] for r in read_rows(out / "report.csv")}
         assert rows == {"two_stage", "replicate_average"}
 
+    def test_alpha_mode_acts_on_table2(self, tmp_path):
+        # --alpha-mode sets the gene effects of every preset, not only table1's
+        reports = []
+        for mode in ("smooth", "nonsmooth"):
+            out = tmp_path / mode
+            assert main(["simulate", "--preset", "table2", "--rho", "0.3",
+                         "--n-genes", "300", "--reps", "1", "--alpha-mode", mode,
+                         "--out", str(out), "--format", "csv"]) == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] != reports[1]
+
     @pytest.mark.parametrize("flags, message", [
         (["--reps", "0"], "(--reps) must be at least 1"),
         (["--replicates", "1"], "(--replicates) must be at least 2"),

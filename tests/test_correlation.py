@@ -20,6 +20,7 @@ from genevar.model import (
     ZeroDenominator,
 )
 from genevar.simulation import SimDesign, generate_set, intensity_density, variance_function
+from genevar.smoothing import density_interpolator
 from conftest import constant_sigma_set, make_array
 from genevar.model import ReplicatedArray
 
@@ -258,6 +259,11 @@ class TestShiftEquivariance:
                                                     rel=1e-9)
         np.testing.assert_allclose(got.curve.values, base.curve.values,
                                    rtol=1e-9, atol=0)
+        # the binned density moves with x too
+        np.testing.assert_allclose(
+            density_interpolator(ms.pooled_x() + c, shifted)(shifted.grid),
+            density_interpolator(ms.pooled_x(), CONFIG)(CONFIG.grid),
+            rtol=1e-9, atol=0)
 
 
 class TestMomentLookup:
@@ -301,6 +307,14 @@ class TestExactInvariances:
         np.testing.assert_allclose(got.curve.values, base.curve.values,
                                    rtol=1e-12, atol=0)
 
+    @staticmethod
+    def assert_same_density(got, base):
+        # binning sums the intensities in input order, unlike a sorted pass
+        np.testing.assert_allclose(
+            density_interpolator(got.pooled_x(), CONFIG)(CONFIG.grid),
+            density_interpolator(base.pooled_x(), CONFIG)(CONFIG.grid),
+            rtol=1e-12, atol=0)
+
     @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_gene_permutation(self, case, seed):
@@ -311,6 +325,7 @@ class TestExactInvariances:
             ReplicatedArray(x=a.x[perm], y=a.y[perm], gene_ids=ids)
             for a in ms.arrays))
         self.assert_same_fit(fixed_point_solve(got, CONFIG), base)
+        self.assert_same_density(got, ms)
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -319,6 +334,7 @@ class TestExactInvariances:
         perm = np.random.default_rng(seed).permutation(ms.n_replicates)
         got = transformed(ms, lambda x, y: (x[:, perm], y[:, perm]))
         self.assert_same_fit(fixed_point_solve(got, CONFIG), base)
+        self.assert_same_density(got, ms)
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -327,6 +343,7 @@ class TestExactInvariances:
         perm = np.random.default_rng(seed).permutation(ms.n_arrays)
         got = MultiArraySet(arrays=tuple(ms.arrays[j] for j in perm))
         self.assert_same_fit(fixed_point_solve(got, CONFIG), base)
+        self.assert_same_density(got, ms)
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 10.0))
