@@ -146,12 +146,13 @@ def _lattice_sums(x, h, points, *weights):
     a narrow window and the data's own spread for a wide one.  R is found up
     to a relative 1e-9, so that rounding in g, h or x cannot flip it; every
     point is then a lattice node.  Each x is split linearly between its two
-    nearest nodes with np.bincount, and the sums at the points are one
-    strided matmul of the bins with the taps K(u) u^l / h.  The lattice and
-    the taps are cropped to the nodes where the data meet a window of some
-    point.  Where that would still take more than _LATTICE_MAX nodes, R is
-    lowered, so the step exceeds s / _TAPS_PER_H and the sums lose
-    accuracy; if R = 1 is still too fine, GenevarError is raised.
+    nearest nodes with np.bincount and np.add.at, and the sums at the points
+    are one strided matmul of the bins with the taps K(u) u^l / h.  The
+    lattice and the taps are cropped to the nodes where the data meet a
+    window of some point.  Where that would still take more than
+    _LATTICE_MAX nodes, R is lowered, so the step exceeds s / _TAPS_PER_H
+    and the sums lose accuracy; if R = 1 is still too fine, GenevarError is
+    raised.
     """
     n = points.size
     spacing = (points[-1] - points[0]) / (n - 1) if n > 1 else h / _TAPS_PER_H
@@ -180,17 +181,18 @@ def _lattice_sums(x, h, points, *weights):
     if first <= last:
         # lattice nodes 0..size-1, node 0 at point first's window edge; data
         # off the lattice land on the discarded nodes -1 and size (and size+1)
-        pos = np.clip(rel * refine - (first * refine - reach), -1.0, size)
-        left = np.floor(pos)
-        right_share = pos - left
-        index = np.concatenate([left, left + 1.0]).astype(np.intp) + 1
-        share = np.concatenate([1.0 - right_share, right_share])
+        right = np.clip(rel * refine - (first * refine - reach), -1.0, size)
+        index = np.floor(right)
+        right -= index                            # the right node's share
+        index = index.astype(np.intp) + 1         # the left node's bin
         u = np.arange(-reach, reach + 1) * (step / h)
         w = TRICUBE.evaluate(u) / h
         taps = np.stack([w, w * u, w * u * u], axis=1)
         for (v, k), out in zip(weights, sums):
-            bins = np.bincount(index, share if v is None
-                               else share * np.concatenate([v, v]), size + 3)
+            # left shares, then right ones in data order: one bincount's sums
+            bins = np.bincount(index, 1.0 - right if v is None
+                               else (1.0 - right) * v, size + 3)
+            np.add.at(bins, index + 1, right if v is None else right * v)
             windows = np.lib.stride_tricks.sliding_window_view(
                 bins[1:size + 1], u.size)[::refine]
             out[:, first:last + 1] = (windows @ taps[:, :k]).T
@@ -269,8 +271,8 @@ def density_interpolator(sample, config: EstimationConfig):
     """The density of kde_values, binned (Silverman 1982) as S_0 / n at
     _DENSITY_NODES equispaced nodes over the sample and the kernel's reach,
     then interpolated.  S_0 comes from _lattice_sums with unit weights; no
-    sparse fallback, as no ratio can go unstable.  Within 1e-5 of its
-    maximum of kde_values at the nodes on the tested designs.  Returns a
+    sparse fallback, as no ratio can go unstable.  At the nodes it is within
+    1e-5 max(kde_values) of kde_values on the tested designs.  Returns a
     callable mapping points to density values."""
     sample = np.asarray(sample, dtype=float).ravel()
     if not np.all(np.isfinite(sample)):
