@@ -222,8 +222,8 @@ class TestKde:
 
 class TestBinnedDensity:
     """density_interpolator bins the sample on the lattice engine.  At its
-    nodes it stays within 1e-5 of the density's maximum of the exact
-    kde_values (a bound fixed before measuring), and it is never negative:
+    nodes it stays within 1e-5 max(exact) of the exact kde_values (a bound
+    fixed before measuring), and it is never negative:
     its node values are sums of nonnegative shares times nonnegative taps,
     and it interpolates linearly between them."""
 
