@@ -90,8 +90,11 @@ def _pair_list(text):
 
 
 def _sha256(path: Path) -> str:
+    """The input's digest, read in 1 MB blocks rather than whole."""
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
     return digest.hexdigest()
 
 

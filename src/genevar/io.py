@@ -10,6 +10,20 @@ x = (1/2) log2(g * r).  replicate runs 1..I and array 1..J; every
 (gene, replicate, array) cell must appear exactly once.  Gene order follows
 first appearance.  Serialization writes the log layout with full round-trip
 precision.
+
+A file is read in one of two passes.  The columnar pass parses _CHUNK_ROWS
+rows at a time with np.loadtxt and checks each chunk with array operations;
+of a chunk it keeps only a packed int64 (gene, array, replicate) key per row
+and copies of the two value columns, so at most one chunk's strings are
+alive, and after the last chunk it scatters the chunks into the (J, N, I)
+blocks.  It gives way to the row pass, which reads with csv one row at a
+time and raises at the first faulty row with its path:line, when a chunk
+fails a check (a spelling np.loadtxt refuses, quotes, a blank gene id, a
+non-finite value, a non-positive channel or index), when an index does not
+fit the packed key, or when the cells do not fill the blocks exactly once.
+So every file gets the row pass's result; the columnar pass only makes the
+common case fast and small.  Writing turns _WRITE_ROWS rows at a time into
+Python scalars.
 """
 
 from __future__ import annotations
@@ -26,6 +40,9 @@ LOG_HEADER = ["gene_id", "replicate", "array", "x", "y"]
 RAW_HEADER = ["gene_id", "replicate", "array", "r", "g"]
 _COLUMNS = [("gene", object), ("replicate", np.int64), ("array", np.int64),
             ("a", float), ("b", float)]
+_CHUNK_ROWS = 16384  # rows per np.loadtxt call of the columnar pass
+_INDEX_BITS = 16     # bits for each of array - 1 and replicate - 1 in a packed key
+_WRITE_ROWS = 4096   # rows per block that write_csv turns into Python scalars
 
 
 def _parse_positive_int(token, what, where):
@@ -76,44 +93,83 @@ def _read_columns(path):
     np.loadtxt takes fewer number spellings than int() and float() (no
     "1_0", no "1.0" replicate), needs exactly 5 fields on every non-empty
     line and reads universal newlines as csv does; quotes, which csv would
-    strip, send the file to the row pass.
+    strip, send the file to the row pass.  Every other warning of np.loadtxt
+    sends the file there too, but not the two that max_rows brings with it:
+    a blank line "not counted towards max_rows", and "input contained no
+    data" from a chunk that starts at the end of the file.
     """
+    index, chunks = {}, []
     try:
         with path.open() as handle:
             header = [h.strip() for h in handle.readline().split(",")]
             if header not in (LOG_HEADER, RAW_HEADER):
                 return None
+            raw = header == RAW_HEADER
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rec = np.loadtxt(handle, delimiter=",", comments=None,
-                                 dtype=_COLUMNS, ndmin=1)
+                warnings.filterwarnings("ignore", "Input line .* contained no data")
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                full = True
+                while full:
+                    rec = np.loadtxt(handle, delimiter=",", comments=None,
+                                     dtype=_COLUMNS, ndmin=1, max_rows=_CHUNK_ROWS)
+                    full = rec.size == _CHUNK_ROWS
+                    if rec.size:
+                        chunk = _pack_chunk(rec, raw, index)
+                        if chunk is None:
+                            return None
+                        chunks.append(chunk)
+                    del rec  # before the next chunk is parsed
     except (OSError, ValueError, Warning):
         return None
+    if not chunks:
+        return None
+    n_genes, mask = len(index), (1 << _INDEX_BITS) - 1
+    n_reps = 1 + max(int((key & mask).max()) for key, _, _ in chunks)
+    n_arrays = 1 + max(int((key >> _INDEX_BITS & mask).max()) for key, _, _ in chunks)
+    size = n_arrays * n_genes * n_reps
+    if size != sum(key.size for key, _, _ in chunks):
+        return None
+    a3, b3 = np.full(size, np.nan), np.full(size, np.nan)
+    while chunks:
+        key, a, b = chunks.pop()
+        cell = ((key >> _INDEX_BITS & mask) * n_genes
+                + (key >> 2 * _INDEX_BITS)) * n_reps + (key & mask)
+        a3[cell] = a
+        b3[cell] = b
+        del key, a, b, cell  # one chunk at a time
+    if np.isnan(a3).any():
+        # as many rows as cells, every value finite: a cell left NaN means
+        # another one was written twice
+        return None
+    shape = (n_arrays, n_genes, n_reps)
+    return raw, tuple(index), a3.reshape(shape), b3.reshape(shape)
+
+
+def _pack_chunk(rec, raw, index):
+    """One parsed chunk as (key, a, b), or None if it fails a check.  New
+    gene ids join index in order of first appearance; key packs (gene,
+    array - 1, replicate - 1) into one int64 with _INDEX_BITS bits for
+    each index; a and b are copies, so that rec and its strings can go."""
     genes = [g.strip() for g in rec["gene"].tolist()]
     if not all(genes) or any('"' in g for g in genes):
         return None
     rep, arr = rec["replicate"], rec["array"]
     a, b = rec["a"], rec["b"]
-    raw = header == RAW_HEADER
     if (min(rep.min(), arr.min()) < 1
+            or max(rep.max(), arr.max()) > 1 << _INDEX_BITS
             or not (np.isfinite(a).all() and np.isfinite(b).all())
             or raw and not ((a > 0).all() and (b > 0).all())):
         return None
-    index = dict(zip(dict.fromkeys(genes), range(len(genes))))
-    n_genes, n_reps, n_arrays = len(index), int(rep.max()), int(arr.max())
-    size = n_arrays * n_genes * n_reps
-    if size != rec.size:
-        return None
-    gi = np.fromiter(map(index.__getitem__, genes), dtype=np.int64,
-                     count=rec.size)
-    cell = ((arr - 1) * n_genes + gi) * n_reps + (rep - 1)
-    if not (np.bincount(cell, minlength=size) == 1).all():
-        return None
-    a3, b3 = np.empty(size), np.empty(size)
-    a3[cell] = a
-    b3[cell] = b
-    shape = (n_arrays, n_genes, n_reps)
-    return raw, tuple(index), a3.reshape(shape), b3.reshape(shape)
+    fresh = [g for g in dict.fromkeys(genes) if g not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    key = np.fromiter(map(index.__getitem__, genes), dtype=np.int64,
+                      count=len(genes))
+    key <<= _INDEX_BITS
+    key |= arr - 1
+    key <<= _INDEX_BITS
+    key |= rep - 1
+    return key, a.copy(), b.copy()
 
 
 def _read_rows(path):
@@ -187,13 +243,17 @@ def _read_rows(path):
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns under header.  Each column becomes Python
-    scalars in one tolist() call; csv writes a float as its repr, which
-    round-trips."""
+    """Write equal-length columns under header.  _WRITE_ROWS rows at a time
+    become Python scalars, one tolist() per column; csv writes a float as
+    its repr, which round-trips."""
+    columns = [np.asarray(c) for c in columns]
+    n_rows = min((len(c) for c in columns), default=0)
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        for start in range(0, n_rows, _WRITE_ROWS):
+            writer.writerows(zip(*(c[start:start + _WRITE_ROWS].tolist()
+                                   for c in columns)))
 
 
 def write_table(mset: MultiArraySet, path) -> None:

@@ -181,18 +181,26 @@ def _lattice_sums(x, h, points, *weights):
     if first <= last:
         # lattice nodes 0..size-1, node 0 at point first's window edge; data
         # off the lattice land on the discarded nodes -1 and size (and size+1)
-        right = np.clip(rel * refine - (first * refine - reach), -1.0, size)
+        right = rel                               # rel is not read again
+        right *= refine
+        right -= first * refine - reach
+        np.clip(right, -1.0, size, out=right)
         index = np.floor(right)
         right -= index                            # the right node's share
-        index = index.astype(np.intp) + 1         # the left node's bin
+        index = index.astype(np.intp)
+        index += 1                                # the left node's bin
+        share = np.empty_like(right)
         u = np.arange(-reach, reach + 1) * (step / h)
         w = TRICUBE.evaluate(u) / h
         taps = np.stack([w, w * u, w * u * u], axis=1)
         for (v, k), out in zip(weights, sums):
             # left shares, then right ones in data order: one bincount's sums
-            bins = np.bincount(index, 1.0 - right if v is None
-                               else (1.0 - right) * v, size + 3)
-            np.add.at(bins, index + 1, right if v is None else right * v)
+            np.subtract(1.0, right, out=share)
+            if v is not None:
+                share *= v
+            bins = np.bincount(index, share, size + 3)
+            np.add.at(bins[1:], index,
+                      right if v is None else np.multiply(right, v, out=share))
             windows = np.lib.stride_tricks.sliding_window_view(
                 bins[1:size + 1], u.size)[::refine]
             out[:, first:last + 1] = (windows @ taps[:, :k]).T

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -71,6 +72,18 @@ class TestEstimate:
             outs.append(out)
         for fname in ("curve.csv", "correlation.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_manifest_digest_of_a_multi_block_input(self, tmp_path):
+        # the digest is taken in 1 MB blocks; it must be the whole file's
+        d = SimDesign(n_genes=3000, n_arrays=4, rho=0.3, n_runs=1, seed=7)
+        path = tmp_path / "big.csv"
+        write_table(generate_set(d, 0), path)
+        assert path.stat().st_size > 1 << 20
+        out = tmp_path / "out"
+        assert main(["estimate", "--input", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
     def test_table_format_prints_one_summary_line(self, replicated_csv,
                                                   tmp_path, capsys):

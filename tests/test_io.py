@@ -38,6 +38,19 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestWriteCsv:
+    def test_row_blocks_join_seamlessly(self, tmp_path):
+        columns = [np.arange(10), np.linspace(0, 1, 10).tolist(),
+                   list("abcdefghij")]
+        with mock.patch.object(io, "_WRITE_ROWS", 3):
+            io.write_csv(tmp_path / "blocks.csv", ["i", "v", "s"], columns)
+        io.write_csv(tmp_path / "whole.csv", ["i", "v", "s"], columns)
+        want = "i,v,s\n" + "".join(
+            f"{i},{v!r},{s}\n" for i, v, s in zip(*map(list, columns)))
+        assert (tmp_path / "blocks.csv").read_text() == want
+        assert (tmp_path / "whole.csv").read_text() == want
+
+
 class TestRawChannels:
     def test_log_transform(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -273,3 +286,114 @@ class TestColumnarParity:
         got = read_table(path)
         for a, b in zip(got.arrays, plain.arrays):
             assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+# ---------------------------------------------------------------------------
+# The columnar pass across chunk edges
+# ---------------------------------------------------------------------------
+
+def chunked(rows):
+    """_CHUNK_ROWS patched down to rows, so that small files span chunks."""
+    return mock.patch.object(io, "_CHUNK_ROWS", rows)
+
+
+class TestChunkedParity:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_every_single_edit(self, tmp_path, raw, chunk):
+        with chunked(chunk):
+            for n, edit in enumerate(single_edits()):
+                rows = valid_rows(n, raw, 2, 2, 2)
+                mutate(rows, *edit)
+                path = tmp_path / f"edit{n}.csv"
+                write_rows(path, raw, rows)
+                assert_parity(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), raw=st.booleans(),
+           n_genes=st.integers(1, 3), n_reps=st.integers(1, 3),
+           n_arrays=st.integers(1, 2), edits=mutations,
+           crlf=st.booleans(), final_newline=st.booleans(),
+           chunk=st.integers(1, 7))
+    def test_matches_row_pass(self, tmp_path_factory, seed, raw, n_genes,
+                              n_reps, n_arrays, edits, crlf, final_newline,
+                              chunk):
+        rows = valid_rows(seed, raw, n_genes, n_reps, n_arrays)
+        for edit in edits:
+            mutate(rows, *edit)
+        path = tmp_path_factory.mktemp("parity") / "t.csv"
+        write_rows(path, raw, rows, "\r\n" if crlf else "\n", final_newline)
+        with chunked(chunk):
+            assert_parity(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 8])
+    @pytest.mark.parametrize("final_newline", [False, True])
+    def test_row_count_a_multiple_of_the_chunk(self, tmp_path, chunk,
+                                               final_newline):
+        # the call after the last full chunk warns "input contained no data"
+        path = tmp_path / "t.csv"
+        write_rows(path, False, valid_rows(0, False, 2, 2, 2),
+                   final_newline=final_newline)
+        with chunked(chunk):
+            assert io._read_columns(path) is not None
+            assert_parity(path)
+
+    @pytest.mark.parametrize("chunk", [2, 3, 4])
+    def test_blank_crlf_lines_at_chunk_edges(self, tmp_path, chunk):
+        # under max_rows, np.loadtxt warns on every blank line it skips
+        rows = valid_rows(1, False, 2, 2, 2)
+        for at in (6, 3):
+            rows[at:at] = ["", ""]
+        path = tmp_path / "t.csv"
+        write_rows(path, False, rows, eol="\r\n")
+        with chunked(chunk):
+            assert io._read_columns(path) is not None
+            assert_parity(path)
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_duplicate_split_across_chunks(self, tmp_path, extra):
+        rows = valid_rows(2, False, 2, 2, 1)
+        if extra:
+            rows.append(rows[0])      # one row more than there are cells
+        else:
+            rows[3] = rows[0]         # as many rows as cells, one left empty
+        path = tmp_path / "dup.csv"
+        write_rows(path, False, rows)
+        with chunked(2):
+            assert io._read_columns(path) is None
+            line = len(rows) + 1
+            with pytest.raises(IngestionError, match=f"dup.csv:{line}: duplicate"):
+                read_table(path)
+
+    def test_replicate_beyond_the_packed_key(self, tmp_path):
+        n_reps = (1 << io._INDEX_BITS) + 1
+        rng = np.random.default_rng(3)
+        ms = MultiArraySet(arrays=(ReplicatedArray(
+            x=rng.uniform(6, 16, (1, n_reps)), y=rng.normal(size=(1, n_reps)),
+            gene_ids=("g1",)),))
+        path = tmp_path / "wide.csv"
+        write_table(ms, path)
+        assert io._read_columns(path) is None
+        assert_same(read_table(path), ms)
+
+
+class TestMemory:
+    def test_read_table_peak_is_a_few_blocks(self, tmp_path):
+        # the parse keeps one chunk of strings alive, not the file's
+        import tracemalloc
+
+        from genevar.simulation import SimDesign, generate_set
+
+        design = SimDesign(n_genes=20000, n_replicates=3, n_arrays=4,
+                           rho=0.4, seed=1)
+        path = tmp_path / "big.csv"
+        write_table(generate_set(design, 0), path)
+        tracemalloc.start()
+        try:
+            ms = read_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = sum(a.x.nbytes + a.y.nbytes for a in ms.arrays)
+        assert blocks == 2 * 8 * 20000 * 3 * 4
+        assert peak <= 5 * blocks
