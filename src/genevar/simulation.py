@@ -15,7 +15,10 @@ Noise rows are equicorrelated standard normal with correlation rho, drawn
 through the Cholesky factor of the equicorrelation matrix.
 
 Each run is seeded from (seed, run, array), so every run is bit-reproducible
-on its own, whatever runs precede it.  Per grid point x_k over T runs,
+on its own, whatever runs precede it.  run_experiment hands the runs to
+forked worker processes, one per CPU in the process's affinity set (at most
+one per run), and writes their curves into slots in run order, so the report
+does not depend on the worker count.  Per grid point x_k over T runs,
 with estimate m_t(x_k) and truth v(x_k):
 
     B_k = mean_t m_t(x_k) - v(x_k),   S_k = var_t m_t(x_k),
@@ -28,6 +31,7 @@ run t alone.  Displayed values follow the x1000 convention.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -251,6 +255,22 @@ def _run_once(design: SimDesign, run: int, estimators, truth_moments):
     return out, params
 
 
+# What every run of one experiment shares, set in each worker by the pool's
+# initializer.  Under fork it is inherited, not pickled, so an injected
+# variance_fn may be a lambda.
+_shared = None
+
+
+def _init_worker(design, estimators, truth_moments):
+    global _shared
+    _shared = (design, estimators, truth_moments)
+
+
+def _worker_run(run: int):
+    design, estimators, truth_moments = _shared
+    return _run_once(design, run, estimators, truth_moments)
+
+
 @dataclass(frozen=True)
 class EstimatorMetrics:
     bias2: float
@@ -305,10 +325,16 @@ def run_experiment(design: SimDesign,
                    ) -> SimulationReport:
     """Run design.n_runs simulations and reduce them to a report.
 
-    Results are bit-identical for a given seed: per-run curves land in
-    preallocated slots and all reductions are plain numpy sums over
+    The runs go to a pool of forked workers, one per CPU in the process's
+    affinity set and at most one per run; to use fewer cores, narrow the
+    affinity (e.g. with taskset).  An error raised inside a run is raised
+    here.  Results are bit-identical for a given seed, whatever the worker
+    count: each run is seeded on its own, its curves land in preallocated
+    slots in run order and all reductions are plain numpy sums over
     fixed-shape arrays.
     """
+    import multiprocessing
+
     for name in estimators:
         if name not in ESTIMATORS:
             raise GenevarError(f"unknown estimator {name!r}")
@@ -317,12 +343,19 @@ def run_experiment(design: SimDesign,
     curves = {name: np.empty((t_runs, GRID.size)) for name in estimators}
     params = np.full((t_runs, 3), np.nan)
 
-    for t in range(t_runs):
-        out, par = _run_once(design, t, estimators, truth_moments)
-        for name in estimators:
-            curves[name][t] = out[name]
-        if par is not None:
-            params[t] = par
+    # fork, not spawn: the workers inherit the design (and its variance_fn)
+    # without pickling and skip a fresh import.  The package pins OpenBLAS to
+    # one thread, so a process that imports genevar before numpy forks no
+    # BLAS threads.
+    workers = min(len(os.sched_getaffinity(0)), t_runs)
+    context = multiprocessing.get_context("fork")
+    with context.Pool(workers, _init_worker,
+                      (design, estimators, truth_moments)) as pool:
+        for t, (out, par) in enumerate(pool.imap(_worker_run, range(t_runs))):
+            for name in estimators:
+                curves[name][t] = out[name]
+            if par is not None:
+                params[t] = par
 
     truth = np.asarray(design.variance_fn(GRID), dtype=float)
     weights = intensity_density(GRID)

@@ -319,6 +319,8 @@ class TestSimulate:
         (["--reps", "0"], "(--reps) must be at least 1"),
         (["--replicates", "1"], "(--replicates) must be at least 2"),
         (["--n-genes", "249"], "(--n-genes) is below the design's 250 active genes"),
+        # raised inside a run, in a worker process
+        (["--replicates", "2"], "replicate_average needs I >= 3"),
     ])
     def test_argument_edges_exit_code(self, tmp_path, capsys, flags, message):
         args = ["simulate", "--preset", "table1", "--reps", "1",
@@ -371,10 +373,44 @@ class TestImportCost:
         assert not loaded & self.LAZY
 
     def test_simulate_loads_no_quadrature(self, tmp_path):
-        # the truth moments use numpy's Gauss-Legendre nodes, not scipy
+        # the truth moments use numpy's Gauss-Legendre nodes, not scipy; the
+        # runs import in forked workers, so one also runs in the probe itself
         argv = ["simulate", "--preset", "table2", "--rho", "0.3",
                 "--n-genes", "300", "--reps", "1", "--format", "csv",
                 "--out", str(tmp_path / "out")]
         loaded = self.scipy_modules_after(
-            f"from genevar.cli import main\nassert main({argv!r}) == 0")
+            f"from genevar.cli import PRESETS, main\n"
+            f"from genevar.simulation import SimDesign, _run_once, scale_moments\n"
+            f"assert main({argv!r}) == 0\n"
+            f"_run_once(SimDesign(n_genes=300, rho=0.3, n_runs=1), 0, "
+            f"PRESETS['table2'], scale_moments())")
         assert "scipy.integrate" not in loaded
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+class TestBlasPin:
+    """Importing genevar pins OpenBLAS to one thread unless the caller chose."""
+
+    @staticmethod
+    def after_import(preset):
+        import genevar
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(genevar.__file__).resolve().parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import os, genevar\n"
+                "threads = [line.split()[1] for line in open('/proc/self/status')"
+                " if line.startswith('Threads:')]\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'], *threads)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.split()
+
+    def test_unset_becomes_one_thread(self):
+        assert self.after_import(None) == ["1", "1"]
+
+    def test_caller_value_kept(self):
+        assert self.after_import("2")[0] == "2"

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -228,6 +231,55 @@ class TestRunExperiment:
             for a in generate_set(d, 0).arrays], axis=0)
         assert np.array_equal(rep.metrics["oracle"].mean_curve, want,
                               equal_nan=True)
+
+    @staticmethod
+    def report_on_cpus(monkeypatch, cpus, design, estimators):
+        """run_experiment with the affinity set read as cpus; also the pool size."""
+        context = multiprocessing.get_context("fork")
+        make_pool, sizes = context.Pool, []
+
+        def pool(processes, *args):
+            sizes.append(processes)
+            return make_pool(processes, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+            patch.setattr(context, "Pool", pool)
+            report = run_experiment(design, estimators=estimators)
+        return report, sizes
+
+    @staticmethod
+    def assert_same_report(a, b):
+        for name in a.estimators:
+            ma, mb = a.metrics[name], b.metrics[name]
+            for field in ("bias2", "var", "mise", "median_run"):
+                assert getattr(ma, field) == getattr(mb, field)
+            for field in ("ise", "median_curve", "mean_curve"):
+                assert np.array_equal(getattr(ma, field), getattr(mb, field),
+                                      equal_nan=True)
+        assert a.parameter_stats == b.parameter_stats
+
+    def test_report_independent_of_worker_count(self, monkeypatch):
+        # 5 runs on 2 workers split unevenly; the report is bit-identical
+        table2 = ("replicate_average", "corrected", "oracle")
+        d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=5, seed=29)
+        one, sizes_one = self.report_on_cpus(monkeypatch, {0}, d, table2)
+        two, sizes_two = self.report_on_cpus(monkeypatch, {0, 1}, d, table2)
+        assert (sizes_one, sizes_two) == ([1], [2])
+        assert one.parameter_stats is not None
+        self.assert_same_report(one, two)
+
+    def test_single_run_uses_one_worker(self, monkeypatch):
+        d = SimDesign(n_genes=300, n_active=40, n_runs=1, seed=31)
+        one, _ = self.report_on_cpus(monkeypatch, {0}, d, ("corrected",))
+        two, sizes = self.report_on_cpus(monkeypatch, {0, 1}, d, ("corrected",))
+        assert sizes == [1]
+        self.assert_same_report(one, two)
+
+    def test_error_inside_a_run_reaches_the_caller(self):
+        d = SimDesign(n_genes=300, n_active=40, n_replicates=2, n_runs=3, seed=1)
+        with pytest.raises(GenevarError, match="replicate_average needs I >= 3"):
+            run_experiment(d, estimators=("replicate_average",))
 
     def test_unknown_estimator_rejected(self):
         d = SimDesign(n_genes=100, n_active=20, n_runs=1, seed=1)
