@@ -30,7 +30,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .model import (
@@ -105,7 +104,6 @@ def _write_manifest(outdir: Path, command: str, args, inputs):
         "versions": {
             "genevar": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
@@ -265,8 +263,8 @@ def cmd_select(args) -> int:
               ["fold_change", "alpha", "t_selected", "z_selected"],
               zip(*counts_rows))
 
-    power = [power_increase(means, sigma_hat, n, alpha, sample_sd=sample_sd)
-             for alpha in args.alphas]
+    power = power_increase(means, sigma_hat, n, args.alphas,
+                           sample_sd=sample_sd)
     write_csv(outdir / "power.csv", ["alpha", "theoretical", "empirical"],
               [args.alphas, *zip(*power)])
     _write_manifest(outdir, "select", args, [args.input])

@@ -151,8 +151,8 @@ def _pack_chunk(rec, raw, index):
     gene ids join index in order of first appearance; key packs (gene,
     array - 1, replicate - 1) into one int64 with _INDEX_BITS bits for
     each index; a and b are copies, so that rec and its strings can go."""
-    genes = [g.strip() for g in rec["gene"].tolist()]
-    if not all(genes) or any('"' in g for g in genes):
+    genes = list(map(str.strip, rec["gene"].tolist()))
+    if not all(genes) or '"' in "".join(genes):
         return None
     rep, arr = rec["replicate"], rec["array"]
     a, b = rec["a"], rec["b"]

@@ -316,12 +316,8 @@ def test_criterion_8_gene_selection_pattern():
     check("8a", violations == 0,
           f"z >= t in all 12 cells ({violations} violations); " + "; ".join(cells[:4]) + " ...")
 
-    theos, emps = [], []
-    for alpha in alphas:
-        theo, emp = power_increase(means, sigma_hat, n_arrays, alpha,
-                                   sample_sd=sample_sd)
-        theos.append(theo)
-        emps.append(emp)
+    theos, emps = zip(*power_increase(means, sigma_hat, n_arrays, alphas,
+                                      sample_sd=sample_sd))
     mean_theo = float(np.mean(theos))
     mean_emp = float(np.mean(emps))
     ratio = mean_theo / mean_emp

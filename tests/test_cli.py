@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -344,11 +345,9 @@ class TestSimulate:
 
 
 class TestImportCost:
-    """scipy.stats alone takes about a second to import, so scipy's
-    statistics load on first use, never at start-up, and no command needs
-    scipy's quadrature."""
-
-    LAZY = {"scipy.stats", "scipy.special", "scipy.integrate"}
+    """No command imports scipy: importing its special functions alone cost
+    about 0.25 s and 20 MB per process, and genevar.distributions computes
+    the p-values and the power in numpy."""
 
     @staticmethod
     def scipy_modules_after(code):
@@ -356,21 +355,30 @@ class TestImportCost:
 
         src = str(Path(genevar.__file__).resolve().parents[1])
         report = ("import sys\nprint(' '.join(m for m in sys.modules "
-                  "if m.startswith('scipy')))")
+                  "if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, check=True)
         return set(done.stdout.splitlines()[-1].split())
 
+    def run_loads(self, argv):
+        return self.scipy_modules_after(
+            f"from genevar.cli import main\nassert main({argv!r}) == 0")
+
     def test_cli_import_loads_none(self):
-        assert not self.scipy_modules_after("import genevar.cli") & self.LAZY
+        assert not self.scipy_modules_after("import genevar.cli")
 
     def test_estimate_loads_none(self, replicated_csv, tmp_path):
-        argv = ["estimate", "--input", str(replicated_csv),
-                "--out", str(tmp_path / "out")]
-        loaded = self.scipy_modules_after(
-            f"from genevar.cli import main\nassert main({argv!r}) == 0")
-        assert not loaded & self.LAZY
+        assert not self.run_loads(["estimate", "--input", str(replicated_csv),
+                                   "--out", str(tmp_path / "out")])
+
+    def test_validate_loads_none(self, replicated_csv, tmp_path):
+        assert not self.run_loads(["validate", "--input", str(replicated_csv),
+                                   "--out", str(tmp_path / "out")])
+
+    def test_select_loads_none(self, selection_csv, tmp_path):
+        assert not self.run_loads(["select", "--input", str(selection_csv),
+                                   "--out", str(tmp_path / "out")])
 
     def test_simulate_loads_no_quadrature(self, tmp_path):
         # the truth moments use numpy's Gauss-Legendre nodes, not scipy; the
@@ -384,7 +392,15 @@ class TestImportCost:
             f"assert main({argv!r}) == 0\n"
             f"_run_once(SimDesign(n_genes=300, rho=0.3, n_runs=1), 0, "
             f"PRESETS['table2'], scale_moments())")
-        assert "scipy.integrate" not in loaded
+        assert not loaded
+
+    def test_no_module_imports_scipy(self):
+        import genevar
+
+        pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+        sources = sorted(Path(genevar.__file__).parent.glob("*.py"))
+        assert sources
+        assert [p.name for p in sources if pattern.search(p.read_text())] == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

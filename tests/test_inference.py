@@ -235,11 +235,11 @@ class TestSelectGenes:
 
 class TestPowerIncrease:
     def test_null_case_exact_zero(self):
-        theo, emp = power_increase(np.zeros(10), np.ones(10), 5, 0.05)
+        [(theo, emp)] = power_increase(np.zeros(10), np.ones(10), 5, [0.05])
         assert theo == 0.0
 
     def test_single_gene_positive_gain(self):
-        theo, _ = power_increase([1.0], [1.0], 5, 0.05)
+        [(theo, _)] = power_increase([1.0], [1.0], 5, [0.05])
         assert theo > 0.0
         # direct check of both power functions at delta = 1
         zcrit = stats.norm.ppf(0.975)
@@ -258,13 +258,13 @@ class TestPowerIncrease:
         p_t = stats.nct.sf(tcrit, n - 1, ncp) + stats.nct.cdf(-tcrit, n - 1, ncp)
         se = np.sqrt(emp_power * (1 - emp_power) / t_obs.size)
         assert abs(emp_power - p_t) < 3 * se
-        theo, _ = power_increase([delta], [1.0], n, alpha)
+        [(theo, _)] = power_increase([delta], [1.0], n, [alpha])
         zcrit = stats.norm.ppf(1 - alpha / 2)
         p_z = stats.norm.cdf(-zcrit - ncp) + stats.norm.cdf(-zcrit + ncp)
         assert theo == pytest.approx(p_z - p_t, abs=1e-12)
 
     def test_extreme_noncentrality_is_finite(self):
-        theo, _ = power_increase([20.0, -18.0], [0.4, 0.4], 5, 0.001)
+        [(theo, _)] = power_increase([20.0, -18.0], [0.4, 0.4], 5, [0.001])
         assert np.isfinite(theo)
         assert abs(theo) < 1e-6  # both tests have power ~ 1 there
 
@@ -272,6 +272,6 @@ class TestPowerIncrease:
         means = np.concatenate([np.zeros(500), rng.laplace(0, 1, 100)])
         sigma = np.full(600, 0.5)
         sd = sigma * np.sqrt(rng.chisquare(4, 600) / 4)
-        theo, emp = power_increase(means, sigma, 5, 0.01, sample_sd=sd)
+        [(theo, emp)] = power_increase(means, sigma, 5, [0.01], sample_sd=sd)
         assert theo > 0
         assert emp >= 0
