@@ -93,7 +93,10 @@ def traced_summary(result, seed):
     values = {name: spec["value"] for name, spec in result["metrics"].items()}
     out = {"seed": seed, "correct": result["correct"]}
     out.update({key: values.get(key) for key in TRACED_KEYS})
-    out["absent"] = result.get("record", {}).get("extra", {}).get("absent", [])
+    extra = result.get("record", {}).get("extra", {})
+    out["absent"] = extra.get("absent", [])
+    # self time of modules that perfbench/run.py's MODULES does not list
+    out["unattributed_s"] = extra.get("unattributed_s")
     return out
 
 
