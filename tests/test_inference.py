@@ -275,3 +275,12 @@ class TestPowerIncrease:
         [(theo, emp)] = power_increase(means, sigma, 5, [0.01], sample_sd=sd)
         assert theo > 0
         assert emp >= 0
+
+    def test_levels_in_one_call_match_one_at_a_time(self, rng):
+        means = np.concatenate([np.zeros(50), rng.laplace(0, 1, 50)])
+        sigma = rng.uniform(0.3, 0.8, 100)
+        sd = sigma * np.sqrt(rng.chisquare(4, 100) / 4)
+        alphas = (0.05, 0.01, 0.005, 0.001)
+        rows = power_increase(means, sigma, 5, alphas, sample_sd=sd)
+        assert rows == [power_increase(means, sigma, 5, [alpha], sample_sd=sd)[0]
+                        for alpha in alphas]
