@@ -243,10 +243,11 @@ def t_power(ncp, df, alphas):
     order = np.argsort(lam)
     lam = lam[order]
     crit = np.array([t_critical(alpha, df) for alpha in alphas])
-    x = crit ** 2 / (crit ** 2 + df)
+    c2 = crit ** 2
+    x = c2 / (c2 + df)
     level = 1.0 - t_two_sided(crit, df)
     lost = np.zeros_like(level)
-    step = np.exp(0.5 * np.log(x) + 0.5 * df * np.log(df / (crit ** 2 + df))
+    step = np.exp(0.5 * np.log(x) + 0.5 * df * np.log(df / (c2 + df))
                   - _log_beta(0.5, 0.5 * df) + math.log(2.0))
     shortfall = np.zeros((len(alphas), lam.size))
     j = 0
