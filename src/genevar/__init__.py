@@ -48,12 +48,10 @@ from .smoothing import (
     kde_values,
     local_linear_at,
 )
-from .synthetic import SyntheticData, residual_squares, synthetic_responses, unbiasing_matrix
+from .synthetic import residual_squares, synthetic_responses, unbiasing_matrix
 from .estimators import (
     average_curves,
     correct,
-    correct_curve,
-    correct_paired_curve,
     paired_difference_curve,
     pooled_curve,
     replicate_curves,

@@ -88,18 +88,15 @@ def raw_correlation(vc: VarianceComponents, n_reps: int) -> float:
     return (sb - sw) / den
 
 
-def rho_lower_bound(n_reps: int) -> float:
-    return -1.0 / (n_reps - 1)
-
-
 def corrected_correlation(rho_raw: float, sigma1: float, sigma2: float,
                           n_reps: int):
-    """Moment-corrected correlation rho_raw * sigma2 / sigma1^2, clipped into
-    the positive-definiteness range.  Returns (value, clipped)."""
+    """Moment-corrected correlation rho_raw * sigma2 / sigma1^2, clipped to
+    RHO_MARGIN inside the range model.check_rho accepts.  Returns (value,
+    clipped)."""
     if not sigma1 > 0:
         raise NonpositiveSigma("sigma1 must be positive")
     rho = rho_raw * sigma2 / (sigma1 * sigma1)
-    lo = rho_lower_bound(n_reps) + RHO_MARGIN
+    lo = -1.0 / (n_reps - 1) + RHO_MARGIN
     hi = 1.0 - RHO_MARGIN
     clipped = rho < lo or rho > hi
     return float(min(max(rho, lo), hi)), clipped

@@ -1,7 +1,8 @@
 """Variance-curve estimators.
 
 Three uncorrected estimators of the variance function come from smoothing
-synthetic responses Z on intensities X:
+the synthetic responses Z of an array (synthetic.synthetic_responses) on
+its intensities X:
 
   * one curve per replicate column,
   * their pointwise average,
@@ -17,18 +18,17 @@ correlation-corrected curve
 The I=2 case collapses to smoothing the squared half-differences, with target
 s^2(x)/4 + s2/4 - rho s1 s(x)/2 and corrected root
 rho s1 + sqrt(rho^2 s1^2 - s2 + 4 eta^2(x)).
-uncorrected_curve and correct pick between the two routes by the replicate
-count; the fixed point and the simulation harness go through them.
+uncorrected_curve picks the paired or the pooled fit by the array's
+replicate count, and correct the matching root by corr.n_reps; the fixed
+point and the simulation harness go through them.
 
 A naive two-stage baseline treats the gene effect as a smooth function of
 intensity: smooth Y on X, then smooth the squared residuals.  It is badly
 biased when the gene effects are not smooth in X.
 
-Every fit here comes from linearly binned moments on a lattice through the
-equispaced evaluation points (smoothing._lattice_fit, which fits windows
-too sparse to bin exactly): the curves on config.grid through
-smoothing.fit_curve, and the baseline's stage-1 mean fit through
-smoothing.local_linear_binned.  Neither needs sorted input.
+Every fit here is smoothing.fit_curve: the curves on config.grid, and the
+baseline's stage-1 mean fit on _STAGE1_NODES equispaced points spanning the
+data.  It needs no sorted input.
 """
 
 from __future__ import annotations
@@ -46,15 +46,15 @@ from .model import (
     ReplicatedArray,
     VarianceCurve,
 )
-from .smoothing import ScatterData, fit_curve, local_linear_binned
-from .synthetic import SyntheticData, synthetic_responses
+from .smoothing import ScatterData, fit_curve
+from .synthetic import synthetic_responses
 
 _STAGE1_NODES = 512
 
 
-def replicate_curves(sdata: SyntheticData, config: EstimationConfig):
+def replicate_curves(array: ReplicatedArray, config: EstimationConfig):
     """One unclamped curve per replicate column i, smoothing (X[:, i], Z[:, i])."""
-    x, z = sdata.source.x, sdata.z
+    x, z = array.x, synthetic_responses(array)
     return tuple(
         fit_curve(ScatterData(x[:, i], z[:, i]), config)
         for i in range(x.shape[1])
@@ -80,35 +80,10 @@ def average_curves(curves) -> VarianceCurve:
     return VarianceCurve(grid=grid, values=values, flags=flags)
 
 
-def pooled_curve(sdata: SyntheticData, config: EstimationConfig) -> VarianceCurve:
+def pooled_curve(array: ReplicatedArray, config: EstimationConfig) -> VarianceCurve:
     """Single fit pooling all N*I pairs (X_gi, Z_gi)."""
     return fit_curve(
-        ScatterData(sdata.source.x.ravel(), sdata.z.ravel()), config)
-
-
-def _root_to_variance(grid, root, disc, base_flags):
-    # Negative discriminants arise from sampling noise near the curve minimum;
-    # clamp to zero and flag rather than abort the whole analysis.
-    neg = np.isfinite(disc) & (disc < 0)
-    safe = np.sqrt(np.clip(disc, 0.0, None))
-    sigma = root + safe
-    clamped = np.isfinite(sigma) & (sigma < 0)
-    sigma = np.clip(sigma, 0.0, None)
-    flags = np.array(base_flags, dtype=np.uint8, copy=True)
-    flags[neg] |= FLAG_NEGATIVE_DISCRIMINANT
-    flags[clamped] |= FLAG_CLAMPED
-    return VarianceCurve(grid=grid, values=sigma * sigma, flags=flags)
-
-
-def correct_curve(eta: VarianceCurve, corr: CorrelationEstimate) -> VarianceCurve:
-    """Correlation-corrected variance curve from a pooled (I >= 3) curve.
-
-    Always the larger root: it is the one continuous in rho that stays
-    nonnegative for rho < 0.  Returned squared, as a variance curve.
-    """
-    r, s1 = corr.rho, corr.sigma1
-    disc = r * r * s1 * s1 - r * s1 * s1 + eta.values
-    return _root_to_variance(eta.grid, r * s1, disc, eta.flags)
+        ScatterData(array.x.ravel(), synthetic_responses(array).ravel()), config)
 
 
 def paired_difference_curve(array: ReplicatedArray,
@@ -125,46 +100,59 @@ def paired_difference_curve(array: ReplicatedArray,
     return fit_curve(data, config)
 
 
-def correct_paired_curve(eta2: VarianceCurve,
-                         corr: CorrelationEstimate) -> VarianceCurve:
-    """Correlation-corrected variance curve for the I=2 route."""
-    r, s1 = corr.rho, corr.sigma1
-    disc = r * r * s1 * s1 - corr.sigma2 + 4.0 * eta2.values
-    return _root_to_variance(eta2.grid, r * s1, disc, eta2.flags)
-
-
 def uncorrected_curve(array: ReplicatedArray,
                       config: EstimationConfig) -> VarianceCurve:
     """The uncorrected curve of one array: the paired-difference fit at I=2,
     the pooled synthetic-response fit at I >= 3."""
     if array.n_replicates == 2:
         return paired_difference_curve(array, config)
-    return pooled_curve(synthetic_responses(array), config)
+    return pooled_curve(array, config)
 
 
 def correct(eta: VarianceCurve, corr: CorrelationEstimate) -> VarianceCurve:
-    """Corrected curve from an uncorrected_curve, by the root that matches
-    corr.n_reps (the pooled root when it is unset)."""
+    """Correlation-corrected variance curve from an uncorrected_curve, by the
+    root that matches corr.n_reps: the paired root at I=2, the pooled one at
+    I >= 3.
+
+    Always the larger root: it is the one continuous in rho that stays
+    nonnegative for rho < 0.  Returned squared, as a variance curve.
+    Negative discriminants arise from sampling noise near the curve minimum;
+    they are clamped to zero and flagged rather than abort the analysis.
+    """
+    r, s1 = corr.rho, corr.sigma1
     if corr.n_reps == 2:
-        return correct_paired_curve(eta, corr)
-    return correct_curve(eta, corr)
+        disc = r * r * s1 * s1 - corr.sigma2 + 4.0 * eta.values
+    else:
+        disc = r * r * s1 * s1 - r * s1 * s1 + eta.values
+    neg = np.isfinite(disc) & (disc < 0)
+    sigma = r * s1 + np.sqrt(np.clip(disc, 0.0, None))
+    clamped = np.isfinite(sigma) & (sigma < 0)
+    sigma = np.clip(sigma, 0.0, None)
+    flags = np.array(eta.flags, dtype=np.uint8, copy=True)
+    flags[neg] |= FLAG_NEGATIVE_DISCRIMINANT
+    flags[clamped] |= FLAG_CLAMPED
+    return VarianceCurve(grid=eta.grid, values=sigma * sigma, flags=flags)
 
 
 def two_stage_curve(array: ReplicatedArray, config: EstimationConfig) -> VarianceCurve:
     """Naive baseline: fit a mean curve to pooled (X, Y), then smooth the
     squared residuals on X.
 
-    The stage-1 fit is evaluated on _STAGE1_NODES equispaced points spanning
-    the data (local_linear_binned) and interpolated to the data points;
-    binning and interpolation errors are far below the noise level.  Stage 2
-    is fit_curve.
+    The stage-1 fit is fit_curve on _STAGE1_NODES equispaced points spanning
+    the data, interpolated to the data points; binning and interpolation
+    errors are far below the noise level.  Nodes that do not increase, from
+    a single distinct intensity or a spread within rounding, are all
+    degenerate.  Stage 2 is fit_curve on config.grid.
     """
     x, y = array.x.ravel(), array.y.ravel()
-    dense, vals, degenerate = local_linear_binned(
-        ScatterData(x, y), config, _STAGE1_NODES)
-    if degenerate.any():
+    nodes = np.linspace(x.min(), x.max(), _STAGE1_NODES)
+    n_degenerate = _STAGE1_NODES
+    if np.all(np.diff(nodes) > 0):
+        stage1 = fit_curve(ScatterData(x, y), EstimationConfig(
+            bandwidth=config.bandwidth, grid=nodes))
+        n_degenerate = int(np.count_nonzero(~stage1.evaluable))
+    if n_degenerate:
         raise DegenerateWindow(
-            f"stage-1 mean fit undefined at {int(degenerate.sum())} grid points")
-    resid2 = (y - np.interp(x, dense, vals)) ** 2
+            f"stage-1 mean fit undefined at {n_degenerate} grid points")
+    resid2 = (y - np.interp(x, stage1.grid, stage1.values)) ** 2
     return fit_curve(ScatterData(x, resid2), config)
-

@@ -360,13 +360,23 @@ class VarianceCurve:
         return np.interp(points, grid, np.sqrt(np.clip(values, 0.0, None)))
 
 
+def check_rho(rho: float, n_reps: int) -> None:
+    """Raise InvalidRho unless -1/(I-1) < rho < 1, the range in which the
+    I x I equicorrelation matrix is positive definite."""
+    lo = -1.0 / (n_reps - 1)
+    if not (lo < rho < 1.0):
+        raise InvalidRho(f"rho={rho!r} outside ({lo}, 1) for I={n_reps}")
+
+
 @dataclass(frozen=True)
 class CorrelationEstimate:
     """Replicate correlation and noise-scale moments.
 
     sigma1 estimates the mean noise scale E[s(X)] and sigma2 the mean squared
     scale E[s(X)^2]; sigma2 >= sigma1^2 up to rounding because sigma2 averages
-    the squares of the same curve evaluations (Jensen).
+    the squares of the same curve evaluations (Jensen).  n_reps is the
+    replicate count I: it sets the range check_rho holds rho to, and the
+    root estimators.correct takes.
     """
 
     rho: float
@@ -374,8 +384,8 @@ class CorrelationEstimate:
     sigma2: float
     iterations: int
     converged: bool
+    n_reps: int
     clipped: bool = False
-    n_reps: Optional[int] = None
 
     def __post_init__(self):
         if not self.sigma1 > 0:
@@ -385,8 +395,4 @@ class CorrelationEstimate:
         if self.sigma2 < self.sigma1 ** 2 * (1.0 - 1e-8):
             raise GenevarError(
                 "sigma2 < sigma1^2 beyond tolerance; moment pair is inconsistent")
-        if self.n_reps is not None:
-            lo = -1.0 / (self.n_reps - 1)
-            if not (lo < self.rho < 1.0):
-                raise InvalidRho(
-                    f"rho={self.rho!r} outside ({lo}, 1) for I={self.n_reps}")
+        check_rho(self.rho, self.n_reps)

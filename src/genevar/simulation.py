@@ -41,10 +41,10 @@ from .model import (
     CorrelationEstimate,
     EstimationConfig,
     GenevarError,
-    InvalidRho,
     MultiArraySet,
     ReplicatedArray,
     TooFewReplicates,
+    check_rho,
 )
 from .correlation import fixed_point_solve
 from .estimators import (
@@ -54,7 +54,6 @@ from .estimators import (
     two_stage_curve,
     uncorrected_curve,
 )
-from .synthetic import synthetic_responses
 
 X_LOW = 6.0
 X_KINK = 12.0   # the variance function's break point
@@ -123,9 +122,7 @@ def sample_effects(n_active: int, n_genes: int, rng) -> np.ndarray:
 
 def sample_noise(n_genes: int, n_reps: int, rho: float, rng) -> np.ndarray:
     """Rows i.i.d. N(0, Sigma) with unit variances and equicorrelation rho."""
-    if not (-1.0 / (n_reps - 1) < rho < 1.0):
-        raise InvalidRho(
-            f"rho={rho!r} outside (-1/{n_reps - 1}, 1); matrix not positive definite")
+    check_rho(rho, n_reps)
     cov = (1.0 - rho) * np.eye(n_reps) + rho * np.ones((n_reps, n_reps))
     factor = np.linalg.cholesky(cov)
     return rng.standard_normal((n_genes, n_reps)) @ factor.T
@@ -182,8 +179,7 @@ class SimDesign:
             raise GenevarError(
                 f"n_genes={self.n_genes} (--n-genes) is below the design's "
                 f"{self.n_active} active genes; use at least {self.n_active}")
-        if not (-1.0 / (self.n_replicates - 1) < self.rho < 1.0):
-            raise InvalidRho(f"rho={self.rho!r} invalid for I={self.n_replicates}")
+        check_rho(self.rho, self.n_replicates)
         if self.effect_mode not in ("gene", "smooth"):
             raise GenevarError("effect_mode must be 'gene' or 'smooth'")
 
@@ -226,8 +222,7 @@ def _run_once(design: SimDesign, run: int, estimators, truth_moments):
         if design.n_replicates == 2:
             raise GenevarError("replicate_average needs I >= 3")
         out["replicate_average"] = np.mean(
-            [average_curves(replicate_curves(synthetic_responses(a),
-                                             config)).values
+            [average_curves(replicate_curves(a, config)).values
              for a in mset.arrays], axis=0)
 
     uncorrected = None

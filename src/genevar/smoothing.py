@@ -18,9 +18,9 @@ a bandwidth vast beside the spread of x, such as 1e30 on log2 intensities,
 flags every point too.  _solve applies that rule and the formula to the
 moments of both routes below.
 
-Curves on equispaced points (fit_curve on config.grid, local_linear_binned
-on the two-stage baseline's stage-1 nodes) and density_interpolator's
-density come from one lattice engine, _lattice_sums: linear binning, then
+Curves on equispaced points (fit_curve on config.grid, which also serves
+the two-stage baseline's stage-1 nodes) and density_interpolator's density
+come from one lattice engine, _lattice_sums: linear binning, then
 the window sums by one strided matmul with the kernel taps (Fan & Marron
 1994; Wand 1994).  The density takes S_0 alone; the fits take the five
 moments, with the exact fit where a window holds too few x for binning.
@@ -54,7 +54,7 @@ from .model import (
 
 _DET_RTOL = 1e-12
 _DENSITY_NODES = 512
-# lattice steps per bandwidth in _lattice_fit, at least: the binning error
+# lattice steps per bandwidth in fit_curve, at least: the binning error
 # falls like the step squared, and 256 keeps it below 1e-4 sd(z) on the
 # table2 design (measured 8.5e-5; 3.5e-4 at 128)
 _TAPS_PER_H = 256
@@ -208,10 +208,12 @@ def _lattice_sums(x, h, points, *weights):
     return step, sums
 
 
-def _lattice_fit(data: ScatterData, h, points):
-    """Local linear fit at equispaced points from the moments of
+def fit_curve(data: ScatterData, config: EstimationConfig) -> VarianceCurve:
+    """Local linear fit over the equispaced config.grid from the moments of
     _lattice_sums, with the exact fit where a window holds too few x for
-    binning.  Returns (values, degenerate); degenerate points hold NaN.
+    binning.  Degenerate grid points are flagged (value NaN), never
+    interpolated.  See the module docstring for how close the values and
+    flags are to the exact pass's.
 
     A point whose window, shrunk by one lattice step to
     (x0 - h + step, x0 + h - step), holds fewer than _EXACT_BELOW x, or x
@@ -224,6 +226,7 @@ def _lattice_fit(data: ScatterData, h, points):
     pass's wherever such a window decides them, and elsewhere each binned
     point has at least _EXACT_BELOW x spread over more than a step.
     """
+    h, points = config.bandwidth, config.grid
     step, (s, t) = _lattice_sums(data.x, h, points, (None, 3), (data.z, 2))
     values, degenerate = _solve(*s, *t)
     xs = np.sort(data.x)
@@ -235,28 +238,8 @@ def _lattice_fit(data: ScatterData, h, points):
         order = np.argsort(data.x, kind="stable")
         values[sparse], degenerate[sparse] = _exact_fit(
             xs, data.z[order], h, points[sparse])
-    return values, degenerate
-
-
-def local_linear_binned(data: ScatterData, config: EstimationConfig, n_nodes):
-    """Local linear fit at n_nodes equispaced nodes spanning the data, by
-    the lattice engine of _lattice_fit.  n_nodes must be at least 2.
-    Returns (nodes, values, degenerate); degenerate nodes hold NaN."""
-    lo, hi = data.x.min(), data.x.max()
-    nodes = np.linspace(lo, hi, n_nodes)
-    if hi == lo:
-        return nodes, np.full(nodes.shape, np.nan), np.ones(nodes.shape, dtype=bool)
-    return (nodes, *_lattice_fit(data, config.bandwidth, nodes))
-
-
-def fit_curve(data: ScatterData, config: EstimationConfig) -> VarianceCurve:
-    """Local linear fit over the equispaced config.grid by the lattice
-    engine of _lattice_fit; degenerate grid points are flagged (value NaN),
-    never interpolated.  See the module docstring for how close the values
-    and flags are to the exact pass's."""
-    values, degenerate = _lattice_fit(data, config.bandwidth, config.grid)
     flags = np.where(degenerate, FLAG_DEGENERATE, 0).astype(np.uint8)
-    return VarianceCurve(grid=config.grid, values=values, flags=flags)
+    return VarianceCurve(grid=points, values=values, flags=flags)
 
 
 def kde_values(x, config: EstimationConfig, points) -> np.ndarray:

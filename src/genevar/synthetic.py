@@ -15,8 +15,6 @@ clamped here because clamping before smoothing would bias the regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
@@ -47,21 +45,8 @@ def unbiasing_matrix(n_reps: int) -> np.ndarray:
     return ((i * i - i) * np.eye(i) - np.ones((i, i))) / ((i - 1) * (i - 2))
 
 
-@dataclass(frozen=True)
-class SyntheticData:
-    """Synthetic responses Z (N x I) paired with their source array."""
-
-    z: np.ndarray
-    source: ReplicatedArray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if z.shape != self.source.x.shape:
-            raise InvalidReplicateCount("z shape must match the source array")
-        object.__setattr__(self, "z", z)
-
-
-def synthetic_responses(array: ReplicatedArray) -> SyntheticData:
-    """Apply the unbiasing matrix rowwise: Z_g = B r_g."""
+def synthetic_responses(array: ReplicatedArray) -> np.ndarray:
+    """The (N, I) synthetic responses, the unbiasing matrix applied rowwise:
+    Z_g = B r_g, paired spot by spot with array.x."""
     b = unbiasing_matrix(array.n_replicates)
-    return SyntheticData(z=residual_squares(array) @ b, source=array)
+    return residual_squares(array) @ b

@@ -165,7 +165,7 @@ def test_criterion_5_synthetic_covariance_oracle():
                              cov_identity_residual(x_row, sigma_fn))
         sig = sigma_fn(x_row)
         y = sig * rng.standard_normal((n_draws, i))
-        z = synthetic_responses(make_array(y, x=np.tile(x_row, (n_draws, 1)))).z
+        z = synthetic_responses(make_array(y, x=np.tile(x_row, (n_draws, 1))))
         centered = z - z.mean(axis=0)
         emp = (centered.T @ centered) / (n_draws - 1)
         for a in range(i):
@@ -201,14 +201,16 @@ def test_criterion_6_asymptotic_variance_match():
     vals_pool0 = np.empty((t_runs, 3))
     vals_pool6 = np.empty((t_runs, 3))
     for t in range(t_runs):
-        sd = synthetic_responses(generate_set(d0, t).arrays[0])
+        array = generate_set(d0, t).arrays[0]
+        z = synthetic_responses(array)
         vals_rep[t], _ = local_linear_at(
-            ScatterData(sd.source.x[:, 0], sd.z[:, 0]), config, xs_eval)
+            ScatterData(array.x[:, 0], z[:, 0]), config, xs_eval)
         vals_pool0[t], _ = local_linear_at(
-            ScatterData(sd.source.x.ravel(), sd.z.ravel()), config, xs_eval)
-        sd6 = synthetic_responses(generate_set(d6, t).arrays[0])
+            ScatterData(array.x.ravel(), z.ravel()), config, xs_eval)
+        array6 = generate_set(d6, t).arrays[0]
         vals_pool6[t], _ = local_linear_at(
-            ScatterData(sd6.source.x.ravel(), sd6.z.ravel()), config, xs_eval)
+            ScatterData(array6.x.ravel(), synthetic_responses(array6).ravel()),
+            config, xs_eval)
 
     def se_of_var(sample):
         n = sample.size

@@ -195,7 +195,7 @@ class TestCovarianceMatrices:
         n = 300_000
         sig = sigma_fn(x_row)
         y = sig * rng.standard_normal((n, 3))
-        z = synthetic_responses(make_array(y, x=np.tile(x_row, (n, 1)))).z
+        z = synthetic_responses(make_array(y, x=np.tile(x_row, (n, 1))))
         emp = np.cov(z.T)
         omega = synthetic_response_cov(x_row, sigma_fn)
         centered = z - z.mean(axis=0)
@@ -243,21 +243,21 @@ class TestPooledCurveAsymptotics:
 class TestDeltaMethod:
     def test_zero_correlation_passthrough(self):
         est = CorrelationEstimate(rho=0.0, sigma1=0.5, sigma2=0.3,
-                                  iterations=0, converged=True)
+                                  iterations=0, converged=True, n_reps=3)
         assert corrected_curve_se(4.0, 0.2, est) == pytest.approx(2.0)
 
     def test_constant_scale_inflation(self):
         # psi((1 - rho) s0^2) = 1 / (1 - rho)
         rho, s0 = 0.4, 0.8
         est = CorrelationEstimate(rho=rho, sigma1=s0, sigma2=s0 ** 2,
-                                  iterations=0, converged=True)
+                                  iterations=0, converged=True, n_reps=3)
         got = corrected_curve_se(1.0, (1 - rho) * s0 ** 2, est)
         assert got == pytest.approx(1.0 / (1 - rho), rel=1e-12)
 
     def test_matches_finite_difference(self):
         rho, s1 = 0.35, 0.45
         est = CorrelationEstimate(rho=rho, sigma1=s1, sigma2=s1 ** 2 + 0.02,
-                                  iterations=0, converged=True)
+                                  iterations=0, converged=True, n_reps=3)
         z = 0.21
         eps = 1e-6
 
@@ -270,7 +270,7 @@ class TestDeltaMethod:
 
     def test_zero_discriminant_rejected(self):
         est = CorrelationEstimate(rho=0.5, sigma1=1.0, sigma2=1.1,
-                                  iterations=0, converged=True)
+                                  iterations=0, converged=True, n_reps=3)
         with pytest.raises(ZeroDiscriminant):
             corrected_curve_se(1.0, 0.25 - 0.5, est)
 

@@ -179,6 +179,17 @@ class TestEstimate:
                      "--bandwidth", "1e30"]) == EXIT_VALIDATION
         assert "no evaluable points" in capsys.readouterr().err
 
+    def test_single_replicate_rejected(self, tmp_path, capsys):
+        # two arrays, so the J=1 correlation check does not answer first
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            "gene_id,replicate,array,x,y\n"
+            "a,1,1,7.0,0.1\nb,1,1,8.0,0.2\nc,1,1,9.0,-0.1\n"
+            "a,1,2,7.5,0.3\nb,1,2,8.5,0.0\nc,1,2,9.5,0.1\n")
+        assert main(["estimate", "--input", str(path), "--out",
+                     str(tmp_path / "o"), "--format", "csv"]) == EXIT_VALIDATION
+        assert "I=1; within-gene residuals need I >= 2" in capsys.readouterr().err
+
     def test_ingestion_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n")
@@ -219,7 +230,7 @@ class TestValidate:
         assert float(rows["array3"]["p1"]) < 0.01
         assert float(rows["array1"]["p1"]) > float(rows["array3"]["p1"])
 
-    def test_single_replicate_rejected(self, tmp_path):
+    def test_single_replicate_rejected(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text(
             "gene_id,replicate,array,x,y\n"
@@ -227,6 +238,8 @@ class TestValidate:
             "b,1,1,8.0,0.2\n")
         assert main(["validate", "--input", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert ("validation needs genes with at least two replicates per array"
+                in capsys.readouterr().err)
 
 
 class TestSelect:

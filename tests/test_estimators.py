@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from genevar.estimators import (
     average_curves,
-    correct_curve,
     correct,
-    correct_paired_curve,
     paired_difference_curve,
     pooled_curve,
     replicate_curves,
@@ -23,13 +21,12 @@ from genevar.model import (
     VarianceCurve,
 )
 from genevar.smoothing import ScatterData, fit_curve, local_linear_at
-from genevar.synthetic import synthetic_responses
 from conftest import constant_sigma_set, make_array
 
 
-def estimate(rho, sigma1, sigma2):
+def estimate(rho, sigma1, sigma2, n_reps=3):
     return CorrelationEstimate(rho=rho, sigma1=sigma1, sigma2=sigma2,
-                               iterations=0, converged=True)
+                               iterations=0, converged=True, n_reps=n_reps)
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +36,7 @@ def const_set():
 
 class TestReplicateCurves:
     def test_constant_scale_recovery(self, const_set, unit_config):
-        sd = synthetic_responses(const_set.arrays[0])
-        curves = replicate_curves(sd, unit_config)
+        curves = replicate_curves(const_set.arrays[0], unit_config)
         assert len(curves) == 3
         interior = (unit_config.grid > 8) & (unit_config.grid < 15)
         for c in curves:
@@ -48,14 +44,12 @@ class TestReplicateCurves:
 
     def test_single_gene_degenerate_everywhere(self, unit_config):
         arr = make_array(np.array([[0.1, -0.2, 0.4]]))
-        sd = synthetic_responses(arr)
-        for c in replicate_curves(sd, unit_config):
+        for c in replicate_curves(arr, unit_config):
             assert np.all(c.flags & FLAG_DEGENERATE)
             assert np.all(np.isnan(c.values))
 
     def test_bundle_consistency(self, const_set, unit_config):
-        sd = synthetic_responses(const_set.arrays[0])
-        per_replicate = replicate_curves(sd, unit_config)
+        per_replicate = replicate_curves(const_set.arrays[0], unit_config)
         stacked = np.array([c.values for c in per_replicate])
         assert np.allclose(average_curves(per_replicate).values,
                            stacked.mean(axis=0), equal_nan=True)
@@ -101,8 +95,7 @@ class TestAverageCurves:
 
 class TestPooledCurve:
     def test_uncorrelated_constant_scale(self, const_set, unit_config):
-        sd = synthetic_responses(const_set.arrays[0])
-        curve = pooled_curve(sd, unit_config)
+        curve = pooled_curve(const_set.arrays[0], unit_config)
         interior = (unit_config.grid > 8) & (unit_config.grid < 15)
         assert np.nanmax(np.abs(curve.values[interior] - 0.49)) < 0.1
 
@@ -110,7 +103,7 @@ class TestPooledCurve:
         # with constant scale s0 the pooled curve estimates (1 - rho) s0^2
         ms = constant_sigma_set(sigma0=0.7, rho=0.6, n_genes=4000,
                                 n_arrays=1, seed=6)
-        curve = pooled_curve(synthetic_responses(ms.arrays[0]), unit_config)
+        curve = pooled_curve(ms.arrays[0], unit_config)
         interior = (unit_config.grid > 7) & (unit_config.grid < 15)
         assert np.nanmax(np.abs(curve.values[interior] - 0.4 * 0.49)) < 0.08
 
@@ -119,7 +112,7 @@ class TestCorrectCurve:
     def test_zero_correlation_is_identity(self, rng):
         grid = np.linspace(0, 1, 9)
         eta = VarianceCurve(grid=grid, values=rng.uniform(0.1, 1.0, 9))
-        got = correct_curve(eta, estimate(0.0, 0.5, 0.3))
+        got = correct(eta, estimate(0.0, 0.5, 0.3))
         assert np.allclose(got.values, eta.values, atol=1e-15)
 
     @pytest.mark.parametrize("sigma0", [0.5, 1.0, 2.0])
@@ -128,13 +121,13 @@ class TestCorrectCurve:
         # eta^2 = (1 - rho) s0^2 and sigma1 = s0 solve back to exactly s0^2
         grid = np.linspace(0, 1, 5)
         eta = VarianceCurve(grid=grid, values=np.full(5, (1 - rho) * sigma0 ** 2))
-        got = correct_curve(eta, estimate(rho, sigma0, sigma0 ** 2))
+        got = correct(eta, estimate(rho, sigma0, sigma0 ** 2))
         assert np.allclose(got.values, sigma0 ** 2, atol=1e-12)
 
     def test_negative_discriminant_clamped_and_flagged(self):
         grid = np.array([0.0, 1.0])
         eta = VarianceCurve(grid=grid, values=np.array([-0.5, 0.4]))
-        got = correct_curve(eta, estimate(0.5, 0.6, 0.4))
+        got = correct(eta, estimate(0.5, 0.6, 0.4))
         # disc = 0.25*0.36 - 0.5*0.36 + eta = -0.09 + eta
         assert got.flags[0] & FLAG_NEGATIVE_DISCRIMINANT
         assert got.values[0] == pytest.approx((0.5 * 0.6) ** 2)
@@ -148,8 +141,8 @@ class TestCorrectCurve:
         sigma1 = 0.42
         prev = None
         for rho in np.linspace(-0.4, 0.8, 25):
-            got = correct_curve(VarianceCurve(grid=grid, values=eta_vals),
-                                estimate(rho, sigma1, sigma1 ** 2 + 0.01))
+            got = correct(VarianceCurve(grid=grid, values=eta_vals),
+                          estimate(rho, sigma1, sigma1 ** 2 + 0.01))
             if prev is not None:
                 assert np.all(got.values >= prev - 1e-12)
             prev = got.values
@@ -199,14 +192,14 @@ class TestPairedEstimator:
         grid = np.linspace(0, 1, 4)
         eta = VarianceCurve(grid=grid,
                             values=np.full(4, 0.25 * (2 - 2 * rho) * sigma0 ** 2))
-        got = correct_paired_curve(eta, estimate(rho, sigma0, sigma0 ** 2))
+        got = correct(eta, estimate(rho, sigma0, sigma0 ** 2, n_reps=2))
         assert np.allclose(got.values, sigma0 ** 2, atol=1e-12)
 
     def test_paired_root_zero_rho_substitution(self):
         # rho = 0: variance = 4 eta^2 - sigma2, clamped at zero
         grid = np.linspace(0, 1, 3)
         eta = VarianceCurve(grid=grid, values=np.array([0.2, 0.05, 0.01]))
-        got = correct_paired_curve(eta, estimate(0.0, 0.5, 0.3))
+        got = correct(eta, estimate(0.0, 0.5, 0.3, n_reps=2))
         expected = np.clip(4 * eta.values - 0.3, 0.0, None)
         assert np.allclose(got.values, expected, atol=1e-12)
         assert got.flags[2] & FLAG_NEGATIVE_DISCRIMINANT
@@ -251,6 +244,12 @@ class TestTwoStage:
         with pytest.raises(DegenerateWindow, match="at 512 grid points"):
             two_stage_curve(make_array(rng.normal(size=(300, 3)), x=x), unit_config)
 
+    def test_stage1_spread_within_rounding_raises(self, unit_config, rng):
+        # two intensities 1e-13 apart: the 512 nodes cannot increase
+        x = 9.0 + 1e-13 * (rng.random((300, 3)) < 0.5)
+        with pytest.raises(DegenerateWindow, match="at 512 grid points"):
+            two_stage_curve(make_array(rng.normal(size=(300, 3)), x=x), unit_config)
+
 
 class TestCorrectIsNonnegative:
     """Both roots return sigma^2 with sigma clipped at zero, so every finite
@@ -280,8 +279,8 @@ class TestCorrectIsNonnegative:
 
 
 class TestRoute:
-    """uncorrected_curve and correct pick the estimator of the replicate
-    count; each must be exactly the function it stands for."""
+    """uncorrected_curve picks the estimator of the replicate count; it must
+    be exactly the function it stands for."""
 
     @pytest.fixture(params=[2, 3])
     def array(self, request):
@@ -296,26 +295,6 @@ class TestRoute:
         if array.n_replicates == 2:
             want = paired_difference_curve(array, unit_config)
         else:
-            want = pooled_curve(synthetic_responses(array), unit_config)
+            want = pooled_curve(array, unit_config)
         assert np.array_equal(got.values, want.values, equal_nan=True)
         assert np.array_equal(got.flags, want.flags)
-
-    def test_correct(self, array, unit_config):
-        eta = uncorrected_curve(array, unit_config)
-        corr = CorrelationEstimate(rho=0.3, sigma1=0.42, sigma2=0.19,
-                                   iterations=1, converged=True,
-                                   n_reps=array.n_replicates)
-        got = correct(eta, corr)
-        root = correct_paired_curve if array.n_replicates == 2 \
-            else correct_curve
-        want = root(eta, corr)
-        assert np.array_equal(got.values, want.values, equal_nan=True)
-        assert np.array_equal(got.flags, want.flags)
-
-    def test_unset_replicate_count_takes_pooled_root(self):
-        eta = VarianceCurve(grid=np.linspace(0, 1, 5),
-                            values=np.linspace(0.1, 0.5, 5))
-        corr = estimate(0.3, 0.42, 0.19)
-        assert corr.n_reps is None
-        assert np.array_equal(correct(eta, corr).values,
-                              correct_curve(eta, corr).values)

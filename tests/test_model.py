@@ -161,7 +161,7 @@ class TestCurveAndEstimate:
     def test_estimate_moment_consistency_enforced(self):
         with pytest.raises(GenevarError):
             CorrelationEstimate(rho=0.0, sigma1=1.0, sigma2=0.5,
-                                iterations=1, converged=True)
+                                iterations=1, converged=True, n_reps=3)
 
     @pytest.mark.parametrize("sigma1", [1e-4, 1.0, 1e4])
     def test_moment_tolerance_is_relative(self, sigma1):
@@ -170,10 +170,10 @@ class TestCurveAndEstimate:
         with pytest.raises(GenevarError):
             CorrelationEstimate(rho=0.0, sigma1=sigma1,
                                 sigma2=0.5 * sigma1 ** 2,
-                                iterations=1, converged=True)
+                                iterations=1, converged=True, n_reps=3)
         CorrelationEstimate(rho=0.0, sigma1=sigma1,
                             sigma2=sigma1 ** 2 * (1.0 - 1e-12),
-                            iterations=1, converged=True)
+                            iterations=1, converged=True, n_reps=3)
 
     def test_estimate_rho_bound(self):
         with pytest.raises(InvalidRho):

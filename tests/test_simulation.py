@@ -217,7 +217,7 @@ class TestRunExperiment:
     def test_paired_oracle_is_mean_paired_root(self):
         # at I=2 the oracle corrects each array's paired-difference curve
         # with the paired root and the true moments
-        from genevar.estimators import correct_paired_curve, paired_difference_curve
+        from genevar.estimators import correct, paired_difference_curve
         from genevar.model import CorrelationEstimate
 
         d = SimDesign(n_genes=300, n_replicates=2, n_arrays=3, rho=0.4,
@@ -226,7 +226,7 @@ class TestRunExperiment:
         s1, s2 = scale_moments()
         truth = CorrelationEstimate(rho=0.4, sigma1=s1, sigma2=s2,
                                     iterations=0, converged=True, n_reps=2)
-        want = np.mean([correct_paired_curve(
+        want = np.mean([correct(
             paired_difference_curve(a, d.config()), truth).values
             for a in generate_set(d, 0).arrays], axis=0)
         assert np.array_equal(rep.metrics["oracle"].mean_curve, want,

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genevar import smoothing
+from genevar.estimators import two_stage_curve
 from genevar.model import (
     FLAG_DEGENERATE,
     TRICUBE,
+    DegenerateWindow,
     EstimationConfig,
     GenevarError,
     NonFinite,
@@ -18,6 +20,7 @@ from genevar.smoothing import (
     kde_values,
     local_linear_at,
 )
+from conftest import make_array
 
 
 def config_for(grid, h=1.0):
@@ -178,9 +181,9 @@ class TestFitCurve:
         from genevar.simulation import SimDesign, generate_set
         from genevar.synthetic import synthetic_responses
 
-        ms = generate_set(SimDesign(n_runs=1, seed=3), 0)
-        sd = synthetic_responses(ms.arrays[0])
-        curve = fit_curve(ScatterData(sd.source.x.ravel(), sd.z.ravel()), unit_config)
+        array = generate_set(SimDesign(n_runs=1, seed=3), 0).arrays[0]
+        z = synthetic_responses(array)
+        curve = fit_curve(ScatterData(array.x.ravel(), z.ravel()), unit_config)
         assert np.all(np.isfinite(curve.values))
         assert np.all(curve.flags == 0)
 
@@ -316,8 +319,9 @@ class TestDegenerateRule:
 
 
 class TestBinned:
-    """local_linear_binned approximates the exact pass at equispaced nodes;
-    the exact local_linear_at is the oracle."""
+    """fit_curve approximates the exact pass at equispaced points; the exact
+    local_linear_at is the oracle.  The first tests fit at two_stage_curve's
+    stage-1 nodes, 512 spanning the data."""
 
     @pytest.mark.parametrize("effect_mode", ["gene", "smooth"])
     def test_table1_design_within_bound(self, effect_mode):
@@ -330,11 +334,11 @@ class TestBinned:
         for run in range(design.n_runs):
             for array in generate_set(design, run).arrays:
                 data = ScatterData(array.x.ravel(), array.y.ravel())
-                nodes, values, degenerate = smoothing.local_linear_binned(
-                    data, config, 512)
+                nodes = np.linspace(data.x.min(), data.x.max(), 512)
+                curve = fit_curve(data, config_for(nodes))
                 exact, exact_degenerate = local_linear_at(data, config, nodes)
-                assert not degenerate.any() and not exact_degenerate.any()
-                assert np.max(np.abs(values - exact)) <= 1e-4 * np.std(data.z)
+                assert curve.evaluable.all() and not exact_degenerate.any()
+                assert np.max(np.abs(curve.values - exact)) <= 1e-4 * np.std(data.z)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-12, 12), min_size=1, max_size=60),
@@ -345,25 +349,31 @@ class TestBinned:
         x = 0.25 * np.asarray(ticks, dtype=float)
         z = np.random.default_rng(seed).normal(size=x.size)
         data, config = ScatterData(x, z), config_for([0.0], h=h)
-        nodes, values, degenerate = smoothing.local_linear_binned(data, config, 512)
+        nodes = np.linspace(x.min(), x.max(), 512)
         _, exact_degenerate = local_linear_at(data, config, nodes)
-        assert not np.any(exact_degenerate & ~degenerate)
-        assert np.array_equal(np.isnan(values), degenerate)
+        if x.min() == x.max():
+            # no grid spans a single x; two_stage_curve takes every node
+            # as degenerate
+            assert exact_degenerate.all()
+            with pytest.raises(DegenerateWindow, match="at 512 grid points"):
+                two_stage_curve(make_array(z[:, None], x=x[:, None]), config)
+            return
+        curve = fit_curve(data, config_for(nodes, h=h))
+        assert not np.any(exact_degenerate & curve.evaluable)
+        assert np.array_equal(np.isnan(curve.values), ~curve.evaluable)
 
     def test_constant_response_reproduced(self, rng):
         x = rng.uniform(6.0, 16.0, 3000)
-        nodes, values, degenerate = smoothing.local_linear_binned(
-            ScatterData(x, np.full(x.size, 2.5)), config_for([6.0]), 512)
-        assert np.array_equal(nodes, np.linspace(x.min(), x.max(), 512))
-        assert not degenerate.any()
-        assert np.max(np.abs(values - 2.5)) <= 1e-12 * 2.5
+        curve = fit_curve(ScatterData(x, np.full(x.size, 2.5)),
+                          config_for(np.linspace(x.min(), x.max(), 512)))
+        assert curve.evaluable.all()
+        assert np.max(np.abs(curve.values - 2.5)) <= 1e-12 * 2.5
 
     def test_single_distinct_x_is_degenerate_without_division(self):
+        array = make_array(np.arange(50.0)[:, None], x=np.full((50, 1), 9.0))
         with np.errstate(all="raise"):
-            nodes, values, degenerate = smoothing.local_linear_binned(
-                ScatterData(np.full(50, 9.0), np.arange(50.0)), config_for([6.0]), 8)
-        assert np.array_equal(nodes, np.full(8, 9.0))
-        assert degenerate.all() and np.isnan(values).all()
+            with pytest.raises(DegenerateWindow, match="at 512 grid points"):
+                two_stage_curve(array, config_for([6.0]))
 
     # fit_curve runs the same lattice engine on config.grid
 
@@ -385,8 +395,7 @@ class TestBinned:
                         fits.append(ScatterData(array.x.T.ravel(),
                                                 np.concatenate([z, z])))
                         continue
-                    sdata = synthetic_responses(array)
-                    x, z = sdata.source.x, sdata.z
+                    x, z = array.x, synthetic_responses(array)
                     fits.extend(ScatterData(x[:, i], z[:, i]) for i in range(3))
                     fits.append(ScatterData(x.ravel(), z.ravel()))
         assert len(fits) == 3 * 4 * 4 + 3 * 4
@@ -462,8 +471,7 @@ class TestBinned:
         config = config_for(
             default_grid(np.concatenate([a.x.ravel() for a in ms.arrays])), h=h)
         for array in ms.arrays:
-            sdata = synthetic_responses(array)
-            x, z = sdata.source.x, sdata.z
+            x, z = array.x, synthetic_responses(array)
             for data in [ScatterData(x[:, i], z[:, i]) for i in range(3)] + [
                     ScatterData(x.ravel(), z.ravel())]:
                 curve = fit_curve(data, config)

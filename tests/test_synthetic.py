@@ -65,13 +65,13 @@ class TestUnbiasingMatrix:
 
 class TestSyntheticResponses:
     def test_zero_residuals(self):
-        sd = synthetic_responses(make_array(np.array([[1.0, 1.0, 1.0]])))
-        assert np.array_equal(sd.z, np.zeros((1, 3)))
+        z = synthetic_responses(make_array(np.array([[1.0, 1.0, 1.0]])))
+        assert np.array_equal(z, np.zeros((1, 3)))
 
     def test_hand_example(self):
         # residual squares (1, 1, 4) -> B r = (0, 0, 9)
-        sd = synthetic_responses(make_array(np.array([[0.0, 0.0, 3.0]])))
-        assert np.allclose(sd.z, [[0.0, 0.0, 9.0]])
+        z = synthetic_responses(make_array(np.array([[0.0, 0.0, 3.0]])))
+        assert np.allclose(z, [[0.0, 0.0, 9.0]])
 
     def test_rejects_two_replicates(self):
         with pytest.raises(InvalidReplicateCount):
@@ -84,8 +84,8 @@ class TestSyntheticResponses:
         y = rng.normal(size=(6, 4))
         x = rng.uniform(6, 16, size=(6, 4))
         perm = rng.permutation(6)
-        z_full = synthetic_responses(make_array(y, x=x)).z
-        z_perm = synthetic_responses(make_array(y[perm], x=x[perm])).z
+        z_full = synthetic_responses(make_array(y, x=x))
+        z_perm = synthetic_responses(make_array(y[perm], x=x[perm]))
         assert np.allclose(z_full[perm], z_perm, atol=1e-12)
 
     def test_conditional_mean_uncorrelated(self):
@@ -97,7 +97,7 @@ class TestSyntheticResponses:
         n = 400_000
         y = sigma * rng.standard_normal((n, 3))
         arr = make_array(y, x=np.tile(x_row, (n, 1)))
-        z = synthetic_responses(arr).z
+        z = synthetic_responses(arr)
         mean = z.mean(axis=0)
         se = z.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(mean - sigma ** 2) < 3 * se)
@@ -116,7 +116,7 @@ class TestSyntheticResponses:
         n = 400_000
         eps = sample_noise(n, 4, rho, rng)
         arr = make_array(sigma * eps, x=np.tile(x_row, (n, 1)))
-        z = synthetic_responses(arr).z
+        z = synthetic_responses(arr)
 
         i_count = 4
         expected = np.empty(i_count)
