@@ -375,7 +375,7 @@ class TestBinned:
             with pytest.raises(DegenerateWindow, match="at 512 grid points"):
                 two_stage_curve(array, config_for([6.0]))
 
-    # fit_curve runs the same lattice engine on config.grid
+    # the rest fit on config.grid
 
     def test_fit_curve_table2_design_within_bound(self):
         # the table2 design (2000 genes, J=4, rho=0.6), seed 1, runs 0-2:
