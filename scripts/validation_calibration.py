@@ -13,7 +13,6 @@ import argparse
 import numpy as np
 from scipy import stats
 
-from genevar import inference
 from genevar.model import ReplicatedArray
 from genevar.inference import validation_tests
 
@@ -29,7 +28,6 @@ def main():
     rng = np.random.default_rng(args.seed)
     g, i = args.genes, args.replicates
     sigma_g = rng.uniform(0.5, 2.0, g)
-    const = inference.test_constants(i)
     gene_ids = tuple(f"g{k}" for k in range(g))
     x = np.full((g, i), 10.0)
 
@@ -38,7 +36,7 @@ def main():
         alpha = rng.normal(0, 1, g)
         y = alpha[:, None] + sigma_g[:, None] * rng.standard_normal((g, i))
         res = validation_tests(ReplicatedArray(x=x, y=y, gene_ids=gene_ids),
-                               sigma_g, constants=const)
+                               sigma_g)
         for name in pvals:
             pvals[name][r] = getattr(res, name)
 

@@ -36,9 +36,7 @@ from .model import (
     VarianceCurve,
     ZeroDenominator,
     ZeroDensityEverywhere,
-    ZeroDiscriminant,
     default_grid,
-    tricube_kernel,
     validate,
 )
 from .smoothing import (
@@ -67,9 +65,9 @@ from .correlation import (
     variance_components,
 )
 from .asymptotics import (
-    AsymptoticContext,
     corrected_curve_se,
     corrected_curve_stderr,
+    curve_bias,
     pooled_curve_asymptotics,
     replicate_curve_asymptotics,
     residual_square_cov,

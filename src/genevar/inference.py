@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,7 +67,6 @@ class TestConstants:
 
     lambda_i: float
     kappa_i: float
-    n_reps: int
 
 
 def test_constants(n_reps: int) -> TestConstants:
@@ -82,7 +80,7 @@ def test_constants(n_reps: int) -> TestConstants:
     kappa_sq = i * v * (1.0 - 2.0 / math.pi) \
         + i * (i - 1) * (abs_cross - 2.0 * v / math.pi)
     return TestConstants(lambda_i=math.sqrt(2.0 * i * (i - 1) / math.pi),
-                         kappa_i=math.sqrt(kappa_sq), n_reps=n_reps)
+                         kappa_i=math.sqrt(kappa_sq))
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,6 @@ class ValidationResult:
 
 
 def validation_tests(array: ReplicatedArray, sigma_g,
-                     constants: Optional[TestConstants] = None,
                      array_id: str = "") -> ValidationResult:
     """All four statistics with upper-tail p-values for one array."""
     validate(array)
@@ -109,9 +106,7 @@ def validation_tests(array: ReplicatedArray, sigma_g,
         raise GenevarError("sigma_g must give one scale per gene")
     if np.any(sigma_g <= 0) or not np.all(np.isfinite(sigma_g)):
         raise NonpositiveSigma("sigma_g entries must be positive and finite")
-    const = constants if constants is not None else test_constants(i)
-    if const.n_reps != i:
-        raise GenevarError(f"constants built for I={const.n_reps}, data has I={i}")
+    const = test_constants(i)
 
     d = array.y - array.y.mean(axis=1, keepdims=True)
     sq = (d * d).sum(axis=1)

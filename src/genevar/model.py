@@ -67,10 +67,6 @@ class InvalidRho(GenevarError):
     """Correlation outside the positive-definiteness range of the model."""
 
 
-class ZeroDiscriminant(GenevarError):
-    """Root discriminant is non-positive; delta-method derivative undefined."""
-
-
 class NonpositiveSigma(GenevarError):
     """Per-gene noise scale must be strictly positive."""
 
@@ -131,11 +127,6 @@ def _tricube(u):
 # d_k = 2 (70/81)^2 sum_j C(6, j) (-1)^j / (3j + 1) = 175/247 from the
 # binomial expansion of (1-u^3)^6.
 TRICUBE = KernelSpec(_tricube, 1.0, c_k=35.0 / 243.0, d_k=175.0 / 247.0)
-
-
-def tricube_kernel() -> KernelSpec:
-    """The smoothing kernel, (70/81)(1-|u|^3)^3 on [-1, 1]."""
-    return TRICUBE
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +353,10 @@ class VarianceCurve:
 
 def check_rho(rho: float, n_reps: int) -> None:
     """Raise InvalidRho unless -1/(I-1) < rho < 1, the range in which the
-    I x I equicorrelation matrix is positive definite."""
+    I x I equicorrelation matrix is positive definite; TooFewReplicates for
+    I < 2, where replicate correlation is undefined."""
+    if n_reps < 2:
+        raise TooFewReplicates(f"I={n_reps}; replicate correlation needs I >= 2")
     lo = -1.0 / (n_reps - 1)
     if not (lo < rho < 1.0):
         raise InvalidRho(f"rho={rho!r} outside ({lo}, 1) for I={n_reps}")

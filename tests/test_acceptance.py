@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from genevar import inference
 from genevar.asymptotics import (
-    AsymptoticContext,
     cov_identity_residual,
     pooled_curve_asymptotics,
     replicate_curve_asymptotics,
@@ -22,10 +20,10 @@ from genevar.cli import main
 from genevar.correlation import fixed_point_solve
 from genevar.inference import gene_sigma, power_increase, t_pvalues, validation_tests, z_pvalues
 from genevar.model import (
+    CorrelationEstimate,
     EstimationConfig,
     MultiArraySet,
     ReplicatedArray,
-    tricube_kernel,
 )
 from genevar.simulation import (
     SimDesign,
@@ -33,9 +31,7 @@ from genevar.simulation import (
     intensity_density,
     run_experiment,
     sample_intensities,
-    scale_curvature,
     scale_moments,
-    variance_curvature,
     variance_function,
 )
 from genevar.smoothing import ScatterData, kde_values, local_linear_at
@@ -160,9 +156,9 @@ def test_criterion_5_synthetic_covariance_oracle():
     cases = [(3, 0), (3, 1), (4, 2), (4, 3), (5, 4)]
     for i, _ in cases:
         x_row = rng.uniform(6.5, 15.5, i)
-        omega = synthetic_response_cov(x_row, sigma_fn)
+        omega = synthetic_response_cov(sigma_fn(x_row) ** 2)
         worst_identity = max(worst_identity,
-                             cov_identity_residual(x_row, sigma_fn))
+                             cov_identity_residual(sigma_fn(x_row) ** 2))
         sig = sigma_fn(x_row)
         y = sig * rng.standard_normal((n_draws, i))
         z = synthetic_responses(make_array(y, x=np.tile(x_row, (n_draws, 1))))
@@ -187,12 +183,12 @@ def test_criterion_6_asymptotic_variance_match():
     s1, s2 = scale_moments()
     config = EstimationConfig(bandwidth=1.0, grid=np.linspace(6, 16, 101))
 
-    def context(rho):
-        return AsymptoticContext(
-            sigma_fn=lambda x: np.sqrt(variance_function(x)),
-            sigma1=s1, sigma2=s2, rho=rho, f_x=intensity_density,
-            kernel=tricube_kernel(), n_genes=2000, bandwidth=1.0, n_reps=3,
-            curvature_fn=variance_curvature, scale_curvature_fn=scale_curvature)
+    def moments(rho, n_reps=3):
+        return CorrelationEstimate(rho=rho, sigma1=s1, sigma2=s2, iterations=0,
+                                   converged=True, n_reps=n_reps)
+
+    def at(x):
+        return np.sqrt(variance_function(x)), intensity_density(x), 2000, 1.0
 
     t_runs = 500
     d0 = SimDesign(rho=0.0, n_runs=t_runs, seed=1007, n_arrays=1)
@@ -221,11 +217,11 @@ def test_criterion_6_asymptotic_variance_match():
     worst = 0.0
     details = []
     for k, x in enumerate(xs_eval):
-        _, v1, _ = replicate_curve_asymptotics(context(0.0), float(x))
+        v1, _ = replicate_curve_asymptotics(moments(0.0), *at(float(x)))
         z1 = abs(vals_rep[:, k].var(ddof=1) - v1) / se_of_var(vals_rep[:, k])
-        _, _, _, vstar0 = pooled_curve_asymptotics(context(0.0), float(x))
+        _, _, vstar0 = pooled_curve_asymptotics(moments(0.0), *at(float(x)))
         z2 = abs(vals_pool0[:, k].var(ddof=1) - vstar0) / se_of_var(vals_pool0[:, k])
-        _, _, _, vstar6 = pooled_curve_asymptotics(context(0.6), float(x))
+        _, _, vstar6 = pooled_curve_asymptotics(moments(0.6), *at(float(x)))
         z3 = abs(vals_pool6[:, k].var(ddof=1) - vstar6) / se_of_var(vals_pool6[:, k])
         worst = max(worst, z1, z2, z3)
         details.append(f"x={x:g}: {z1:.2f}/{z2:.2f}/{z3:.2f}")
@@ -235,14 +231,10 @@ def test_criterion_6_asymptotic_variance_match():
 
     worst_red = 0.0
     for i in (3, 4, 5, 10):
-        ctx = AsymptoticContext(
-            sigma_fn=lambda x: np.sqrt(variance_function(x)),
-            sigma1=s1, sigma2=s2, rho=0.0, f_x=intensity_density,
-            kernel=tricube_kernel(), n_genes=2000, bandwidth=1.0, n_reps=i,
-            curvature_fn=variance_curvature, scale_curvature_fn=scale_curvature)
+        est = moments(0.0, n_reps=i)
         for x in (8.0, 14.0):
-            _, v1, v2 = replicate_curve_asymptotics(ctx, x)
-            _, v1p, v2p, _ = pooled_curve_asymptotics(ctx, x)
+            v1, v2 = replicate_curve_asymptotics(est, *at(x))
+            v1p, v2p, _ = pooled_curve_asymptotics(est, *at(x))
             worst_red = max(worst_red,
                             abs(v1p - v1) / abs(v1), abs(v2p - v2) / abs(v2))
     check("6b", worst_red < 1e-12,
@@ -256,7 +248,6 @@ def test_criterion_7_validation_calibration():
     rng = np.random.default_rng(1009)
     g_count, i_count, reps = 19, 10, 1000
     sigma_g = rng.uniform(0.5, 2.0, g_count)
-    const = inference.test_constants(i_count)
     p1 = np.empty(reps)
     reject3 = 0
     reject4 = 0
@@ -264,7 +255,7 @@ def test_criterion_7_validation_calibration():
         alpha = rng.normal(0, 1, g_count)
         y = alpha[:, None] + sigma_g[:, None] * rng.standard_normal((g_count, i_count))
         arr = make_array(y, x=np.full((g_count, i_count), 10.0))
-        res = validation_tests(arr, sigma_g, constants=const)
+        res = validation_tests(arr, sigma_g)
         p1[r] = res.p1
         reject3 += res.p3 < 0.05
         reject4 += res.p4 < 0.05

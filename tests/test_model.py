@@ -5,6 +5,7 @@ import pytest
 
 from genevar.model import (
     FLAG_DEGENERATE,
+    TRICUBE,
     CorrelationEstimate,
     EstimationConfig,
     GenevarError,
@@ -15,8 +16,8 @@ from genevar.model import (
     ShapeMismatch,
     TooFewReplicates,
     VarianceCurve,
+    check_rho,
     default_grid,
-    tricube_kernel,
     validate,
 )
 from conftest import make_array
@@ -81,7 +82,7 @@ class TestMultiArraySet:
 
 class TestKernels:
     def test_tricube_moments(self):
-        k = tricube_kernel()
+        k = TRICUBE
         # second moment has the closed form 2*(70/81)*(1/12)
         assert abs(k.c_k - 35.0 / 243.0) < 1e-10
         # roughness from the binomial expansion of (1-u^3)^6
@@ -90,7 +91,7 @@ class TestKernels:
         assert k.support_halfwidth == 1.0
 
     def test_tricube_normalized_and_peak(self):
-        k = tricube_kernel()
+        k = TRICUBE
         assert abs(float(k.evaluate(0.0)) - 70.0 / 81.0) < 1e-12
         assert float(k.evaluate(1.5)) == 0.0
         u = np.linspace(-1, 1, 401)
@@ -102,10 +103,10 @@ class TestKernels:
         u = np.concatenate([rng.uniform(-1.5, 1.5, 999), [-1.0, 0.0, 1.0]])
         a = np.minimum(np.abs(u), 1.0)
         t = 1.0 - a * a * a
-        assert np.array_equal(tricube_kernel().evaluate(u),
+        assert np.array_equal(TRICUBE.evaluate(u),
                               (70.0 / 81.0) * t * t * t)
         t = 1.0 - 0.5 * 0.5 * 0.5
-        assert tricube_kernel().evaluate(-0.5) == (70.0 / 81.0) * t * t * t
+        assert TRICUBE.evaluate(-0.5) == (70.0 / 81.0) * t * t * t
 
 
 class TestConfig:
@@ -182,6 +183,15 @@ class TestCurveAndEstimate:
         est = CorrelationEstimate(rho=-0.4, sigma1=0.5, sigma2=0.3,
                                   iterations=1, converged=True, n_reps=3)
         assert est.rho == -0.4
+
+    @pytest.mark.parametrize("n_reps", [0, 1])
+    def test_single_replicate_rejected(self, n_reps):
+        # -1/(I-1) is undefined at I=1: a GenevarError, not a ZeroDivisionError
+        with pytest.raises(TooFewReplicates):
+            check_rho(0.0, n_reps)
+        with pytest.raises(TooFewReplicates):
+            CorrelationEstimate(rho=0.0, sigma1=0.5, sigma2=0.3,
+                                iterations=1, converged=True, n_reps=n_reps)
 
 
 class TestCurveLookup:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from genevar.model import GenevarError, InvalidRho
+from genevar.model import GenevarError, InvalidRho, TooFewReplicates
 from genevar.simulation import (
     GRID,
     SimDesign,
@@ -114,6 +114,10 @@ class TestNoise:
             sample_noise(10, 3, -0.6, rng)
         with pytest.raises(InvalidRho):
             sample_noise(10, 3, 1.0, rng)
+
+    def test_single_replicate_rejected(self, rng):
+        with pytest.raises(TooFewReplicates):
+            sample_noise(5, 1, 0.0, rng)
 
     def test_negative_rho_within_bound(self, rng):
         e = sample_noise(100_000, 3, -0.45, rng)

@@ -11,7 +11,6 @@ from genevar.model import (
     EstimationConfig,
     GenevarError,
     NonFinite,
-    tricube_kernel,
 )
 from genevar.smoothing import (
     ScatterData,
@@ -51,7 +50,7 @@ def kde_at(x, config, x0):
 
 def direct_weighted_fit(x, z, h, x0):
     """Independent oracle: explicit weighted least squares of degree 1."""
-    k = tricube_kernel()
+    k = TRICUBE
     w = np.asarray(k.evaluate((x - x0) / h)) / h
     design = np.column_stack([np.ones_like(x), x - x0])
     wd = design * w[:, None]
@@ -90,7 +89,7 @@ class TestLocalLinear:
         got = fit_value(ScatterData(x, z), config_for([x0], h=h), x0)
         oracle = direct_weighted_fit(x, z, h, x0)
         assert got == pytest.approx(oracle, abs=1e-12)
-        c_k = tricube_kernel().c_k
+        c_k = TRICUBE.c_k
         assert abs(got - 0.25) < c_k * h ** 2 * 1.5
 
     def test_matches_explicit_weight_formula(self, rng):
@@ -98,7 +97,7 @@ class TestLocalLinear:
         x = rng.uniform(0, 2, 25)
         z = rng.normal(size=25)
         h, x0 = 0.7, 1.1
-        k = tricube_kernel()
+        k = TRICUBE
         u = (x - x0) / h
         kh = np.asarray(k.evaluate(u)) / h
         s = [np.sum(kh * u ** l) for l in range(3)]
@@ -198,7 +197,7 @@ class TestKde:
     def test_matches_brute_force(self, rng):
         x = rng.normal(size=200)
         cfg = config_for([0.0], h=0.4)
-        k = tricube_kernel()
+        k = TRICUBE
         for x0 in (-0.7, 0.0, 1.3):
             brute = float(np.sum(np.asarray(k.evaluate((x - x0) / 0.4)))) / (200 * 0.4)
             assert kde_at(x, cfg, x0) == pytest.approx(brute, abs=1e-12)
