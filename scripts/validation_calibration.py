@@ -28,15 +28,13 @@ def main():
     rng = np.random.default_rng(args.seed)
     g, i = args.genes, args.replicates
     sigma_g = rng.uniform(0.5, 2.0, g)
-    gene_ids = tuple(f"g{k}" for k in range(g))
     x = np.full((g, i), 10.0)
 
     pvals = {name: np.empty(args.reps) for name in ("p1", "p2", "p3", "p4")}
     for r in range(args.reps):
         alpha = rng.normal(0, 1, g)
         y = alpha[:, None] + sigma_g[:, None] * rng.standard_normal((g, i))
-        res = validation_tests(ReplicatedArray(x=x, y=y, gene_ids=gene_ids),
-                               sigma_g)
+        res = validation_tests(ReplicatedArray(x=x, y=y), sigma_g)
         for name in pvals:
             pvals[name][r] = getattr(res, name)
 

@@ -24,7 +24,6 @@ from .model import (
     IngestionError,
     InvalidReplicateCount,
     InvalidRho,
-    KernelSpec,
     MultiArraySet,
     NonFinite,
     NonpositiveSigma,

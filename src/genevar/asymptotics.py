@@ -4,11 +4,11 @@ Every function takes values, not functions: the moments as a
 CorrelationEstimate (rho, s1 = E[s(X)], s2 = E[s^2(X)] and I = n_reps), and
 arrays of s(x) and f(x) at the points of interest, with N genes and
 bandwidth h.  Results are arrays of the same shape, elementwise.  The kernel
-constants c_k and d_k are the tricube's (TRICUBE).
+constants C_K and D_K are the tricube's, from model.
 
 For the per-replicate curves at a point x, with s2x = s^2(x):
 
-    V1 = d_k / (N h f(x)) * { 2 s2x^2
+    V1 = D_K / (N h f(x)) * { 2 s2x^2
          + (4 + 4(I-1)(I-3)) / ((I-1)(I-2)^2) * s2 s2x
          + 2 / ((I-1)(I-2)) * s2^2 }
     V2 = (1/N) * { 4/(I-1)^2 s2x^2 - 8/(I-1)^2 s2 s2x
@@ -24,7 +24,7 @@ in s(x), listed in closed form below; the pooled-curve variance is
 V* = V1'/I + ((I-1)/I) V2'.  At rho = 0 they reduce exactly to V1, V2.
 These closed forms need I >= 3.
 
-The bias is curve_bias(curvature, h) = (h^2 / 2) c_k (target)''(x), where the
+The bias is curve_bias(curvature, h) = (h^2 / 2) C_K (target)''(x), where the
 caller supplies the target's second derivative: s^2 for the per-replicate
 curves, eta^2 = s^2 - 2 rho s1 s + rho s1^2 for the pooled curve, so
 (eta^2)'' = (s^2)'' - 2 rho s1 s''.
@@ -42,7 +42,8 @@ import math
 import numpy as np
 
 from .model import (
-    TRICUBE,
+    C_K,
+    D_K,
     CorrelationEstimate,
     EstimationConfig,
     GenevarError,
@@ -64,10 +65,10 @@ def _closed_form_reps(corr: CorrelationEstimate, n_genes: int,
 
 
 def curve_bias(curvature, bandwidth: float):
-    """(h^2 / 2) c_k times the target's second derivative, elementwise."""
+    """(h^2 / 2) C_K times the target's second derivative, elementwise."""
     if not bandwidth > 0:
         raise GenevarError("bandwidth must be positive")
-    return 0.5 * bandwidth ** 2 * TRICUBE.c_k * np.asarray(curvature, dtype=float)
+    return 0.5 * bandwidth ** 2 * C_K * np.asarray(curvature, dtype=float)
 
 
 def replicate_curve_asymptotics(corr: CorrelationEstimate, scale, density,
@@ -78,7 +79,7 @@ def replicate_curve_asymptotics(corr: CorrelationEstimate, scale, density,
     s2x = np.asarray(scale, dtype=float) ** 2
     s4x = s2x * s2x
     s2 = corr.sigma2
-    v1 = TRICUBE.d_k / (n_genes * bandwidth * np.asarray(density, dtype=float)) * (
+    v1 = D_K / (n_genes * bandwidth * np.asarray(density, dtype=float)) * (
         2.0 * s4x
         + (4.0 + 4.0 * (i - 1) * (i - 3)) / ((i - 1) * (i - 2) ** 2) * s2 * s2x
         + 2.0 / ((i - 1) * (i - 2)) * s2 * s2
@@ -204,7 +205,7 @@ def pooled_curve_asymptotics(corr: CorrelationEstimate, scale, density,
     sx = np.asarray(scale, dtype=float)
     c2, c3, c4 = _c_coefficients(rho, s1, s2, i)
     d0, d1, d2, d3, d4 = _d_coefficients(rho, s1, s2, i)
-    v1p = TRICUBE.d_k / (n_genes * bandwidth * np.asarray(density, dtype=float)) * (
+    v1p = D_K / (n_genes * bandwidth * np.asarray(density, dtype=float)) * (
         2.0 * sx ** 4 - 8.0 * rho * s1 * sx ** 3 + c2 * sx ** 2 + c3 * sx + c4)
     v2p = (d0 * sx ** 4 + d1 * sx ** 3 + d2 * sx ** 2 + d3 * sx + d4) / n_genes
     vstar = v1p / i + (i - 1) / i * v2p

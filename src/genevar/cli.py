@@ -9,7 +9,7 @@ simulate   benchmark presets (table1 / table2 / table3)
 
 Every command takes --out, --bandwidth, --rho and --format; the three input
 commands add --input and --grid, and run one load-and-fit step (_fit): the
-grid from the pooled intensities, the fixed point, which checks every array,
+grid from the pooled intensities, the fixed point, which checks the data,
 and the intensity density.  simulate evaluates on the design's grid.  In
 table format each command prints a summary to stdout: estimate one line
 (rho, sigma1, sigma2, iterations, converged), the others a table.
@@ -38,7 +38,6 @@ from .model import (
     IngestionError,
     MultiArraySet,
     NoReplicatedGenes,
-    ReplicatedArray,
     TooFewArrays,
     default_grid,
 )
@@ -114,12 +113,12 @@ def _write_manifest(outdir: Path, command: str, args, inputs):
 
 def _fit(args, mset: MultiArraySet, rho):
     """The fit behind estimate, validate and select: the config from the
-    pooled intensities, the fixed point (which checks every array) and the
+    pooled intensities, the fixed point (which checks the data) and the
     intensity density.  Returns (config, fixed point, density)."""
     if rho is None and mset.n_arrays < 2:
         raise TooFewArrays(
             "J=1: replicate correlation is not estimable; pass --rho to pin it")
-    pooled_x = mset.pooled_x()
+    pooled_x = mset.x.ravel()
     try:
         if args.grid and ":" in args.grid:
             lo, hi, n = args.grid.split(":")
@@ -193,53 +192,37 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _array_at(mset: MultiArraySet, j: int) -> ReplicatedArray:
-    """The array with 1-based index j."""
-    if not 1 <= j <= mset.n_arrays:
-        raise GenevarError(
-            f"array index {j} is outside 1..J (J={mset.n_arrays})")
-    return mset.arrays[j - 1]
-
-
-def _apply_dye_swaps(mset: MultiArraySet, swapped) -> MultiArraySet:
-    """Negate the log ratios of dye-swapped arrays (1-based indices)."""
-    arrays = list(mset.arrays)
-    for j in sorted(swapped):
-        array = _array_at(mset, j)
-        arrays[j - 1] = ReplicatedArray(x=array.x, y=-array.y,
-                                        gene_ids=array.gene_ids)
-    return MultiArraySet(arrays=tuple(arrays))
-
-
-def _average_pairs(mset: MultiArraySet, pairs) -> MultiArraySet:
-    """Average listed array pairs (e.g. a dye swap with its partner)."""
-    arrays = []
-    for a, b in pairs:
-        first, second = _array_at(mset, a), _array_at(mset, b)
-        arrays.append(ReplicatedArray(
-            x=0.5 * (first.x + second.x),
-            y=0.5 * (first.y + second.y),
-            gene_ids=first.gene_ids))
-    return MultiArraySet(arrays=tuple(arrays))
+def _array_indices(n_arrays: int, indices) -> np.ndarray:
+    """0-based positions of 1-based array indices, each checked in order."""
+    for j in indices:
+        if not 1 <= j <= n_arrays:
+            raise GenevarError(f"array index {j} is outside 1..J (J={n_arrays})")
+    return np.asarray(indices, dtype=np.intp) - 1
 
 
 def cmd_select(args) -> int:
     mset = read_table(args.input)
+    x, y = mset.x, mset.y
     if args.swap_arrays:
-        mset = _apply_dye_swaps(mset, set(args.swap_arrays))
+        # dye-swapped arrays: their log ratios are negated
+        y = y.copy()
+        y[_array_indices(len(y), sorted(set(args.swap_arrays)))] *= -1.0
     if args.average_pairs:
-        mset = _average_pairs(mset, args.average_pairs)
-    if mset.n_arrays < 2:
+        # listed array pairs averaged, e.g. a dye swap with its partner
+        first, second = _array_indices(
+            len(y), [j for pair in args.average_pairs for j in pair]).reshape(-1, 2).T
+        x, y = 0.5 * (x[first] + x[second]), 0.5 * (y[first] + y[second])
+    if len(y) < 2:
         raise TooFewArrays("gene selection needs at least two observations per gene")
 
     # View the J arrays as replicated columns of one super array; between-array
     # replicates are taken as uncorrelated unless --rho overrides.
-    super_array = ReplicatedArray(
-        x=np.hstack([a.x for a in mset.arrays]),
-        y=np.hstack([a.y for a in mset.arrays]),
-        gene_ids=mset.gene_ids)
-    _, fp, density = _fit(args, MultiArraySet(arrays=(super_array,)),
-                          args.rho if args.rho is not None else 0.0)
+    mset = MultiArraySet(x=x.transpose(1, 0, 2).reshape(1, mset.n_genes, -1),
+                         y=y.transpose(1, 0, 2).reshape(1, mset.n_genes, -1),
+                         gene_ids=mset.gene_ids)
+    del x, y  # the super set holds the only copy
+    super_array = mset.arrays[0]
+    _, fp, density = _fit(args, mset, args.rho if args.rho is not None else 0.0)
     sigma_hat = np.sqrt(np.clip(gene_sigma(fp.curve, super_array.x, density),
                                 1e-12, None))
 
@@ -255,7 +238,7 @@ def cmd_select(args) -> int:
     write_csv(outdir / "gene_calls.csv",
               ["gene_id", "mean", "sample_sd", "sigma_hat", "fold_change",
                "t_stat", "p_t", "z_stat", "p_z", "flagged"],
-              [super_array.gene_ids, means, sample_sd, sigma_hat, fold,
+              [mset.gene_ids, means, sample_sd, sigma_hat, fold,
                t_stat, p_t, z_stat, p_z, flagged])
 
     counts_rows = selection_counts(p_t, p_z, fold, args.fold_changes, args.alphas)

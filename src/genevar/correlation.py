@@ -69,7 +69,7 @@ def variance_components(mset: MultiArraySet) -> VarianceComponents:
         raise TooFewArrays(f"J={mset.n_arrays}; need J >= 2")
     if mset.n_replicates < 2:
         raise TooFewReplicates("variance components need I >= 2")
-    y = mset.stacked_y()                       # (J, N, I)
+    y = mset.y                                 # (J, N, I)
     j, _, i = y.shape
     array_means = y.mean(axis=2)               # (J, N)
     grand = array_means.mean(axis=0)           # (N,)
@@ -119,8 +119,7 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     judged on s1 and a single array suffices.  Non-convergence within
     MAX_ITERATIONS is reported through the returned flag, never raised.
     """
-    for a in mset.arrays:
-        validate(a)
+    validate(mset)
     n_reps = mset.n_replicates
 
     uncorrected = tuple(uncorrected_curve(a, config) for a in mset.arrays)
@@ -132,7 +131,7 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     # sorted once so each iteration's scale_at lookup walks the grid in
     # order; the moments are means, which the order changes only in the
     # last bits
-    points = np.sort(mset.pooled_x())
+    points = np.sort(mset.x, axis=None)
     grid = eta_mean.grid
     # Initial corrected-curve guess.  The pooled curve already targets the
     # variance scale for I >= 3; the paired curve targets roughly half of it.

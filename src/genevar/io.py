@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import IngestionError, MultiArraySet, ReplicatedArray
+from .model import IngestionError, MultiArraySet
 
 LOG_HEADER = ["gene_id", "replicate", "array", "x", "y"]
 RAW_HEADER = ["gene_id", "replicate", "array", "r", "g"]
@@ -79,10 +79,7 @@ def read_table(path) -> MultiArraySet:
     raw, gene_ids, a3, b3 = parsed
     if raw:
         a3, b3 = 0.5 * np.log2(a3 * b3), np.log2(b3 / a3)
-    arrays = tuple(
-        ReplicatedArray(x=a3[a], y=b3[a], gene_ids=gene_ids)
-        for a in range(a3.shape[0]))
-    return MultiArraySet(arrays=arrays)
+    return MultiArraySet(x=a3, y=b3, gene_ids=gene_ids)
 
 
 def _read_columns(path):
@@ -259,11 +256,11 @@ def write_csv(path, header, columns) -> None:
 def write_table(mset: MultiArraySet, path) -> None:
     """Serialize in the log layout with round-trip decimal precision: one
     row per (array, gene, replicate), in that order."""
-    n_arrays, n_reps = mset.n_arrays, mset.n_replicates
+    n_arrays, n_genes, n_reps = mset.x.shape
     genes = np.repeat(np.array(mset.gene_ids, dtype=object), n_reps)
     write_csv(path, LOG_HEADER, [
         np.tile(genes, n_arrays),
-        np.tile(np.arange(1, n_reps + 1), n_arrays * mset.n_genes),
+        np.tile(np.arange(1, n_reps + 1), n_arrays * n_genes),
         np.repeat(np.arange(1, n_arrays + 1), genes.size),
-        mset.pooled_x(),
-        mset.stacked_y().ravel()])
+        mset.x.ravel(),
+        mset.y.ravel()])

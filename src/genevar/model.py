@@ -11,18 +11,30 @@ intensity, and the noise vector of a gene is standard normal with a common
 within-gene correlation rho.  Everything downstream estimates s(.)^2 and rho
 from such data.
 
-Regression and density smoothing use one fixed kernel, the tricube TRICUBE;
-its constants c_k = int u^2 K and d_k = int K^2, which set the asymptotic
-bias and variance, are closed forms.
+A replicated set is one three-way table Y_gij, genes g by replicates i on
+arrays j, and MultiArraySet holds it so: x and y are (J, N, I) blocks and
+gene_ids names the N genes once.  Its arrays are ReplicatedArray views
+x[j], y[j] of shape (N, I), for the per-array fits and tests; whatever
+reads all arrays at once (variance components, the pooled intensities,
+CSV writing, select's super array) reads the blocks.  The benchmark
+harness in perfbench/ reads gene_ids, n_genes, n_replicates, n_arrays and
+arrays[j].x of a set, besides simulation.generate_set and io.write_table.
 
-All containers here are immutable after construction (their arrays are made
-read-only), so they can be shared freely between callers.
+Regression and density smoothing use one fixed kernel, tricube; its
+constants C_K = int u^2 K and D_K = int K^2, which set the asymptotic bias
+and variance, are closed forms.
+
+All containers here are immutable after construction, so they can be
+shared freely between callers.  Each keeps an input array as it is when
+the array is read-only float64 and nothing writeable shares it (its base is
+None or read-only), and a read-only copy otherwise.  So a set's arrays
+are views of its blocks, not copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -87,35 +99,22 @@ class IngestionError(GenevarError):
 # Kernels
 # ---------------------------------------------------------------------------
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """a as a read-only float array, without a copy only when a is a
+    read-only float ndarray that no writeable array shares (its base is None
+    or read-only)."""
+    if (type(a) is np.ndarray and a.dtype == float and not a.flags.writeable
+            and (a.base is None or isinstance(a.base, np.ndarray)
+                 and not a.base.flags.writeable)):
+        return a
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A symmetric probability-density kernel with compact support.
-
-    Attributes
-    ----------
-    evaluate : callable
-        Vectorized u -> K(u); zero outside [-support_halfwidth, support_halfwidth].
-    support_halfwidth : float
-    c_k : float
-        Second moment, int u^2 K(u) du.
-    d_k : float
-        Roughness, int K(u)^2 du.
-    """
-
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    support_halfwidth: float
-    c_k: float
-    d_k: float
-
-
-def _tricube(u):
-    """K(u), as a = min(|u|, 1), t = 1 - a*a*a, K = ((70/81) t) t t."""
+def tricube(u):
+    """K(u) = (70/81)(1 - |u|^3)^3 on [-1, 1], zero outside, computed as
+    a = min(|u|, 1), t = 1 - a*a*a, K = ((70/81) t) t t."""
     # clipping |u| at 1 makes the cube factor vanish outside the support,
     # avoiding a branch
     a = np.minimum(np.abs(u), 1.0)
@@ -123,10 +122,11 @@ def _tricube(u):
     return (70.0 / 81.0) * t * t * t
 
 
-# (70/81)(1-|u|^3)^3 on [-1, 1].  c_k = 2 (70/81) / 12 = 35/243, and
-# d_k = 2 (70/81)^2 sum_j C(6, j) (-1)^j / (3j + 1) = 175/247 from the
-# binomial expansion of (1-u^3)^6.
-TRICUBE = KernelSpec(_tricube, 1.0, c_k=35.0 / 243.0, d_k=175.0 / 247.0)
+# The tricube's second moment C_K = int u^2 K = 2 (70/81) / 12 = 35/243, and
+# its roughness D_K = int K^2 = 2 (70/81)^2 sum_j C(6, j) (-1)^j / (3j + 1)
+# = 175/247 from the binomial expansion of (1-u^3)^6.
+C_K = 35.0 / 243.0
+D_K = 175.0 / 247.0
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +196,15 @@ class ReplicatedArray:
 
     x: np.ndarray
     y: np.ndarray
-    gene_ids: tuple
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x, y = _readonly(self.x), _readonly(self.y)
         if x.ndim != 2 or y.ndim != 2:
             raise ShapeMismatch("x and y must be 2-d (genes x replicates)")
         if x.shape != y.shape:
             raise ShapeMismatch(f"x shape {x.shape} != y shape {y.shape}")
-        ids = tuple(map(str, self.gene_ids))
-        if len(ids) != x.shape[0]:
-            raise ShapeMismatch(
-                f"{len(ids)} gene ids for {x.shape[0]} gene rows")
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "y", _readonly(y))
-        object.__setattr__(self, "gene_ids", ids)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def n_genes(self) -> int:
@@ -222,68 +215,68 @@ class ReplicatedArray:
         return self.x.shape[1]
 
 
-def validate(array: ReplicatedArray) -> ReplicatedArray:
-    """Check model invariants; returns the input unchanged when they hold.
+@dataclass(frozen=True)
+class MultiArraySet:
+    """J independent arrays of N genes by I replicates: x and y are (J, N, I)
+    blocks, and gene_ids names the N genes once."""
+
+    x: np.ndarray
+    y: np.ndarray
+    gene_ids: tuple
+
+    def __post_init__(self):
+        x, y = _readonly(self.x), _readonly(self.y)
+        if x.ndim != 3 or y.ndim != 3:
+            raise ShapeMismatch(
+                "x and y must be 3-d (arrays x genes x replicates)")
+        if x.shape != y.shape:
+            raise ShapeMismatch(f"x shape {x.shape} != y shape {y.shape}")
+        if x.shape[0] < 1:
+            raise ShapeMismatch("need at least one array")
+        ids = tuple(map(str, self.gene_ids))
+        if len(ids) != x.shape[1]:
+            raise ShapeMismatch(
+                f"{len(ids)} gene ids for {x.shape[1]} gene rows")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "gene_ids", ids)
+
+    @property
+    def n_arrays(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def n_genes(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def n_replicates(self) -> int:
+        return self.x.shape[2]
+
+    @property
+    def arrays(self) -> tuple:
+        """Array j as a ReplicatedArray over the views x[j] and y[j]."""
+        return tuple(map(ReplicatedArray, self.x, self.y))
+
+
+def validate(data):
+    """Check model invariants of a MultiArraySet or one of its arrays (it
+    reads n_genes, n_replicates, x and y); returns the input unchanged when
+    they hold.
 
     Non-finite entries are rejected rather than dropped: silent filtering
     would change N and bias every smoother downstream.
     """
-    if array.n_genes < 1:
+    if data.n_genes < 1:
         raise ShapeMismatch("need at least one gene")
-    if array.n_replicates < 2:
+    if data.n_replicates < 2:
         raise TooFewReplicates(
-            f"I={array.n_replicates}; within-gene residuals need I >= 2")
-    if not np.all(np.isfinite(array.x)):
+            f"I={data.n_replicates}; within-gene residuals need I >= 2")
+    if not np.all(np.isfinite(data.x)):
         raise NonFinite("x contains non-finite entries")
-    if not np.all(np.isfinite(array.y)):
+    if not np.all(np.isfinite(data.y)):
         raise NonFinite("y contains non-finite entries")
-    return array
-
-
-@dataclass(frozen=True)
-class MultiArraySet:
-    """J independent arrays sharing gene ids and replicate count."""
-
-    arrays: tuple
-
-    def __post_init__(self):
-        arrays = tuple(self.arrays)
-        if len(arrays) < 1:
-            raise ShapeMismatch("need at least one array")
-        first = arrays[0]
-        for a in arrays[1:]:
-            if a.x.shape != first.x.shape:
-                raise ShapeMismatch("all arrays must share N and I")
-            if a.gene_ids != first.gene_ids:
-                raise ShapeMismatch("all arrays must share gene ids")
-        object.__setattr__(self, "arrays", arrays)
-
-    @property
-    def n_arrays(self) -> int:
-        return len(self.arrays)
-
-    @property
-    def n_genes(self) -> int:
-        return self.arrays[0].n_genes
-
-    @property
-    def n_replicates(self) -> int:
-        return self.arrays[0].n_replicates
-
-    @property
-    def gene_ids(self) -> tuple:
-        return self.arrays[0].gene_ids
-
-    def stacked_y(self) -> np.ndarray:
-        """(J, N, I) stack of log ratios."""
-        return np.stack([a.y for a in self.arrays])
-
-    def pooled_x(self) -> np.ndarray:
-        """Every intensity, array by array; a read-only view for one array,
-        whose copy would raise select's peak RSS."""
-        if len(self.arrays) == 1:
-            return self.arrays[0].x.ravel()
-        return np.concatenate([a.x.ravel() for a in self.arrays])
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .model import (
     EstimationConfig,
     GenevarError,
     MultiArraySet,
-    ReplicatedArray,
     TooFewReplicates,
     check_rho,
 )
@@ -193,17 +192,19 @@ def _rng(design: SimDesign, *key) -> np.random.Generator:
 
 def generate_set(design: SimDesign, run: int) -> MultiArraySet:
     """All J arrays of one run; effects are shared across the arrays."""
-    gene_ids = tuple(f"g{k + 1}" for k in range(design.n_genes))
+    shape = (design.n_genes, design.n_replicates)
     effects = sample_effects(design.n_active, design.n_genes, _rng(design, run, 0))
-    arrays = []
+    x = np.empty((design.n_arrays, *shape))
+    y = np.empty_like(x)
     for j in range(design.n_arrays):
         rng = _rng(design, run, j + 1)
-        x = sample_intensities((design.n_genes, design.n_replicates), rng)
-        eps = sample_noise(design.n_genes, design.n_replicates, design.rho, rng)
-        scale = np.sqrt(np.clip(design.variance_fn(x), 0.0, None))
-        mean = smooth_effect(x) if design.effect_mode == "smooth" else effects[:, None]
-        arrays.append(ReplicatedArray(x=x, y=mean + scale * eps, gene_ids=gene_ids))
-    return MultiArraySet(arrays=tuple(arrays))
+        x[j] = sample_intensities(shape, rng)
+        eps = sample_noise(*shape, design.rho, rng)
+        scale = np.sqrt(np.clip(design.variance_fn(x[j]), 0.0, None))
+        mean = smooth_effect(x[j]) if design.effect_mode == "smooth" else effects[:, None]
+        y[j] = mean + scale * eps
+    return MultiArraySet(x=x, y=y, gene_ids=tuple(
+        f"g{k + 1}" for k in range(design.n_genes)))
 
 
 # Estimator names accepted by run_experiment.

@@ -2,7 +2,7 @@
 
 The regression engine fits, at each evaluation point x0, a weighted
 least-squares line to (x, z) with weights K((x - x0)/h)/h, K the fixed
-tricube kernel of model.TRICUBE, and returns the intercept.  Writing
+kernel model.tricube, and returns the intercept.  Writing
 u = (x - x0)/h, w = K(u)/h and S_l = sum w u^l, T_l = sum w u^l z, the
 intercept is
 
@@ -44,12 +44,12 @@ import numpy as np
 
 from .model import (
     FLAG_DEGENERATE,
-    TRICUBE,
     EstimationConfig,
     GenevarError,
     NonFinite,
     ShapeMismatch,
     VarianceCurve,
+    tricube,
 )
 
 _DET_RTOL = 1e-12
@@ -90,9 +90,8 @@ def _windows(xs, points, h):
     """Yield (i, window, u) for each point whose kernel window in the sorted
     sample xs holds data: window is the slice of xs within a kernel
     halfwidth of points[i], and u = (xs[window] - points[i]) / h."""
-    halfwidth = TRICUBE.support_halfwidth * h
-    lo = np.searchsorted(xs, points - halfwidth, side="left")
-    hi = np.searchsorted(xs, points + halfwidth, side="right")
+    lo = np.searchsorted(xs, points - h, side="left")
+    hi = np.searchsorted(xs, points + h, side="right")
     for i in np.flatnonzero(hi > lo):
         window = slice(lo[i], hi[i])
         yield i, window, (xs[window] - points[i]) / h
@@ -113,7 +112,7 @@ def _exact_fit(xs, zs, h, points):
     window holds no data, hold NaN."""
     moments = np.zeros((5, points.size))
     for i, window, u in _windows(xs, points, h):
-        w = TRICUBE.evaluate(u) / h
+        w = tricube(u) / h
         wu = w * u
         zw = zs[window]
         moments[:, i] = w.sum(), wu.sum(), wu @ u, w @ zw, wu @ zw
@@ -191,7 +190,7 @@ def _lattice_sums(x, h, points, *weights):
         index += 1                                # the left node's bin
         share = np.empty_like(right)
         u = np.arange(-reach, reach + 1) * (step / h)
-        w = TRICUBE.evaluate(u) / h
+        w = tricube(u) / h
         taps = np.stack([w, w * u, w * u * u], axis=1)
         for (v, k), out in zip(weights, sums):
             # left shares, then right ones in data order: one bincount's sums
@@ -254,7 +253,7 @@ def kde_values(x, config: EstimationConfig, points) -> np.ndarray:
     h = config.bandwidth
     sums = np.zeros(pts.shape)
     for i, _, u in _windows(np.sort(x), pts, h):
-        sums[i] = TRICUBE.evaluate(u).sum()
+        sums[i] = tricube(u).sum()
     return sums / (x.size * h)
 
 
@@ -268,9 +267,9 @@ def density_interpolator(sample, config: EstimationConfig):
     sample = np.asarray(sample, dtype=float).ravel()
     if not np.all(np.isfinite(sample)):
         raise NonFinite("density sample contains non-finite entries")
-    pad = TRICUBE.support_halfwidth * config.bandwidth
-    grid = np.linspace(sample.min() - pad, sample.max() + pad, _DENSITY_NODES)
-    _, ((s0,),) = _lattice_sums(sample, config.bandwidth, grid, (None, 1))
+    h = config.bandwidth
+    grid = np.linspace(sample.min() - h, sample.max() + h, _DENSITY_NODES)
+    _, ((s0,),) = _lattice_sums(sample, h, grid, (None, 1))
     dens = s0 / sample.size
 
     def density(points):

@@ -21,19 +21,23 @@ def make_array(y, x=None, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         x = rng.uniform(6.0, 16.0, size=y.shape)
-    ids = tuple(f"g{k + 1}" for k in range(y.shape[0]))
-    return ReplicatedArray(x=np.asarray(x, dtype=float), y=y, gene_ids=ids)
+    return ReplicatedArray(x=np.asarray(x, dtype=float), y=y)
+
+
+def stack_set(xs, ys):
+    """MultiArraySet of the (N, I) arrays xs[j], ys[j], genes g1..gN."""
+    x, y = np.stack(xs), np.stack(ys)
+    return MultiArraySet(x=x, y=y,
+                         gene_ids=tuple(f"g{k + 1}" for k in range(x.shape[1])))
 
 
 def constant_sigma_set(sigma0, rho, n_genes=2000, n_reps=3, n_arrays=4, seed=0):
     """Arrays with constant noise scale sigma0 and equicorrelation rho."""
     from genevar.simulation import sample_intensities, sample_noise
 
-    ids = tuple(f"g{k + 1}" for k in range(n_genes))
     rng = np.random.default_rng(seed)
-    arrays = []
+    xs, ys = [], []
     for _ in range(n_arrays):
-        x = sample_intensities((n_genes, n_reps), rng)
-        eps = sample_noise(n_genes, n_reps, rho, rng)
-        arrays.append(ReplicatedArray(x=x, y=sigma0 * eps, gene_ids=ids))
-    return MultiArraySet(arrays=tuple(arrays))
+        xs.append(sample_intensities((n_genes, n_reps), rng))
+        ys.append(sigma0 * sample_noise(n_genes, n_reps, rho, rng))
+    return stack_set(xs, ys)

@@ -23,7 +23,6 @@ from genevar.model import (
     CorrelationEstimate,
     EstimationConfig,
     MultiArraySet,
-    ReplicatedArray,
 )
 from genevar.simulation import (
     SimDesign,
@@ -279,11 +278,10 @@ def test_criterion_8_gene_selection_pattern():
     x = sample_intensities((n_genes, n_arrays), rng)
     scale = np.sqrt(variance_function(x))
     y = mu[:, None] + scale * rng.standard_normal((n_genes, n_arrays))
-    super_array = ReplicatedArray(x=x, y=y,
-                                  gene_ids=tuple(f"g{k}" for k in range(n_genes)))
+    super_set = MultiArraySet(x=x[None], y=y[None],
+                              gene_ids=tuple(f"g{k}" for k in range(n_genes)))
     config = EstimationConfig(bandwidth=1.0, grid=np.linspace(6, 16, 101))
-    fp = fixed_point_solve(MultiArraySet(arrays=(super_array,)), config,
-                           fixed_rho=0.0)
+    fp = fixed_point_solve(super_set, config, fixed_rho=0.0)
     pooled_x = x.ravel()
     density = lambda pts: kde_values(pooled_x, config, pts)
     sigma_hat = np.sqrt(np.clip([

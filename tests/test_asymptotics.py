@@ -15,7 +15,8 @@ from genevar.asymptotics import (
 )
 from genevar.correlation import fixed_point_solve
 from genevar.model import (
-    TRICUBE,
+    C_K,
+    D_K,
     CorrelationEstimate,
     InvalidReplicateCount,
     VarianceCurve,
@@ -81,8 +82,7 @@ class TestReplicateCurveAsymptotics:
         bias = curve_bias(0.0, 1.0)
         assert bias == 0.0
         s4 = sigma0 ** 4
-        k = TRICUBE
-        v1_expected = k.d_k / (n * 1.0 * 0.25) * s4 * (
+        v1_expected = D_K / (n * 1.0 * 0.25) * s4 * (
             2.0 + (4 + 4 * (i - 1) * (i - 3)) / ((i - 1) * (i - 2) ** 2)
             + 2.0 / ((i - 1) * (i - 2)))
         v2_expected = s4 / n * (4 - 8 + 2 * (i - 3) / (i - 2)) / (i - 1) ** 2
@@ -96,8 +96,7 @@ class TestReplicateCurveAsymptotics:
 
     def test_bias_on_quadratic_region(self):
         bias = replicate_bias(8.0)
-        k = TRICUBE
-        assert bias == pytest.approx(0.5 * k.c_k * 0.03, rel=1e-12)
+        assert bias == pytest.approx(0.5 * C_K * 0.03, rel=1e-12)
 
     def test_first_order_variance_integral_identity(self, rng):
         # V1 equals d_k/(N h f(x)) times the mean of the synthetic-response
@@ -114,9 +113,8 @@ class TestReplicateCurveAsymptotics:
                     + 2.0 / ((i - 1) ** 2 * (i - 2) ** 2) * (total ** 2 - total_sq)
                     + 4.0 * (i - 3) / ((i - 1) * (i - 2) ** 2)
                     * s[:, 0] * (total - s[:, 0]))
-        k = TRICUBE
-        mc = k.d_k / (n_genes * 1.0 * intensity_density(x0)) * omega_00.mean()
-        mc_se = k.d_k / (n_genes * intensity_density(x0)) \
+        mc = D_K / (n_genes * 1.0 * intensity_density(x0)) * omega_00.mean()
+        mc_se = D_K / (n_genes * intensity_density(x0)) \
             * omega_00.std() / np.sqrt(n_draws)
         v1, _ = benchmark_replicate(x0, n_genes=n_genes)
         assert abs(v1 - mc) < 3 * mc_se
@@ -293,7 +291,7 @@ def fitted(n_reps, unit_config):
     mset = generate_set(SimDesign(n_genes=600, n_replicates=n_reps, rho=0.3,
                                   seed=9), 0)
     fp = fixed_point_solve(mset, unit_config)
-    return mset, fp, density_interpolator(mset.pooled_x(), unit_config)
+    return mset, fp, density_interpolator(mset.x.ravel(), unit_config)
 
 
 class TestCorrectedCurveStderr:

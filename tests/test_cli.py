@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from genevar.cli import EXIT_INGESTION, EXIT_NONCONVERGENCE, EXIT_VALIDATION, main
-from genevar.io import write_table
-from genevar.model import FLAG_DEGENERATE, MultiArraySet, ReplicatedArray
+from genevar.io import read_table, write_table
+from genevar.model import FLAG_DEGENERATE, MultiArraySet
 from genevar.simulation import SimDesign, generate_set, sample_intensities, variance_function
 
 
@@ -36,14 +36,13 @@ def selection_csv(tmp_path_factory):
     n, j = 400, 5
     mu = np.zeros(n)
     mu[:80] = rng.laplace(0, 1, 80)
-    ids = tuple(f"g{k}" for k in range(n))
-    arrays = []
-    for _ in range(j):
-        x = sample_intensities((n, 1), rng)
-        y = mu[:, None] + np.sqrt(variance_function(x)) * rng.standard_normal((n, 1))
-        arrays.append(ReplicatedArray(x=x, y=y, gene_ids=ids))
+    x, y = np.empty((j, n, 1)), np.empty((j, n, 1))
+    for a in range(j):
+        x[a] = sample_intensities((n, 1), rng)
+        y[a] = mu[:, None] + np.sqrt(variance_function(x[a])) * rng.standard_normal((n, 1))
     path = tmp_path_factory.mktemp("data") / "selection.csv"
-    write_table(MultiArraySet(arrays=tuple(arrays)), path)
+    write_table(MultiArraySet(x=x, y=y, gene_ids=tuple(f"g{k}" for k in range(n))),
+                path)
     return path
 
 
@@ -215,14 +214,11 @@ class TestValidate:
         d = SimDesign(n_genes=300, n_active=40, n_arrays=4, rho=0.0,
                       n_runs=1, seed=31)
         ms = generate_set(d, 0)
-        bad = ms.arrays[2]
-        mean = bad.y.mean(axis=1, keepdims=True)
-        inflated = ReplicatedArray(x=bad.x, y=mean + 3.0 * (bad.y - mean),
-                                   gene_ids=bad.gene_ids)
-        arrays = list(ms.arrays)
-        arrays[2] = inflated
+        y = ms.y.copy()
+        mean = y[2].mean(axis=1, keepdims=True)
+        y[2] = mean + 3.0 * (y[2] - mean)
         path = tmp_path / "biased.csv"
-        write_table(MultiArraySet(arrays=tuple(arrays)), path)
+        write_table(MultiArraySet(x=ms.x, y=y, gene_ids=ms.gene_ids), path)
         out = tmp_path / "out"
         assert main(["validate", "--input", str(path), "--out", str(out),
                      "--rho", "0.0", "--format", "csv"]) == 0
@@ -297,6 +293,51 @@ class TestSelect:
             main(["select", "--input", str(selection_csv),
                   "--out", str(tmp_path / "out"), "--average-pairs", "1-2"])
         assert exc.value.code == 2
+
+
+def gene_calls(path, out, *flags):
+    """select's gene ids and (mean, sample_sd) columns for the input path."""
+    assert main(["select", "--input", str(path), "--out", str(out),
+                 "--format", "csv", *flags]) == 0
+    rows = read_rows(out / "gene_calls.csv")
+    return ([r["gene_id"] for r in rows],
+            np.array([[float(r["mean"]), float(r["sample_sd"])] for r in rows]))
+
+
+class TestSelectBlocks:
+    """select's dye swaps, pair averages and super array against the
+    input's (J, N, I) blocks: the super array's row g holds gene g's spots
+    on every array."""
+
+    def test_single_spot_input(self, selection_csv, tmp_path):
+        # I = 1: the J arrays become the replicates
+        ms = read_table(selection_csv)
+        assert ms.n_replicates == 1
+        ids, got = gene_calls(selection_csv, tmp_path / "out")
+        y = ms.y[:, :, 0].T
+        assert ids == list(ms.gene_ids)
+        np.testing.assert_allclose(got[:, 0], y.mean(axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[:, 1], y.std(axis=1, ddof=1),
+                                   rtol=0, atol=1e-12)
+
+    def test_swap_then_average(self, replicated_csv, tmp_path):
+        ms = read_table(replicated_csv)
+        _, got = gene_calls(replicated_csv, tmp_path / "out",
+                            "--swap-arrays", "2", "--average-pairs", "1:2,3:4")
+        y = np.hstack([0.5 * (ms.y[0] - ms.y[1]), 0.5 * (ms.y[2] + ms.y[3])])
+        np.testing.assert_allclose(got[:, 0], y.mean(axis=1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[:, 1], y.std(axis=1, ddof=1),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("command, message", [
+        ("estimate", "I=1; within-gene residuals need I >= 2"),
+        ("validate", "validation needs genes with at least two replicates per array"),
+    ], ids=["estimate", "validate"])
+    def test_single_spot_input_rejected(self, selection_csv, tmp_path, capsys,
+                                        command, message):
+        assert main([command, "--input", str(selection_csv),
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSimulate:

@@ -21,14 +21,12 @@ from genevar.model import (
 )
 from genevar.simulation import SimDesign, generate_set, intensity_density, variance_function
 from genevar.smoothing import density_interpolator
-from conftest import constant_sigma_set, make_array
-from genevar.model import ReplicatedArray
+from conftest import constant_sigma_set, make_array, stack_set
 
 
 def two_array_set(y1, y2, x=None, rng=None):
     a = make_array(y1, x=x, rng=rng or np.random.default_rng(0))
-    b = ReplicatedArray(x=a.x, y=np.asarray(y2, dtype=float), gene_ids=a.gene_ids)
-    return MultiArraySet(arrays=(a, b))
+    return stack_set([a.x, a.x], [a.y, np.asarray(y2, dtype=float)])
 
 
 class TestVarianceComponents:
@@ -50,9 +48,7 @@ class TestVarianceComponents:
         j, n, i = 3, 6, 4
         ys = [rng.normal(size=(n, i)) for _ in range(j)]
         x = rng.uniform(6, 16, size=(n, i))
-        ids = tuple(f"g{k}" for k in range(n))
-        ms = MultiArraySet(arrays=tuple(
-            ReplicatedArray(x=x, y=y, gene_ids=ids) for y in ys))
+        ms = stack_set([x] * j, ys)
         vc = variance_components(ms)
         y = np.stack(ys)
         for g in range(n):
@@ -65,7 +61,8 @@ class TestVarianceComponents:
             assert vc.s_within[g] == pytest.approx(sw, abs=1e-12)
 
     def test_single_array_rejected(self, rng):
-        ms = MultiArraySet(arrays=(make_array(rng.normal(size=(3, 3)), rng=rng),))
+        a = make_array(rng.normal(size=(3, 3)), rng=rng)
+        ms = stack_set([a.x], [a.y])
         with pytest.raises(TooFewArrays):
             variance_components(ms)
 
@@ -190,11 +187,8 @@ class TestFixedPoint:
 
 def transformed(mset, xy_map):
     """mset with each array's (x, y) replaced by xy_map(x, y)."""
-    out = []
-    for a in mset.arrays:
-        x, y = xy_map(a.x, a.y)
-        out.append(ReplicatedArray(x=x, y=y, gene_ids=a.gene_ids))
-    return MultiArraySet(arrays=tuple(out))
+    x, y = zip(*(xy_map(a.x, a.y) for a in mset.arrays))
+    return MultiArraySet(x=np.stack(x), y=np.stack(y), gene_ids=mset.gene_ids)
 
 
 # the unit_config fixture's settings; class-scoped fixtures and hypothesis
@@ -261,8 +255,8 @@ class TestShiftEquivariance:
                                    rtol=1e-9, atol=0)
         # the binned density moves with x too
         np.testing.assert_allclose(
-            density_interpolator(ms.pooled_x() + c, shifted)(shifted.grid),
-            density_interpolator(ms.pooled_x(), CONFIG)(CONFIG.grid),
+            density_interpolator(ms.x.ravel() + c, shifted)(shifted.grid),
+            density_interpolator(ms.x.ravel(), CONFIG)(CONFIG.grid),
             rtol=1e-9, atol=0)
 
 
@@ -284,7 +278,7 @@ class TestMomentLookup:
         assert np.isnan(start[[0, -1]]).all()
         est = fp.estimate
         scale = VarianceCurve(grid=cfg.grid, values=start).scale_at(
-            ms.pooled_x())
+            ms.x.ravel())
         assert est.iterations == 1
         assert est.sigma1 == pytest.approx(scale.mean(), rel=1e-14)
         assert est.sigma2 == pytest.approx((scale * scale).mean(), rel=1e-14)
@@ -311,8 +305,8 @@ class TestExactInvariances:
     def assert_same_density(got, base):
         # binning sums the intensities in input order, unlike a sorted pass
         np.testing.assert_allclose(
-            density_interpolator(got.pooled_x(), CONFIG)(CONFIG.grid),
-            density_interpolator(base.pooled_x(), CONFIG)(CONFIG.grid),
+            density_interpolator(got.x.ravel(), CONFIG)(CONFIG.grid),
+            density_interpolator(base.x.ravel(), CONFIG)(CONFIG.grid),
             rtol=1e-12, atol=0)
 
     @settings(max_examples=5, deadline=None)
@@ -321,9 +315,7 @@ class TestExactInvariances:
         ms, base = case
         perm = np.random.default_rng(seed).permutation(ms.n_genes)
         ids = tuple(ms.gene_ids[g] for g in perm)
-        got = MultiArraySet(arrays=tuple(
-            ReplicatedArray(x=a.x[perm], y=a.y[perm], gene_ids=ids)
-            for a in ms.arrays))
+        got = MultiArraySet(x=ms.x[:, perm], y=ms.y[:, perm], gene_ids=ids)
         self.assert_same_fit(fixed_point_solve(got, CONFIG), base)
         self.assert_same_density(got, ms)
 
@@ -341,7 +333,7 @@ class TestExactInvariances:
     def test_array_permutation(self, case, seed):
         ms, base = case
         perm = np.random.default_rng(seed).permutation(ms.n_arrays)
-        got = MultiArraySet(arrays=tuple(ms.arrays[j] for j in perm))
+        got = MultiArraySet(x=ms.x[perm], y=ms.y[perm], gene_ids=ms.gene_ids)
         self.assert_same_fit(fixed_point_solve(got, CONFIG), base)
         self.assert_same_density(got, ms)
 

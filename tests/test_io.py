@@ -6,16 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from genevar import io
 from genevar.io import read_table, write_table
-from genevar.model import IngestionError, MultiArraySet, ReplicatedArray
+from genevar.model import IngestionError, MultiArraySet
 
 
 def small_set(rng, n=4, i=3, j=2):
-    ids = tuple(f"gene-{k}" for k in range(n))
-    arrays = tuple(
-        ReplicatedArray(x=rng.uniform(6, 16, (n, i)),
-                        y=rng.normal(size=(n, i)), gene_ids=ids)
-        for _ in range(j))
-    return MultiArraySet(arrays=arrays)
+    xy = [(rng.uniform(6, 16, (n, i)), rng.normal(size=(n, i)))
+          for _ in range(j)]
+    return MultiArraySet(x=np.stack([x for x, _ in xy]),
+                         y=np.stack([y for _, y in xy]),
+                         gene_ids=tuple(f"gene-{k}" for k in range(n)))
 
 
 class TestRoundTrip:
@@ -368,9 +367,8 @@ class TestChunkedParity:
     def test_replicate_beyond_the_packed_key(self, tmp_path):
         n_reps = (1 << io._INDEX_BITS) + 1
         rng = np.random.default_rng(3)
-        ms = MultiArraySet(arrays=(ReplicatedArray(
-            x=rng.uniform(6, 16, (1, n_reps)), y=rng.normal(size=(1, n_reps)),
-            gene_ids=("g1",)),))
+        ms = MultiArraySet(x=rng.uniform(6, 16, (1, 1, n_reps)),
+                           y=rng.normal(size=(1, 1, n_reps)), gene_ids=("g1",))
         path = tmp_path / "wide.csv"
         write_table(ms, path)
         assert io._read_columns(path) is None

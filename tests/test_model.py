@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from genevar.model import (
+    C_K,
+    D_K,
     FLAG_DEGENERATE,
-    TRICUBE,
     CorrelationEstimate,
     EstimationConfig,
     GenevarError,
@@ -18,9 +19,10 @@ from genevar.model import (
     VarianceCurve,
     check_rho,
     default_grid,
+    tricube,
     validate,
 )
-from conftest import make_array
+from conftest import make_array, stack_set
 
 
 class TestValidate:
@@ -46,13 +48,19 @@ class TestValidate:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
-            ReplicatedArray(x=np.zeros((3, 3)), y=np.zeros((3, 2)),
-                            gene_ids=("a", "b", "c"))
+            ReplicatedArray(x=np.zeros((3, 3)), y=np.zeros((3, 2)))
 
-    def test_gene_id_count_must_match(self):
-        with pytest.raises(ShapeMismatch):
-            ReplicatedArray(x=np.zeros((3, 2)), y=np.zeros((3, 2)),
-                            gene_ids=("a", "b"))
+    def test_set_checked_whole(self, rng):
+        ms = stack_set([rng.uniform(6, 16, (3, 3))] * 2,
+                       [rng.normal(size=(3, 3))] * 2)
+        assert validate(ms) is ms
+        y = ms.y.copy()
+        y[1, 2, 0] = np.nan
+        with pytest.raises(NonFinite):
+            validate(MultiArraySet(x=ms.x, y=y, gene_ids=ms.gene_ids))
+        with pytest.raises(TooFewReplicates):
+            validate(MultiArraySet(x=ms.x[:, :, :1], y=ms.y[:, :, :1],
+                                   gene_ids=ms.gene_ids))
 
     def test_arrays_are_readonly(self, rng):
         arr = make_array(rng.normal(size=(3, 3)), rng=rng)
@@ -63,50 +71,97 @@ class TestValidate:
 class TestMultiArraySet:
     def test_consistent_set(self, rng):
         a = make_array(rng.normal(size=(3, 2)), rng=rng)
-        b = ReplicatedArray(x=a.x, y=a.y + 1.0, gene_ids=a.gene_ids)
-        ms = MultiArraySet(arrays=(a, b))
+        ms = stack_set([a.x, a.x], [a.y, a.y + 1.0])
         assert ms.n_arrays == 2 and ms.n_genes == 3 and ms.n_replicates == 2
+        assert ms.gene_ids == ("g1", "g2", "g3")
+        assert np.array_equal(ms.arrays[1].y, a.y + 1.0)
 
     def test_mismatched_shapes_rejected(self, rng):
-        a = make_array(rng.normal(size=(3, 2)), rng=rng)
-        b = make_array(rng.normal(size=(4, 2)), rng=rng)
         with pytest.raises(ShapeMismatch):
-            MultiArraySet(arrays=(a, b))
+            MultiArraySet(x=np.zeros((2, 3, 2)), y=np.zeros((2, 4, 2)),
+                          gene_ids=("a", "b", "c"))
+        with pytest.raises(ShapeMismatch):
+            MultiArraySet(x=np.zeros((3, 2)), y=np.zeros((3, 2)),
+                          gene_ids=("a", "b", "c"))
+        with pytest.raises(ShapeMismatch):
+            MultiArraySet(x=np.zeros((0, 3, 2)), y=np.zeros((0, 3, 2)),
+                          gene_ids=("a", "b", "c"))
 
-    def test_mismatched_gene_ids_rejected(self, rng):
-        a = make_array(rng.normal(size=(3, 2)), rng=rng)
-        b = ReplicatedArray(x=a.x, y=a.y, gene_ids=("x", "y", "z"))
+    def test_gene_id_count_must_match(self):
         with pytest.raises(ShapeMismatch):
-            MultiArraySet(arrays=(a, b))
+            MultiArraySet(x=np.zeros((1, 3, 2)), y=np.zeros((1, 3, 2)),
+                          gene_ids=("a", "b"))
+
+    def test_arrays_are_views_of_the_blocks(self, rng):
+        x, y = rng.uniform(6, 16, (3, 4, 2)), rng.normal(size=(3, 4, 2))
+        ms = MultiArraySet(x=x, y=y, gene_ids=tuple("abcd"))
+        for j, a in enumerate(ms.arrays):
+            assert a.x.shape == (4, 2)
+            assert np.shares_memory(a.x, ms.x) and np.shares_memory(a.y, ms.y)
+            assert np.array_equal(a.x, x[j]) and np.array_equal(a.y, y[j])
+        with pytest.raises(ValueError):
+            ms.arrays[0].y[0, 0] = 1.0
+
+
+class TestCopyRule:
+    """An input array is kept only when it is read-only float64 and its base
+    is None or read-only; anything a writeable array can change is copied."""
+
+    def test_writeable_input_copied(self, rng):
+        x = rng.uniform(6, 16, (2, 3, 2))
+        ms = MultiArraySet(x=x, y=x, gene_ids=("a", "b", "c"))
+        assert not np.shares_memory(ms.x, x)
+        x[0, 0, 0] = -1.0
+        assert ms.x[0, 0, 0] != -1.0
+
+    def test_readonly_view_of_writeable_array_copied(self, rng):
+        x = rng.uniform(6, 16, (2, 3, 2))
+        view = x[:]
+        view.setflags(write=False)
+        ms = MultiArraySet(x=view, y=view, gene_ids=("a", "b", "c"))
+        assert not np.shares_memory(ms.x, x)
+        a = ReplicatedArray(x=view[0], y=view[0])
+        assert not np.shares_memory(a.x, x)
+
+    def test_readonly_owner_and_its_views_kept(self, rng):
+        x = rng.uniform(6, 16, (2, 3, 2))
+        x.setflags(write=False)
+        ms = MultiArraySet(x=x, y=x, gene_ids=("a", "b", "c"))
+        assert ms.x is x
+        assert ReplicatedArray(x=x[1], y=x[1]).x.base is x
+
+    def test_other_dtype_copied(self):
+        x = np.zeros((1, 2, 2), dtype=np.float32)
+        x.setflags(write=False)
+        ms = MultiArraySet(x=x, y=x, gene_ids=("a", "b"))
+        assert ms.x.dtype == float and not ms.x.flags.writeable
 
 
 class TestKernels:
     def test_tricube_moments(self):
-        k = TRICUBE
         # second moment has the closed form 2*(70/81)*(1/12)
-        assert abs(k.c_k - 35.0 / 243.0) < 1e-10
+        assert abs(C_K - 35.0 / 243.0) < 1e-10
         # roughness from the binomial expansion of (1-u^3)^6
         series = sum(math.comb(6, j) * (-1) ** j / (3 * j + 1) for j in range(7))
-        assert abs(k.d_k - 2.0 * (70.0 / 81.0) ** 2 * series) < 1e-9
-        assert k.support_halfwidth == 1.0
+        assert abs(D_K - 2.0 * (70.0 / 81.0) ** 2 * series) < 1e-9
 
     def test_tricube_normalized_and_peak(self):
-        k = TRICUBE
-        assert abs(float(k.evaluate(0.0)) - 70.0 / 81.0) < 1e-12
-        assert float(k.evaluate(1.5)) == 0.0
+        assert abs(float(tricube(0.0)) - 70.0 / 81.0) < 1e-12
+        assert float(tricube(1.5)) == 0.0
+        assert float(tricube(-1.0)) == 0.0
         u = np.linspace(-1, 1, 401)
-        assert np.all(np.asarray(k.evaluate(u)) >= 0)
+        assert np.all(np.asarray(tricube(u)) >= 0)
         fine = np.linspace(-1, 1, 200_001)
-        assert abs(np.trapezoid(k.evaluate(fine), fine) - 1.0) < 1e-9
+        assert abs(np.trapezoid(tricube(fine), fine) - 1.0) < 1e-9
 
     def test_tricube_is_the_formula(self, rng):
         u = np.concatenate([rng.uniform(-1.5, 1.5, 999), [-1.0, 0.0, 1.0]])
         a = np.minimum(np.abs(u), 1.0)
         t = 1.0 - a * a * a
-        assert np.array_equal(TRICUBE.evaluate(u),
+        assert np.array_equal(tricube(u),
                               (70.0 / 81.0) * t * t * t)
         t = 1.0 - 0.5 * 0.5 * 0.5
-        assert TRICUBE.evaluate(-0.5) == (70.0 / 81.0) * t * t * t
+        assert tricube(-0.5) == (70.0 / 81.0) * t * t * t
 
 
 class TestConfig:

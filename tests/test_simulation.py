@@ -130,7 +130,8 @@ class TestGenerateSet:
         d = SimDesign(n_genes=100, n_active=20, n_runs=1, seed=1)
         ms = generate_set(d, 0)
         assert ms.n_arrays == 4 and ms.n_genes == 100 and ms.n_replicates == 3
-        assert ms.arrays[0].gene_ids == ms.arrays[1].gene_ids
+        assert ms.x.shape == ms.y.shape == (4, 100, 3)
+        assert ms.gene_ids == tuple(f"g{k + 1}" for k in range(100))
 
     def test_substream_independence(self):
         # array j's data must not depend on whether other arrays were drawn
