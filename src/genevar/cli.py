@@ -14,6 +14,10 @@ and the intensity density.  simulate evaluates on the design's grid.  In
 table format each command prints a summary to stdout: estimate one line
 (rho, sigma1, sigma2, iterations, converged), the others a table.
 
+A command imports the modules only it runs inside its function
+(asymptotics for estimate, inference for validate and select, simulation
+for simulate), so that each process loads no more than its command needs.
+
 Every command writes a manifest.json (flags, package and library versions,
 input digests) sufficient to re-run bit-identically; simulate's flags include
 its --seed.  Exit codes:
@@ -41,18 +45,8 @@ from .model import (
     TooFewArrays,
     default_grid,
 )
-from .asymptotics import corrected_curve_stderr
 from .correlation import fixed_point_solve
-from .inference import (
-    gene_sigma,
-    power_increase,
-    selection_counts,
-    t_pvalues,
-    validation_tests,
-    z_pvalues,
-)
 from .io import read_table, write_csv
-from .simulation import SimDesign, run_experiment
 from .smoothing import density_interpolator
 
 EXIT_OK = 0
@@ -135,6 +129,8 @@ def _fit(args, mset: MultiArraySet, rho):
 
 
 def cmd_estimate(args) -> int:
+    from .asymptotics import corrected_curve_stderr
+
     mset = read_table(args.input)
     config, fp, density = _fit(args, mset, args.rho)
     est = fp.estimate
@@ -168,6 +164,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .inference import gene_sigma, validation_tests
+
     mset = read_table(args.input)
     if mset.n_replicates < 2:
         raise NoReplicatedGenes(
@@ -200,7 +198,26 @@ def _array_indices(n_arrays: int, indices) -> np.ndarray:
     return np.asarray(indices, dtype=np.intp) - 1
 
 
+def _super_block(block) -> np.ndarray:
+    """The J arrays of a (J, N, I) block side by side as one read-only
+    (1, N, J*I) block, whose row g holds gene g's spots array after array;
+    one copy, which MultiArraySet keeps as it is."""
+    n_arrays, n_genes, n_reps = block.shape
+    out = np.empty((n_genes, n_arrays, n_reps))
+    out[...] = block.transpose(1, 0, 2)
+    out.setflags(write=False)
+    return out.reshape(1, n_genes, n_arrays * n_reps)
+
+
 def cmd_select(args) -> int:
+    from .inference import (
+        gene_sigma,
+        power_increase,
+        selection_counts,
+        t_pvalues,
+        z_pvalues,
+    )
+
     mset = read_table(args.input)
     x, y = mset.x, mset.y
     if args.swap_arrays:
@@ -217,8 +234,7 @@ def cmd_select(args) -> int:
 
     # View the J arrays as replicated columns of one super array; between-array
     # replicates are taken as uncorrelated unless --rho overrides.
-    mset = MultiArraySet(x=x.transpose(1, 0, 2).reshape(1, mset.n_genes, -1),
-                         y=y.transpose(1, 0, 2).reshape(1, mset.n_genes, -1),
+    mset = MultiArraySet(x=_super_block(x), y=_super_block(y),
                          gene_ids=mset.gene_ids)
     del x, y  # the super set holds the only copy
     super_array = mset.arrays[0]
@@ -267,6 +283,8 @@ PRESETS = {
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import SimDesign, run_experiment
+
     estimators = PRESETS[args.preset]
     design = SimDesign(
         n_genes=args.n_genes,

@@ -11,24 +11,40 @@ x = (1/2) log2(g * r).  replicate runs 1..I and array 1..J; every
 first appearance.  Serialization writes the log layout with full round-trip
 precision.
 
-A file is read in one of two passes.  The columnar pass parses _CHUNK_ROWS
-rows at a time with np.loadtxt and checks each chunk with array operations;
-of a chunk it keeps only a packed int64 (gene, array, replicate) key per row
-and copies of the two value columns, so at most one chunk's strings are
-alive, and after the last chunk it scatters the chunks into the (J, N, I)
-blocks.  It gives way to the row pass, which reads with csv one row at a
-time and raises at the first faulty row with its path:line, when a chunk
-fails a check (a spelling np.loadtxt refuses, quotes, a blank gene id, a
+A file is read in one of two passes.  The columnar pass splits the body
+into line-aligned byte ranges, one per CPU in the process's affinity set
+(os.sched_getaffinity, the rule run_experiment uses).  The first range is
+parsed in this process and each other one in a forked child, which pickles
+its result back through a pipe and leaves through os._exit; every child is
+reaped before the pass returns or raises.  With one usable CPU, without
+os.fork, or with other threads alive (forking is then unsafe), the whole
+body is one range, parsed here.  A range is read through a bounded binary
+stream with universal newlines, _CHUNK_ROWS rows at a time with
+np.loadtxt, and each chunk is checked with array operations; of a chunk
+the pass keeps only a packed int64 (gene, array, replicate) key per row,
+with the gene indexed within its range, and copies of the two value
+columns, so at most one chunk's strings are alive per process.  The parent
+maps each range's gene ids in range order, which keeps first-appearance
+order, and scatters the chunks into the (J, N, I) blocks.  The columnar
+pass gives way to the row pass, which reads with csv one row at a time and
+raises at the first faulty row with its path:line, when a chunk fails a
+check (a spelling np.loadtxt refuses, quotes, a blank gene id, a
 non-finite value, a non-positive channel or index), when an index does not
-fit the packed key, or when the cells do not fill the blocks exactly once.
-So every file gets the row pass's result; the columnar pass only makes the
-common case fast and small.  Writing turns _WRITE_ROWS rows at a time into
-Python scalars.
+fit the packed key, when a child dies or sends no result, or when the cells
+do not fill the blocks exactly once.  So every file gets the row pass's
+result; the columnar pass only makes the common case fast and small.  The
+blocks are handed over read-only, so MultiArraySet keeps them without a
+copy.  Writing turns _WRITE_ROWS rows at a time into Python scalars.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import os
+import pickle
+import signal
+import threading
 import warnings
 from pathlib import Path
 
@@ -68,9 +84,10 @@ def _parse_float(token, what, where):
 def read_table(path) -> MultiArraySet:
     """Read either CSV layout into a MultiArraySet.
 
-    The columns are parsed in C and checked with array operations.  A file
-    that fails any of those checks is read again row by row, which accepts
-    it or raises at its first faulty row with that row's path:line.
+    The columns are parsed in C, over one byte range per usable CPU, and
+    checked with array operations.  A file that fails any of those checks
+    is read again row by row, which accepts it or raises at its first
+    faulty row with that row's path:line.
     """
     path = Path(path)
     parsed = _read_columns(path)
@@ -79,12 +96,14 @@ def read_table(path) -> MultiArraySet:
     raw, gene_ids, a3, b3 = parsed
     if raw:
         a3, b3 = 0.5 * np.log2(a3 * b3), np.log2(b3 / a3)
+    for block in (a3, b3):
+        block.setflags(write=False)  # so that MultiArraySet need not copy
     return MultiArraySet(x=a3, y=b3, gene_ids=gene_ids)
 
 
 def _read_columns(path):
     """The columnar pass: (raw, gene_ids, a3, b3) with the value columns in
-    (J, N, I) blocks, or None when the file needs the row pass.
+    read-only (J, N, I) blocks, or None when the file needs the row pass.
 
     It accepts a subset of what _read_rows accepts, with the same values:
     np.loadtxt takes fewer number spellings than int() and float() (no
@@ -93,15 +112,110 @@ def _read_columns(path):
     strip, send the file to the row pass.  Every other warning of np.loadtxt
     sends the file there too, but not the two that max_rows brings with it:
     a blank line "not counted towards max_rows", and "input contained no
-    data" from a chunk that starts at the end of the file.
+    data" from a chunk that starts at the end of a range.
     """
-    index, chunks = {}, []
     try:
         with path.open() as handle:
             header = [h.strip() for h in handle.readline().split(",")]
-            if header not in (LOG_HEADER, RAW_HEADER):
-                return None
-            raw = header == RAW_HEADER
+        if header not in (LOG_HEADER, RAW_HEADER):
+            return None
+        raw = header == RAW_HEADER
+        parsed = _parse_ranges(path, _ranges(path, _workers()), raw)
+    except (OSError, ValueError):
+        return None
+    if any(p is None for p in parsed):
+        return None
+    # each range's gene indices -> first-appearance order over the file
+    index, chunks = {}, []
+    for range_chunks, ids in parsed:
+        to_file = np.fromiter((index.setdefault(g, len(index)) for g in ids),
+                              dtype=np.int64, count=len(ids))
+        chunks.extend((key, a, b, to_file) for key, a, b in range_chunks)
+    del parsed
+    if not chunks:
+        return None
+    n_genes, mask = len(index), (1 << _INDEX_BITS) - 1
+    n_reps = 1 + max(int((c[0] & mask).max()) for c in chunks)
+    n_arrays = 1 + max(int((c[0] >> _INDEX_BITS & mask).max()) for c in chunks)
+    size = n_arrays * n_genes * n_reps
+    if size != sum(c[0].size for c in chunks):
+        return None
+    a3, b3 = np.full(size, np.nan), np.full(size, np.nan)
+    while chunks:
+        key, a, b, to_file = chunks.pop()
+        cell = ((key >> _INDEX_BITS & mask) * n_genes
+                + to_file[key >> 2 * _INDEX_BITS]) * n_reps + (key & mask)
+        a3[cell] = a
+        b3[cell] = b
+        del key, a, b, cell  # one chunk at a time
+    if np.isnan(a3).any():
+        # as many rows as cells, every value finite: a cell left NaN means
+        # another one was written twice
+        return None
+    shape = (n_arrays, n_genes, n_reps)
+    a3.setflags(write=False)
+    b3.setflags(write=False)
+    return raw, tuple(index), a3.reshape(shape), b3.reshape(shape)
+
+
+def _workers():
+    """Processes for the columnar pass: one per CPU in this process's
+    affinity set, or 1 where forking is unavailable or, with other threads
+    alive, unsafe."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _ranges(path, n):
+    """Up to n byte ranges (start, end) that cover the file in order, the
+    first from byte 0.  Every later one starts just after a newline byte, so
+    at a line start under universal newlines too; empty ones are dropped."""
+    with path.open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        cuts = [0]
+        for k in range(1, n):
+            handle.seek(max(size * k // n, cuts[-1]))
+            handle.readline()
+            cuts.append(handle.tell())
+    cuts.append(size)
+    return [(start, end) for start, end in zip(cuts, cuts[1:])
+            if start == 0 or end > start]
+
+
+class _Range(io.RawIOBase):
+    """The bytes [start, end) of a file as an unbuffered binary stream."""
+
+    def __init__(self, path, start, end):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = end - start
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._file.readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self):
+        self._file.close()
+        super().close()
+
+
+def _parse_range(path, start, end, raw):
+    """The bytes [start, end) of path through np.loadtxt, _CHUNK_ROWS rows
+    at a time: (chunks, ids), where ids are the range's gene ids in order of
+    first appearance and each chunk's keys index them, or None when a chunk
+    fails a check.  The range from byte 0 starts with the header line."""
+    index, chunks = {}, []
+    try:
+        stream = io.BufferedReader(_Range(path, start, end), 1 << 16)
+        with io.TextIOWrapper(stream, newline=None) as handle:
+            if start == 0:
+                handle.readline()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 warnings.filterwarnings("ignore", "Input line .* contained no data")
@@ -119,28 +233,59 @@ def _read_columns(path):
                     del rec  # before the next chunk is parsed
     except (OSError, ValueError, Warning):
         return None
-    if not chunks:
+    return chunks, tuple(index)
+
+
+def _parse_ranges(path, ranges, raw):
+    """_parse_range of each range, in order: the first in this process, the
+    others in forked children at the same time.  A child that sends no
+    result counts as None.  Every child is reaped before this returns or
+    raises; one still running then has nothing left to send, so it is
+    killed first."""
+    children = []
+    try:
+        for start, end in ranges[1:]:
+            children.append(_fork(_parse_range, path, start, end, raw))
+        parsed = [_parse_range(path, *ranges[0], raw)]
+        parsed.extend(_receive(pipe) for _, pipe in children)
+        return parsed
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(func, *args):
+    """(pid, pipe) of a forked child that pickles func(*args) into the pipe.
+    The child leaves only through os._exit, so this process's atexit
+    handlers and stdio buffers never run twice."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump(func(*args), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _receive(pipe):
+    """A child's pickled result, or None if it died before sending it all."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
         return None
-    n_genes, mask = len(index), (1 << _INDEX_BITS) - 1
-    n_reps = 1 + max(int((key & mask).max()) for key, _, _ in chunks)
-    n_arrays = 1 + max(int((key >> _INDEX_BITS & mask).max()) for key, _, _ in chunks)
-    size = n_arrays * n_genes * n_reps
-    if size != sum(key.size for key, _, _ in chunks):
-        return None
-    a3, b3 = np.full(size, np.nan), np.full(size, np.nan)
-    while chunks:
-        key, a, b = chunks.pop()
-        cell = ((key >> _INDEX_BITS & mask) * n_genes
-                + (key >> 2 * _INDEX_BITS)) * n_reps + (key & mask)
-        a3[cell] = a
-        b3[cell] = b
-        del key, a, b, cell  # one chunk at a time
-    if np.isnan(a3).any():
-        # as many rows as cells, every value finite: a cell left NaN means
-        # another one was written twice
-        return None
-    shape = (n_arrays, n_genes, n_reps)
-    return raw, tuple(index), a3.reshape(shape), b3.reshape(shape)
 
 
 def _pack_chunk(rec, raw, index):

@@ -31,6 +31,7 @@ run t alone.  Displayed values follow the x1000 convention.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -203,8 +204,13 @@ def generate_set(design: SimDesign, run: int) -> MultiArraySet:
         scale = np.sqrt(np.clip(design.variance_fn(x[j]), 0.0, None))
         mean = smooth_effect(x[j]) if design.effect_mode == "smooth" else effects[:, None]
         y[j] = mean + scale * eps
-    return MultiArraySet(x=x, y=y, gene_ids=tuple(
-        f"g{k + 1}" for k in range(design.n_genes)))
+    return MultiArraySet(x=x, y=y, gene_ids=_gene_ids(design.n_genes))
+
+
+@functools.lru_cache(maxsize=1)
+def _gene_ids(n_genes: int) -> tuple:
+    """g1..gN, built once for the runs of a design rather than per run."""
+    return tuple(f"g{k + 1}" for k in range(n_genes))
 
 
 # Estimator names accepted by run_experiment.

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genevar.cli import EXIT_INGESTION, EXIT_NONCONVERGENCE, EXIT_VALIDATION, main
+from genevar.cli import (
+    EXIT_INGESTION,
+    EXIT_NONCONVERGENCE,
+    EXIT_VALIDATION,
+    _super_block,
+    main,
+)
 from genevar.io import read_table, write_table
 from genevar.model import FLAG_DEGENERATE, MultiArraySet
 from genevar.simulation import SimDesign, generate_set, sample_intensities, variance_function
@@ -329,6 +335,16 @@ class TestSelectBlocks:
         np.testing.assert_allclose(got[:, 1], y.std(axis=1, ddof=1),
                                    rtol=0, atol=1e-12)
 
+    def test_super_block_is_one_read_only_copy(self, replicated_csv):
+        ms = read_table(replicated_csv)
+        block = _super_block(ms.x)
+        assert not np.shares_memory(block, ms.x)
+        assert not block.flags.writeable
+        np.testing.assert_array_equal(block[0], np.hstack(list(ms.x)))
+        kept = MultiArraySet(x=block, y=block, gene_ids=ms.gene_ids)
+        assert np.shares_memory(kept.x, block)
+        assert np.shares_memory(kept.arrays[0].y, block)
+
     @pytest.mark.parametrize("command, message", [
         ("estimate", "I=1; within-gene residuals need I >= 2"),
         ("validate", "validation needs genes with at least two replicates per array"),
@@ -401,38 +417,66 @@ class TestSimulate:
 class TestImportCost:
     """No command imports scipy: importing its special functions alone cost
     about 0.25 s and 20 MB per process, and genevar.distributions computes
-    the p-values and the power in numpy."""
+    the p-values and the power in numpy.  Each command imports only the
+    genevar modules it runs."""
 
     @staticmethod
-    def scipy_modules_after(code):
+    def modules_after(code):
         import genevar
 
         src = str(Path(genevar.__file__).resolve().parents[1])
-        report = ("import sys\nprint(' '.join(m for m in sys.modules "
-                  "if m.split('.')[0] == 'scipy'))")
+        report = "import sys\nprint(' '.join(sys.modules))"
         done = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, check=True)
         return set(done.stdout.splitlines()[-1].split())
 
     def run_loads(self, argv):
-        return self.scipy_modules_after(
+        return self.modules_after(
             f"from genevar.cli import main\nassert main({argv!r}) == 0")
 
+    @staticmethod
+    def scipy(modules):
+        return {m for m in modules if m.split(".")[0] == "scipy"}
+
     def test_cli_import_loads_none(self):
-        assert not self.scipy_modules_after("import genevar.cli")
+        assert not self.scipy(self.modules_after("import genevar.cli"))
+
+    def test_help_loads_numpy(self):
+        loaded = self.modules_after(
+            "from genevar.cli import main\ntry:\n    main(['--help'])\n"
+            "except SystemExit as exc:\n    assert exc.code == 0")
+        assert "numpy" in loaded
+        assert not self.scipy(loaded)
+        assert not loaded & {"genevar.inference", "genevar.simulation",
+                             "genevar.asymptotics"}
+
+    def test_package_import_loads_no_module(self):
+        loaded = self.modules_after("import genevar")
+        assert not {m for m in loaded if m.startswith("genevar.")}
+        assert "numpy" not in loaded
 
     def test_estimate_loads_none(self, replicated_csv, tmp_path):
-        assert not self.run_loads(["estimate", "--input", str(replicated_csv),
-                                   "--out", str(tmp_path / "out")])
+        loaded = self.run_loads(["estimate", "--input", str(replicated_csv),
+                                 "--out", str(tmp_path / "out")])
+        assert not self.scipy(loaded)
+        assert "genevar.asymptotics" in loaded
+        assert not loaded & {"genevar.inference", "genevar.distributions",
+                             "statistics", "genevar.simulation"}
 
     def test_validate_loads_none(self, replicated_csv, tmp_path):
-        assert not self.run_loads(["validate", "--input", str(replicated_csv),
-                                   "--out", str(tmp_path / "out")])
+        loaded = self.run_loads(["validate", "--input", str(replicated_csv),
+                                 "--out", str(tmp_path / "out")])
+        assert not self.scipy(loaded)
+        assert "genevar.inference" in loaded
+        assert "genevar.simulation" not in loaded
 
     def test_select_loads_none(self, selection_csv, tmp_path):
-        assert not self.run_loads(["select", "--input", str(selection_csv),
-                                   "--out", str(tmp_path / "out")])
+        loaded = self.run_loads(["select", "--input", str(selection_csv),
+                                 "--out", str(tmp_path / "out")])
+        assert not self.scipy(loaded)
+        assert "genevar.inference" in loaded
+        assert "genevar.simulation" not in loaded
 
     def test_simulate_loads_no_quadrature(self, tmp_path):
         # the truth moments use numpy's Gauss-Legendre nodes, not scipy; the
@@ -440,13 +484,13 @@ class TestImportCost:
         argv = ["simulate", "--preset", "table2", "--rho", "0.3",
                 "--n-genes", "300", "--reps", "1", "--format", "csv",
                 "--out", str(tmp_path / "out")]
-        loaded = self.scipy_modules_after(
+        loaded = self.modules_after(
             f"from genevar.cli import PRESETS, main\n"
             f"from genevar.simulation import SimDesign, _run_once, scale_moments\n"
             f"assert main({argv!r}) == 0\n"
             f"_run_once(SimDesign(n_genes=300, rho=0.3, n_runs=1), 0, "
             f"PRESETS['table2'], scale_moments())")
-        assert not loaded
+        assert not self.scipy(loaded)
 
     def test_no_module_imports_scipy(self):
         import genevar
@@ -471,7 +515,7 @@ class TestBlasPin:
         env.pop("OPENBLAS_NUM_THREADS", None)
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        code = ("import os, genevar\n"
+        code = ("import os, genevar, numpy\n"
                 "threads = [line.split()[1] for line in open('/proc/self/status')"
                 " if line.startswith('Threads:')]\n"
                 "print(os.environ['OPENBLAS_NUM_THREADS'], *threads)")

@@ -1,3 +1,5 @@
+import os
+import time
 from unittest import mock
 
 import numpy as np
@@ -395,3 +397,247 @@ class TestMemory:
         blocks = sum(a.x.nbytes + a.y.nbytes for a in ms.arrays)
         assert blocks == 2 * 8 * 20000 * 3 * 4
         assert peak <= 5 * blocks
+
+
+# ---------------------------------------------------------------------------
+# The columnar pass over byte ranges, one per usable CPU
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes the affinity set n CPUs wide; returns the list that
+    collects the pid of every child the columnar pass forks."""
+    forked = []
+    fork = io._fork
+
+    def counting_fork(*args):
+        pid, pipe = fork(*args)
+        forked.append(pid)
+        return pid, pipe
+
+    monkeypatch.setattr(io, "_fork", counting_fork)
+
+    def set_cpus(n):
+        monkeypatch.setattr(io.os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+        return forked
+
+    return set_cpus
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def gene_major_rows(n_genes, n_reps, n_arrays):
+    """A valid log-layout file's rows in gene order, each gene's replicate
+    rows adjacent, so that a later part of the file holds genes that no
+    earlier part names."""
+    rng = np.random.default_rng(n_genes)
+    return [f"g{g + 1},{r + 1},{a + 1},{rng.uniform(6, 16)!r},{rng.normal()!r}"
+            for g in range(n_genes) for a in range(n_arrays)
+            for r in range(n_reps)]
+
+
+class TestRanges:
+    def test_ranges_cover_the_file_at_line_starts(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(3, 2, 1), eol="\r\n")
+        data = path.read_bytes()
+        for n in range(1, 12):
+            ranges = io._ranges(path, n)
+            assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+            assert all(e > s for s, e in ranges)
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert all(data[s - 1:s] == b"\n" for s, _ in ranges[1:])
+            assert len(ranges) <= min(n, data.count(b"\n"))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_cut_inside_a_genes_replicate_rows(self, tmp_path, cpus, n):
+        # up to one range per line: cuts fall between every gene's
+        # replicate rows, and later ranges name genes first seen there
+        forked = cpus(n)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(5, 3, 2))
+        data = path.read_bytes()
+        ranges = io._ranges(path, n)
+        # the genes of the lines on either side of each cut
+        around = [(data[:s].splitlines()[-1].split(b",")[0],
+                   data[s:].split(b",")[0]) for s, _ in ranges[1:]]
+        assert any(before == after for before, after in around)
+        got = io._read_columns(path)
+        assert got is not None and len(forked) == len(ranges) - 1
+        assert got[1] == tuple(f"g{k + 1}" for k in range(5))
+        assert_parity(path)
+        assert_reaped(forked)
+
+    def test_gene_first_seen_in_a_later_range(self, tmp_path, cpus):
+        cpus(2)
+        rows = gene_major_rows(4, 2, 2)
+        rows.insert(0, rows.pop(12))  # g4's first row leads the file
+        path = tmp_path / "t.csv"
+        write_rows(path, False, rows)
+        assert read_table(path).gene_ids == ("g4", "g1", "g2", "g3")
+        assert_parity(path)
+
+    @pytest.mark.parametrize("n", [2, 5, 13])
+    def test_crlf_and_blank_lines_at_range_edges(self, tmp_path, cpus, n):
+        cpus(n)
+        rows = gene_major_rows(3, 2, 2)
+        for at in (9, 6, 6, 3):
+            rows.insert(at, "")
+        path = tmp_path / "t.csv"
+        write_rows(path, False, rows, eol="\r\n", final_newline=False)
+        assert io._read_columns(path) is not None
+        assert_parity(path)
+
+    @pytest.mark.parametrize("token,error", [
+        ('"7.5"', None),
+        ("inf", "must be finite"),
+        ("nan", "must be finite"),
+    ])
+    def test_fault_only_in_a_later_range(self, tmp_path, cpus, token, error):
+        forked = cpus(2)
+        rows = gene_major_rows(4, 2, 2)
+        parts = rows[-2].split(",")
+        parts[3] = token
+        rows[-2] = ",".join(parts)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, rows)
+        assert io._ranges(path, 2)[1][0] < len(path.read_bytes()) - 100
+        assert io._read_columns(path) is None
+        assert len(forked) == 1
+        if error is None:
+            assert_parity(path)
+        else:
+            with pytest.raises(IngestionError,
+                               match=f"t.csv:{len(rows)}: x {error}"):
+                read_table(path)
+        assert_reaped(forked)
+
+    def test_duplicate_split_across_ranges(self, tmp_path, cpus):
+        cpus(2)
+        rows = gene_major_rows(4, 2, 2)
+        rows[-1] = rows[0]
+        path = tmp_path / "dup.csv"
+        write_rows(path, False, rows)
+        assert io._read_columns(path) is None
+        with pytest.raises(IngestionError,
+                           match=f"dup.csv:{len(rows) + 1}: duplicate"):
+            read_table(path)
+
+    def test_fewer_rows_than_cpus(self, tmp_path, cpus):
+        forked = cpus(16)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(1, 2, 1))
+        assert len(io._ranges(path, 16)) == 3  # header, row 1, row 2
+        assert io._read_columns(path) is not None
+        assert len(forked) == 2
+        assert_parity(path)
+
+    def test_header_only_range_and_empty_body(self, tmp_path, cpus):
+        cpus(4)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, [])
+        assert io._ranges(path, 4) == [(0, len(path.read_bytes()))]
+        assert io._read_columns(path) is None
+        with pytest.raises(IngestionError, match="no data rows"):
+            read_table(path)
+
+    def test_one_cpu_parses_in_process(self, tmp_path, cpus):
+        forked = cpus(1)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(5, 3, 2))
+        assert io._read_columns(path) is not None
+        assert forked == []
+        assert_parity(path)
+
+    def test_other_threads_keep_the_parse_in_process(self, tmp_path, cpus,
+                                                     monkeypatch):
+        forked = cpus(4)
+        monkeypatch.setattr(io.threading, "active_count", lambda: 2)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(5, 3, 2))
+        assert io._read_columns(path) is not None
+        assert forked == []
+
+    @pytest.mark.parametrize("fault", ["raise", "exit"])
+    def test_failed_child_sends_the_file_to_the_row_pass(
+            self, tmp_path, cpus, monkeypatch, fault):
+        forked = cpus(3)
+        parse = io._parse_range
+
+        def failing(path, start, end, raw):
+            if start > 0:  # only in the children
+                if fault == "raise":
+                    raise RuntimeError("child fails")
+                os._exit(0)
+            return parse(path, start, end, raw)
+
+        monkeypatch.setattr(io, "_parse_range", failing)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(5, 3, 2))
+        parsed = io._parse_ranges(path, io._ranges(path, 3), False)
+        assert parsed[0] is not None and parsed[1:] == [None, None]
+        assert io._read_columns(path) is None
+        assert len(forked) == 4
+        assert_reaped(forked)
+        assert_same(read_table(path), outcome_by_rows(path))
+        assert_reaped(forked)
+
+    def test_children_killed_and_reaped_when_the_parent_is_interrupted(
+            self, tmp_path, cpus, monkeypatch):
+        forked = cpus(3)
+
+        def interrupted(path, start, end, raw):
+            if start == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child still busy when the parent stops
+
+        monkeypatch.setattr(io, "_parse_range", interrupted)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(5, 3, 2))
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            io._read_columns(path)
+        assert time.monotonic() - began < 30
+        assert len(forked) == 2
+        assert_reaped(forked)
+
+
+def outcome_by_rows(path):
+    with mock.patch.object(io, "_read_columns", lambda path: None):
+        return outcome(path)
+
+
+class TestReadOnlyHandOver:
+    """read_table's blocks reach MultiArraySet without another copy."""
+
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_blocks_are_kept(self, tmp_path, raw, columnar):
+        path = tmp_path / "t.csv"
+        write_rows(path, raw, valid_rows(4, raw, 3, 2, 2))
+        parsed = io._read_columns(path) if columnar else io._read_rows(path)
+        assert parsed is not None
+        blocks = []
+
+        def passes(path):
+            return parsed
+
+        def capture(x, y, gene_ids):
+            blocks.extend([x, y])
+            return MultiArraySet(x=x, y=y, gene_ids=gene_ids)
+
+        with mock.patch.object(io, "_read_columns",
+                               passes if columnar else lambda path: None), \
+                mock.patch.object(io, "_read_rows", passes), \
+                mock.patch.object(io, "MultiArraySet", capture):
+            ms = read_table(path)
+        assert np.shares_memory(ms.x, blocks[0])
+        assert np.shares_memory(ms.y, blocks[1])
+        if not raw:
+            assert np.shares_memory(ms.x, parsed[2])
+        assert not ms.x.flags.writeable and not ms.y.flags.writeable

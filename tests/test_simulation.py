@@ -133,6 +133,12 @@ class TestGenerateSet:
         assert ms.x.shape == ms.y.shape == (4, 100, 3)
         assert ms.gene_ids == tuple(f"g{k + 1}" for k in range(100))
 
+    def test_gene_ids_follow_n_genes(self):
+        # the id tuple is built once per gene count, not once per run
+        for n, run in ((100, 0), (50, 0), (100, 1), (100, 2)):
+            ms = generate_set(SimDesign(n_genes=n, n_active=10, n_runs=3), run)
+            assert ms.gene_ids == tuple(f"g{k + 1}" for k in range(n))
+
     def test_substream_independence(self):
         # array j's data must not depend on whether other arrays were drawn
         d1 = SimDesign(n_genes=50, n_active=10, n_arrays=1, n_runs=1, seed=9)
