@@ -173,6 +173,24 @@ class EstimationConfig:
 GRID_TRIM = 0.005   # mass trimmed from each tail by default_grid
 
 
+def _quantiles(x, q) -> np.ndarray:
+    """np.quantile(x, q) of a 1-d float array by its default (linear)
+    method, in the same floating-point steps, from one np.partition.  On
+    its first call np.quantile imports numpy.ma (about 10 ms per process)
+    through np.unique."""
+    pos = (x.size - 1) * np.asarray(q, dtype=float)
+    below = np.floor(pos)
+    above = below + 1
+    below[pos >= x.size - 1] = above[pos >= x.size - 1] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    part = np.partition(x, sorted({0, x.size - 1, *(below % x.size).tolist(),
+                                   *(above % x.size).tolist()}))
+    if np.isnan(part[-1]):  # NaNs sort last
+        return np.full(pos.shape, np.nan)
+    a, b, t = part[below], part[above], pos - below
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
 def default_grid(x, n_points: int = 101) -> np.ndarray:
     """Equispaced grid over the central (1 - 2*GRID_TRIM) mass of the pooled
     intensities.  Real data needs a data-driven range; trimming keeps the
@@ -180,7 +198,7 @@ def default_grid(x, n_points: int = 101) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise GenevarError("cannot build a grid from empty data")
-    lo, hi = np.quantile(x, [GRID_TRIM, 1.0 - GRID_TRIM])
+    lo, hi = _quantiles(x, [GRID_TRIM, 1.0 - GRID_TRIM])
     if not hi > lo:
         raise GenevarError("degenerate intensity range; cannot build a grid")
     return np.linspace(lo, hi, n_points)

@@ -7,6 +7,7 @@ from genevar.model import (
     C_K,
     D_K,
     FLAG_DEGENERATE,
+    GRID_TRIM,
     CorrelationEstimate,
     EstimationConfig,
     GenevarError,
@@ -17,6 +18,7 @@ from genevar.model import (
     ShapeMismatch,
     TooFewReplicates,
     VarianceCurve,
+    _quantiles,
     check_rho,
     default_grid,
     tricube,
@@ -203,6 +205,16 @@ class TestConfig:
         assert grid[-1] == np.quantile(x, 0.995)
         assert grid[0] > x.min() and grid[-1] < x.max()
         assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 200, 201, 20000])
+    def test_quantiles_match_numpy(self, n):
+        rng = np.random.default_rng(n)
+        q = [0.0, GRID_TRIM, 0.25, 0.5, 1.0 - GRID_TRIM, 1.0]
+        for x in (rng.normal(size=n), np.round(rng.uniform(6, 16, n), 1),
+                  np.full(n, 2.5)):
+            np.testing.assert_array_equal(_quantiles(x, q), np.quantile(x, q))
+            x[n // 2] = np.nan
+            np.testing.assert_array_equal(_quantiles(x, q), np.quantile(x, q))
 
     def test_default_grid_rejects_degenerate(self):
         with pytest.raises(GenevarError):
