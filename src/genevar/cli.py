@@ -14,9 +14,9 @@ and the intensity density.  simulate evaluates on the design's grid.  In
 table format each command prints a summary to stdout: estimate one line
 (rho, sigma1, sigma2, iterations, converged), the others a table.
 
-A command imports the modules only it runs inside its function
+Each command imports inside its function the modules that only it runs
 (asymptotics for estimate, inference for validate and select, simulation
-for simulate), so that each process loads no more than its command needs.
+for simulate), so that a process loads no more than its command needs.
 
 Every command writes a manifest.json (flags, package and library versions,
 input digests) sufficient to re-run bit-identically; simulate's flags include

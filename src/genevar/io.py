@@ -131,7 +131,7 @@ def _read_columns(path):
         to_file = np.fromiter((index.setdefault(g, len(index)) for g in ids),
                               dtype=np.int64, count=len(ids))
         chunks.extend((key, a, b, to_file) for key, a, b in range_chunks)
-    del parsed
+    del parsed, range_chunks  # so that the scatter frees each chunk as it goes
     if not chunks:
         return None
     n_genes, mask = len(index), (1 << _INDEX_BITS) - 1

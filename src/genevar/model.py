@@ -181,7 +181,8 @@ def _quantiles(x, q) -> np.ndarray:
     pos = (x.size - 1) * np.asarray(q, dtype=float)
     below = np.floor(pos)
     above = below + 1
-    below[pos >= x.size - 1] = above[pos >= x.size - 1] = -1
+    top = pos >= x.size - 1  # np.quantile takes the last value there
+    below[top] = above[top] = -1
     below, above = below.astype(np.intp), above.astype(np.intp)
     part = np.partition(x, sorted({0, x.size - 1, *(below % x.size).tolist(),
                                    *(above % x.size).tolist()}))

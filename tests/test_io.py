@@ -201,6 +201,11 @@ def outcome(path):
         return str(exc)
 
 
+def outcome_by_rows(path):
+    with mock.patch.object(io, "_read_columns", lambda path: None):
+        return outcome(path)
+
+
 def assert_same(got, want):
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
@@ -232,9 +237,7 @@ def assert_parity(path):
         assert columns[0] == want[0] and columns[1] == want[1]
         assert np.array_equal(columns[2], want[2])
         assert np.array_equal(columns[3], want[3])
-    with mock.patch.object(io, "_read_columns", lambda path: None):
-        by_rows = outcome(path)
-    assert_same(outcome(path), by_rows)
+    assert_same(outcome(path), outcome_by_rows(path))
 
 
 def single_edits():
@@ -605,11 +608,6 @@ class TestRanges:
         assert time.monotonic() - began < 30
         assert len(forked) == 2
         assert_reaped(forked)
-
-
-def outcome_by_rows(path):
-    with mock.patch.object(io, "_read_columns", lambda path: None):
-        return outcome(path)
 
 
 class TestReadOnlyHandOver:
