@@ -172,10 +172,9 @@ def cmd_validate(args) -> int:
             "validation needs genes with at least two replicates per array")
     _, fp, density = _fit(args, mset, args.rho)
 
-    results = []
-    for j, array in enumerate(mset.arrays, start=1):
-        sigma_g = np.sqrt(np.clip(gene_sigma(fp.curve, array.x, density), 0.0, None))
-        results.append(validation_tests(array, sigma_g, array_id=f"array{j}"))
+    sigma = np.sqrt(np.clip(gene_sigma(fp.curve, mset.x, density), 0.0, None))
+    results = [validation_tests(array, sigma[j], array_id=f"array{j + 1}")
+               for j, array in enumerate(mset.arrays)]
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -34,11 +34,21 @@ fit the packed key, when a child dies or sends no result, or when the cells
 do not fill the blocks exactly once.  So every file gets the row pass's
 result; the columnar pass only makes the common case fast and small.  The
 blocks are handed over read-only, so MultiArraySet keeps them without a
-copy.  Writing turns _WRITE_ROWS rows at a time into Python scalars.
+copy.
+
+Writing follows the same rule.  A table of float, int, bool and str
+columns is cut into contiguous row ranges, one per usable CPU and never
+more than its _WRITE_ROWS-row blocks, so a small table is never forked.
+The first range is formatted here and the others in forked children, each
+block a column at a time: a float column through the repr of its list,
+which gives each float's repr, as csv writes it.  A child that sends no
+text has its range formatted here.  A table whose strings csv would quote,
+or with any other column, goes through csv.writer, as the header does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -58,7 +68,8 @@ _COLUMNS = [("gene", object), ("replicate", np.int64), ("array", np.int64),
             ("a", float), ("b", float)]
 _CHUNK_ROWS = 16384  # rows per np.loadtxt call of the columnar pass
 _INDEX_BITS = 16     # bits for each of array - 1 and replicate - 1 in a packed key
-_WRITE_ROWS = 4096   # rows per block that write_csv turns into Python scalars
+_WRITE_ROWS = 4096   # rows per block that write_csv formats at once
+_QUOTED = ',"\r\n\0'  # a str field with one of these goes through csv.writer
 
 
 def _parse_positive_int(token, what, where):
@@ -239,16 +250,25 @@ def _parse_range(path, start, end, raw):
 def _parse_ranges(path, ranges, raw):
     """_parse_range of each range, in order: the first in this process, the
     others in forked children at the same time.  A child that sends no
-    result counts as None.  Every child is reaped before this returns or
-    raises; one still running then has nothing left to send, so it is
+    result counts as None."""
+    with _forked(_parse_range, [(path, start, end, raw)
+                                for start, end in ranges[1:]]) as pipes:
+        parsed = [_parse_range(path, *ranges[0], raw)]
+        parsed.extend(map(_receive, pipes))
+        return parsed
+
+
+@contextlib.contextmanager
+def _forked(func, arg_tuples):
+    """The pipes of one forked child per argument tuple, each running
+    _fork(func, *args).  Every child is reaped when the block exits, on
+    every path; one still running then has nothing left to send, so it is
     killed first."""
     children = []
     try:
-        for start, end in ranges[1:]:
-            children.append(_fork(_parse_range, path, start, end, raw))
-        parsed = [_parse_range(path, *ranges[0], raw)]
-        parsed.extend(_receive(pipe) for _, pipe in children)
-        return parsed
+        for args in arg_tuples:
+            children.append(_fork(func, *args))
+        yield [pipe for _, pipe in children]
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -385,17 +405,69 @@ def _read_rows(path):
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns under header.  _WRITE_ROWS rows at a time
-    become Python scalars, one tolist() per column; csv writes a float as
-    its repr, which round-trips."""
+    """Write equal-length columns under header, as csv.writer would.
+
+    A table of float, int, bool and str columns whose strings csv would
+    never quote is cut into contiguous row ranges, one per usable CPU (the
+    rule of the columnar pass) and at most one per _WRITE_ROWS block; a
+    table of one block is never forked.  The first range is formatted and
+    written here, and each other one is formatted in a forked child, which
+    sends its text back, or here if the child sends none.  Any other table,
+    and the header, go through csv.writer.
+    """
     columns = [np.asarray(c) for c in columns]
     n_rows = min((len(c) for c in columns), default=0)
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for start in range(0, n_rows, _WRITE_ROWS):
-            writer.writerows(zip(*(c[start:start + _WRITE_ROWS].tolist()
-                                   for c in columns)))
+    if not all(map(_joinable, columns)):
+        with Path(path).open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for start in range(0, n_rows, _WRITE_ROWS):
+                writer.writerows(zip(*(c[start:start + _WRITE_ROWS].tolist()
+                                       for c in columns)))
+        return
+    n = max(1, min(_workers(), -(-n_rows // _WRITE_ROWS)))
+    cuts = [n_rows * k // n for k in range(n + 1)]
+    ranges = list(zip(cuts, cuts[1:]))
+    with (_forked(_format_range, [(columns, lo, hi) for lo, hi in ranges[1:]])
+          as pipes, Path(path).open("w", newline="") as handle):
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        handle.writelines(_format_blocks(columns, *ranges[0]))
+        for (lo, hi), pipe in zip(ranges[1:], pipes):
+            text = _receive(pipe)
+            handle.writelines(_format_blocks(columns, lo, hi) if text is None
+                              else [text])
+
+
+def _joinable(column):
+    """Whether _format_blocks writes column as csv.writer does: a 1-d
+    column of floats no wider than double, of ints or bools, or of
+    non-empty strings without a character of _QUOTED, which csv quotes
+    (or, for some of them, quotes or refuses by Python version)."""
+    if column.ndim != 1:
+        return False
+    kind = column.dtype.kind
+    if kind == "U":
+        text = "".join(column.tolist())
+        return not ((column == "").any() or any(c in text for c in _QUOTED))
+    return kind in "iub" or kind == "f" and column.dtype.itemsize <= 8
+
+
+def _format_blocks(columns, lo, hi):
+    """Rows [lo, hi) of joinable columns as CSV text, one str per block of
+    up to _WRITE_ROWS rows, each column formatted once per block.  A float
+    field is the float's repr, which round-trips and is what csv writes;
+    any other field is the str of its Python scalar."""
+    for start in range(lo, hi, _WRITE_ROWS):
+        stop = min(start + _WRITE_ROWS, hi)
+        fields = [repr(c[start:stop].tolist())[1:-1].split(", ")
+                  if c.dtype.kind == "f" else map(str, c[start:stop].tolist())
+                  for c in columns]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+def _format_range(columns, lo, hi):
+    """Rows [lo, hi) as one str, built block by block: a child's result."""
+    return "".join(_format_blocks(columns, lo, hi))
 
 
 def write_table(mset: MultiArraySet, path) -> None:

@@ -17,6 +17,7 @@ from genevar.cli import (
     _super_block,
     main,
 )
+from genevar import io as genevar_io
 from genevar.io import read_table, write_table
 from genevar.model import FLAG_DEGENERATE, MultiArraySet
 from genevar.simulation import SimDesign, generate_set, sample_intensities, variance_function
@@ -257,6 +258,29 @@ class TestSelect:
             assert int(row["z_selected"]) >= 0
         power = read_rows(out / "power.csv")
         assert [float(r["alpha"]) for r in power] == [0.05, 0.01, 0.005, 0.001]
+
+    def test_outputs_do_not_depend_on_workers(self, replicated_csv, tmp_path,
+                                              monkeypatch):
+        # 64-row blocks, so that 3 workers write gene_calls.csv in 3 ranges
+        monkeypatch.setattr(genevar_io, "_WRITE_ROWS", 64)
+        fork, forked = genevar_io._fork, []
+
+        def counting_fork(*args):
+            forked.append(args[0])
+            return fork(*args)
+
+        monkeypatch.setattr(genevar_io, "_fork", counting_fork)
+        outputs = []
+        for n in (1, 3):
+            monkeypatch.setattr(genevar_io, "_workers", lambda: n)
+            out = tmp_path / f"workers{n}"
+            assert main(["select", "--input", str(replicated_csv),
+                         "--out", str(out), "--format", "csv"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+        assert forked.count(genevar_io._format_range) == 2
+        assert sorted(outputs[0]) == ["counts.csv", "gene_calls.csv", "power.csv"]
+        assert outputs[0] == outputs[1]
 
     def test_swapped_arrays_preserve_magnitudes(self, selection_csv, tmp_path):
         out_plain = tmp_path / "plain"

@@ -1,5 +1,8 @@
+import csv
 import os
+import threading
 import time
+from io import StringIO
 from unittest import mock
 
 import numpy as np
@@ -39,6 +42,70 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def csv_reference(header, columns):
+    """write_csv's text as csv.writer writes the whole table at once."""
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    return buffer.getvalue()
+
+
+def written(path):
+    with open(path, newline="") as handle:
+        return handle.read()
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The list that collects the pid of every child io forks."""
+    pids = []
+    fork = io._fork
+
+    def counting_fork(*args):
+        pid, pipe = fork(*args)
+        pids.append(pid)
+        return pid, pipe
+
+    monkeypatch.setattr(io, "_fork", counting_fork)
+    return pids
+
+
+@pytest.fixture
+def writers(monkeypatch, forked):
+    """writers(n) gives write_csv n usable CPUs and 3-row blocks; returns
+    the list that collects the pid of every child it forks."""
+    monkeypatch.setattr(io, "_WRITE_ROWS", 3)
+
+    def set_workers(n):
+        monkeypatch.setattr(io, "_workers", lambda: n)
+        return forked
+
+    return set_workers
+
+
+FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-05, 0.1, 1 / 3,
+          -2.5e-300]
+JOINED = {
+    "floats": [FLOATS, np.array(FLOATS[::-1], dtype=np.float32),
+               np.array(FLOATS)],
+    "ints": [np.arange(-5, 5), np.arange(250, 260).astype(np.uint8),
+             np.arange(10) % 3 == 0, range(10, 20)],
+    "non_ascii": [["gène-α", "遺伝子", "ген", "g\u00e9", "😀", "a b", "'q'",
+                   "\t", "x;y", "z"], np.linspace(-1, 1, 10)],
+}
+CSV_ROUTE = {
+    "comma": [["a,b"] + ["c"] * 9, np.arange(10.0)],
+    "quote": [['say "hi"'] + ["c"] * 9, np.arange(10.0)],
+    "cr": [["a\rb"] + ["c"] * 9, np.arange(10.0)],
+    "lf": [["a\nb"] + ["c"] * 9, np.arange(10.0)],
+    "empty": [[""] + ["c"] * 9, np.arange(10.0)],
+    "object_none": [np.array([None, "a"] * 5, dtype=object), np.arange(10)],
+    "one_empty_column": [[""]],
+    "matrix": [np.arange(20).reshape(10, 2), np.arange(10.0)],
+}
+
+
 class TestWriteCsv:
     def test_row_blocks_join_seamlessly(self, tmp_path):
         columns = [np.arange(10), np.linspace(0, 1, 10).tolist(),
@@ -50,6 +117,115 @@ class TestWriteCsv:
             f"{i},{v!r},{s}\n" for i, v, s in zip(*map(list, columns)))
         assert (tmp_path / "blocks.csv").read_text() == want
         assert (tmp_path / "whole.csv").read_text() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("case", JOINED)
+    def test_joined_columns_match_csv(self, tmp_path, writers, n, case):
+        forked = writers(n)
+        columns = JOINED[case]
+        header = [f"c{k}" for k in range(len(columns))]
+        io.write_csv(tmp_path / "t.csv", header, columns)
+        assert written(tmp_path / "t.csv") == csv_reference(header, columns)
+        assert len(forked) == n - 1  # 4 blocks of 3 rows: every range forks
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("case", CSV_ROUTE)
+    def test_quoted_fields_go_through_csv(self, tmp_path, writers, n, case):
+        forked = writers(n)
+        columns = CSV_ROUTE[case]
+        header = [f"c{k}" for k in range(len(columns))]
+        io.write_csv(tmp_path / "t.csv", header, columns)
+        assert written(tmp_path / "t.csv") == csv_reference(header, columns)
+        assert forked == []
+
+    @pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8,
+                        reason="long double is double here")
+    def test_floats_wider_than_double_go_through_csv(self, tmp_path, writers):
+        forked = writers(3)
+        columns = [np.array(FLOATS, dtype=np.longdouble)]
+        io.write_csv(tmp_path / "t.csv", ["v"], columns)
+        assert written(tmp_path / "t.csv") == csv_reference(["v"], columns)
+        assert forked == []
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("columns", [
+        [[], np.array([], dtype=float)], [np.array([], dtype=object)], []],
+        ids=["joined", "csv", "no_columns"])
+    def test_zero_rows_write_the_header(self, tmp_path, writers, n, columns):
+        forked = writers(n)
+        io.write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert written(tmp_path / "t.csv") == "a,b\n"
+        assert forked == []
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 4])
+    def test_more_cpus_than_blocks(self, tmp_path, writers, n_rows):
+        forked = writers(8)
+        columns = [np.arange(n_rows), np.linspace(0, 1, n_rows)]
+        io.write_csv(tmp_path / "t.csv", ["i", "v"], columns)
+        assert written(tmp_path / "t.csv") == csv_reference(["i", "v"], columns)
+        assert len(forked) == -(-n_rows // 3) - 1
+        assert_reaped(forked)
+
+    def test_a_range_with_no_text_is_formatted_here(self, tmp_path, writers,
+                                                     monkeypatch):
+        forked = writers(3)
+        receive, calls = io._receive, []
+
+        def losing(pipe):
+            calls.append(pipe)
+            return None if len(calls) == 1 else receive(pipe)
+
+        monkeypatch.setattr(io, "_receive", losing)
+        columns = JOINED["floats"] + JOINED["ints"]
+        header = [f"c{k}" for k in range(len(columns))]
+        io.write_csv(tmp_path / "t.csv", header, columns)
+        assert written(tmp_path / "t.csv") == csv_reference(header, columns)
+        assert len(calls) == len(forked) == 2
+        assert_reaped(forked)
+
+    def test_a_directory_path_raises_and_leaves_no_child(self, tmp_path,
+                                                         writers):
+        forked = writers(3)
+        with pytest.raises(OSError):
+            io.write_csv(tmp_path, ["v"], [np.arange(10.0)])
+        assert len(forked) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_killed_and_reaped_when_the_parent_is_interrupted(
+            self, tmp_path, writers, monkeypatch):
+        forked = writers(3)
+
+        def interrupted(columns, lo, hi):
+            raise KeyboardInterrupt
+
+        # the children run _format_range; only this process runs
+        # _format_blocks directly, for the first range
+        monkeypatch.setattr(io, "_format_range",
+                            lambda columns, lo, hi: time.sleep(60))
+        monkeypatch.setattr(io, "_format_blocks", interrupted)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            io.write_csv(tmp_path / "t.csv", ["v"], [np.arange(10.0)])
+        assert time.monotonic() - began < 30
+        assert len(forked) == 2
+        assert_reaped(forked)
+
+    def test_other_threads_keep_the_writing_in_process(self, tmp_path, cpus):
+        forked = cpus(4)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            columns = [np.linspace(0, 1, 5 * io._WRITE_ROWS)]
+            io.write_csv(tmp_path / "t.csv", ["v"], columns)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forked == []
+        assert written(tmp_path / "t.csv") == csv_reference(["v"], columns)
 
 
 class TestRawChannels:
@@ -407,19 +583,9 @@ class TestMemory:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def cpus(monkeypatch):
+def cpus(monkeypatch, forked):
     """cpus(n) makes the affinity set n CPUs wide; returns the list that
-    collects the pid of every child the columnar pass forks."""
-    forked = []
-    fork = io._fork
-
-    def counting_fork(*args):
-        pid, pipe = fork(*args)
-        forked.append(pid)
-        return pid, pipe
-
-    monkeypatch.setattr(io, "_fork", counting_fork)
-
+    collects the pid of every child io forks."""
     def set_cpus(n):
         monkeypatch.setattr(io.os, "sched_getaffinity",
                             lambda pid: set(range(n)), raising=False)
