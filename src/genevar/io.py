@@ -68,7 +68,7 @@ _COLUMNS = [("gene", object), ("replicate", np.int64), ("array", np.int64),
             ("a", float), ("b", float)]
 _CHUNK_ROWS = 16384  # rows per np.loadtxt call of the columnar pass
 _INDEX_BITS = 16     # bits for each of array - 1 and replicate - 1 in a packed key
-_WRITE_ROWS = 4096   # rows per block that write_csv formats at once
+_WRITE_ROWS = 1024   # rows per block that write_csv formats at once
 _QUOTED = ',"\r\n\0'  # a str field with one of these goes through csv.writer
 
 
