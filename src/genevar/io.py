@@ -14,11 +14,11 @@ precision.
 A file is read in one of two passes.  The columnar pass splits the body
 into line-aligned byte ranges, one per CPU in the process's affinity set
 (os.sched_getaffinity, the rule run_experiment uses).  The first range is
-parsed in this process and each other one in a forked child, which pickles
-its result back through a pipe and leaves through os._exit; every child is
-reaped before the pass returns or raises.  With one usable CPU, without
-os.fork, or with other threads alive (forking is then unsafe), the whole
-body is one range, parsed here.  A range is read through a bounded binary
+parsed in this process and each other one in a child forked by _forking,
+which pickles its result back through a pipe; every child is reaped
+before the pass returns or raises.  With one usable CPU, without os.fork,
+or with other threads alive (forking is then unsafe), the whole body is
+one range, parsed here.  A range is read through a bounded binary
 stream with universal newlines, _CHUNK_ROWS rows at a time with
 np.loadtxt, and each chunk is checked with array operations; of a chunk
 the pass keeps only a packed int64 (gene, array, replicate) key per row,
@@ -48,18 +48,15 @@ or with any other column, goes through csv.writer, as the header does.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import os
-import pickle
-import signal
-import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from . import _forking
 from .model import IngestionError, MultiArraySet
 
 LOG_HEADER = ["gene_id", "replicate", "array", "x", "y"]
@@ -131,7 +128,7 @@ def _read_columns(path):
         if header not in (LOG_HEADER, RAW_HEADER):
             return None
         raw = header == RAW_HEADER
-        parsed = _parse_ranges(path, _ranges(path, _workers()), raw)
+        parsed = _parse_ranges(path, _ranges(path, _forking.workers()), raw)
     except (OSError, ValueError):
         return None
     if any(p is None for p in parsed):
@@ -167,16 +164,6 @@ def _read_columns(path):
     a3.setflags(write=False)
     b3.setflags(write=False)
     return raw, tuple(index), a3.reshape(shape), b3.reshape(shape)
-
-
-def _workers():
-    """Processes for the columnar pass: one per CPU in this process's
-    affinity set, or 1 where forking is unavailable or, with other threads
-    alive, unsafe."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _ranges(path, n):
@@ -251,61 +238,11 @@ def _parse_ranges(path, ranges, raw):
     """_parse_range of each range, in order: the first in this process, the
     others in forked children at the same time.  A child that sends no
     result counts as None."""
-    with _forked(_parse_range, [(path, start, end, raw)
-                                for start, end in ranges[1:]]) as pipes:
+    jobs = [(path, start, end, raw) for start, end in ranges[1:]]
+    with _forking.forked(_parse_range, jobs) as pipes:
         parsed = [_parse_range(path, *ranges[0], raw)]
-        parsed.extend(map(_receive, pipes))
+        parsed.extend(map(_forking.receive, pipes))
         return parsed
-
-
-@contextlib.contextmanager
-def _forked(func, arg_tuples):
-    """The pipes of one forked child per argument tuple, each running
-    _fork(func, *args).  Every child is reaped when the block exits, on
-    every path; one still running then has nothing left to send, so it is
-    killed first."""
-    children = []
-    try:
-        for args in arg_tuples:
-            children.append(_fork(func, *args))
-        yield [pipe for _, pipe in children]
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fork(func, *args):
-    """(pid, pipe) of a forked child that pickles func(*args) into the pipe.
-    The child leaves only through os._exit, so this process's atexit
-    handlers and stdio buffers never run twice."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pickle.dump(func(*args), pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _receive(pipe):
-    """A child's pickled result, or None if it died before sending it all."""
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        return None
 
 
 def _pack_chunk(rec, raw, index):
@@ -425,17 +362,16 @@ def write_csv(path, header, columns) -> None:
                 writer.writerows(zip(*(c[start:start + _WRITE_ROWS].tolist()
                                        for c in columns)))
         return
-    n = max(1, min(_workers(), -(-n_rows // _WRITE_ROWS)))
+    n = max(1, min(_forking.workers(), -(-n_rows // _WRITE_ROWS)))
     cuts = [n_rows * k // n for k in range(n + 1)]
-    ranges = list(zip(cuts, cuts[1:]))
-    with (_forked(_format_range, [(columns, lo, hi) for lo, hi in ranges[1:]])
-          as pipes, Path(path).open("w", newline="") as handle):
+    jobs = [(columns, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    with (_forking.forked(_format_range, jobs[1:]) as pipes,
+          Path(path).open("w", newline="") as handle):
         csv.writer(handle, lineterminator="\n").writerow(header)
-        handle.writelines(_format_blocks(columns, *ranges[0]))
-        for (lo, hi), pipe in zip(ranges[1:], pipes):
-            text = _receive(pipe)
-            handle.writelines(_format_blocks(columns, lo, hi) if text is None
-                              else [text])
+        handle.writelines(_format_blocks(*jobs[0]))
+        for job, pipe in zip(jobs[1:], pipes):
+            text = _forking.receive(pipe)
+            handle.writelines(_format_blocks(*job) if text is None else [text])
 
 
 def _joinable(column):
@@ -474,7 +410,10 @@ def write_table(mset: MultiArraySet, path) -> None:
     """Serialize in the log layout with round-trip decimal precision: one
     row per (array, gene, replicate), in that order."""
     n_arrays, n_genes, n_reps = mset.x.shape
-    genes = np.repeat(np.array(mset.gene_ids, dtype=object), n_reps)
+    ids = np.array(mset.gene_ids)
+    if ids.tolist() != list(mset.gene_ids):  # e.g. numpy drops a trailing NUL
+        ids = np.array(mset.gene_ids, dtype=object)
+    genes = np.repeat(ids, n_reps)
     write_csv(path, LOG_HEADER, [
         np.tile(genes, n_arrays),
         np.tile(np.arange(1, n_reps + 1), n_arrays * n_genes),

@@ -15,9 +15,9 @@ Noise rows are equicorrelated standard normal with correlation rho, drawn
 through the Cholesky factor of the equicorrelation matrix.
 
 Each run is seeded from (seed, run, array), so every run is bit-reproducible
-on its own, whatever runs precede it.  run_experiment hands the runs to
-forked worker processes, one per CPU in the process's affinity set (at most
-one per run), and writes their curves into slots in run order, so the report
+on its own, whatever runs precede it.  run_experiment deals run t to share
+t mod n, n workers, each share in a forked child (with one worker, all runs
+in process), and writes the curves into slots in run order, so the report
 does not depend on the worker count.  Per grid point x_k over T runs,
 with estimate m_t(x_k) and truth v(x_k):
 
@@ -32,12 +32,12 @@ run t alone.  Displayed values follow the x1000 convention.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _forking
 from .model import (
     CorrelationEstimate,
     EstimationConfig,
@@ -257,20 +257,10 @@ def _run_once(design: SimDesign, run: int, estimators, truth_moments):
     return out, params
 
 
-# What every run of one experiment shares, set in each worker by the pool's
-# initializer.  Under fork it is inherited, not pickled, so an injected
-# variance_fn may be a lambda.
-_shared = None
-
-
-def _init_worker(design, estimators, truth_moments):
-    global _shared
-    _shared = (design, estimators, truth_moments)
-
-
-def _worker_run(run: int):
-    design, estimators, truth_moments = _shared
-    return _run_once(design, run, estimators, truth_moments)
+def _run_share(design: SimDesign, estimators, truth_moments, first, step):
+    """_run_once of runs first, first + step, ... of design, in that order."""
+    return [_run_once(design, t, estimators, truth_moments)
+            for t in range(first, design.n_runs, step)]
 
 
 @dataclass(frozen=True)
@@ -327,33 +317,33 @@ def run_experiment(design: SimDesign,
                    ) -> SimulationReport:
     """Run design.n_runs simulations and reduce them to a report.
 
-    The runs go to a pool of forked workers, one per CPU in the process's
-    affinity set and at most one per run; to use fewer cores, narrow the
-    affinity (e.g. with taskset).  An error raised inside a run is raised
-    here.  Results are bit-identical for a given seed, whatever the worker
-    count: each run is seeded on its own, its curves land in preallocated
-    slots in run order and all reductions are plain numpy sums over
-    fixed-shape arrays.
+    Run t goes to share t mod n, n = _forking.workers() and at most one per
+    run, each share in a forked child; with one worker every run runs in
+    this process.  To use fewer cores, narrow the affinity (e.g. with
+    taskset).  An error raised inside a run is raised here.  Results are
+    bit-identical for a given seed, whatever the worker count: each run is
+    seeded on its own, its curves land in preallocated slots in run order
+    and all reductions are plain numpy sums over fixed-shape arrays.
     """
-    import multiprocessing
-
     for name in estimators:
         if name not in ESTIMATORS:
             raise GenevarError(f"unknown estimator {name!r}")
     truth_moments = scale_moments(design.variance_fn)
     t_runs = design.n_runs
+    # this process only waits, so that it touches none of its pages while
+    # the children run; it runs a share only if its child sent nothing
+    n = min(_forking.workers(), t_runs)
+    jobs = [(design, estimators, truth_moments, k, n) for k in range(n)]
+    received = [None]
+    if n > 1:
+        with _forking.forked(_run_share, jobs) as pipes:
+            received = [_forking.receive(pipe) for pipe in pipes]
     curves = {name: np.empty((t_runs, GRID.size)) for name in estimators}
     params = np.full((t_runs, 3), np.nan)
-
-    # fork, not spawn: the workers inherit the design (and its variance_fn)
-    # without pickling and skip a fresh import.  The package pins OpenBLAS to
-    # one thread, so a process that imports genevar before numpy forks no
-    # BLAS threads.
-    workers = min(len(os.sched_getaffinity(0)), t_runs)
-    context = multiprocessing.get_context("fork")
-    with context.Pool(workers, _init_worker,
-                      (design, estimators, truth_moments)) as pool:
-        for t, (out, par) in enumerate(pool.imap(_worker_run, range(t_runs))):
+    for k, share in enumerate(received):
+        if share is None:
+            share = _run_share(*jobs[k])
+        for t, (out, par) in zip(range(k, t_runs, n), share):
             for name in estimators:
                 curves[name][t] = out[name]
             if par is not None:

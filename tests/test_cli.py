@@ -17,7 +17,7 @@ from genevar.cli import (
     _super_block,
     main,
 )
-from genevar import io as genevar_io
+from genevar import _forking, io as genevar_io
 from genevar.io import read_table, write_table
 from genevar.model import FLAG_DEGENERATE, MultiArraySet
 from genevar.simulation import SimDesign, generate_set, sample_intensities, variance_function
@@ -263,16 +263,16 @@ class TestSelect:
                                               monkeypatch):
         # 64-row blocks, so that 3 workers write gene_calls.csv in 3 ranges
         monkeypatch.setattr(genevar_io, "_WRITE_ROWS", 64)
-        fork, forked = genevar_io._fork, []
+        fork, forked = _forking.fork, []
 
         def counting_fork(*args):
             forked.append(args[0])
             return fork(*args)
 
-        monkeypatch.setattr(genevar_io, "_fork", counting_fork)
+        monkeypatch.setattr(_forking, "fork", counting_fork)
         outputs = []
         for n in (1, 3):
-            monkeypatch.setattr(genevar_io, "_workers", lambda: n)
+            monkeypatch.setattr(_forking, "workers", lambda: n)
             out = tmp_path / f"workers{n}"
             assert main(["select", "--input", str(replicated_csv),
                          "--out", str(out), "--format", "csv"]) == 0
@@ -515,6 +515,14 @@ class TestImportCost:
             f"_run_once(SimDesign(n_genes=300, rho=0.3, n_runs=1), 0, "
             f"PRESETS['table2'], scale_moments())")
         assert not self.scipy(loaded)
+
+    def test_simulate_loads_no_multiprocessing(self, tmp_path):
+        # the runs are forked by genevar._forking, with no process pool
+        loaded = self.run_loads(["simulate", "--preset", "table2", "--rho",
+                                 "0.3", "--n-genes", "300", "--reps", "2",
+                                 "--format", "csv", "--out", str(tmp_path)])
+        assert "genevar.simulation" in loaded
+        assert not {m for m in loaded if m.split(".")[0] == "multiprocessing"}
 
     def test_no_module_imports_scipy(self):
         import genevar

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genevar import io
+from genevar import _forking, io
 from genevar.io import read_table, write_table
 from genevar.model import IngestionError, MultiArraySet
 
@@ -41,6 +41,24 @@ class TestRoundTrip:
         write_table(read_table(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("ids", [("g1", "g2", "g3"),
+                                     ("a,b", 'say "hi"', "g1\x00"),
+                                     ("g1\x00", "g2", "g3")])
+    def test_written_as_csv_writer_writes_it(self, tmp_path, writers, ids):
+        # plain ids go through the forked column join; ids that csv quotes,
+        # or that a numpy str array changes (a trailing NUL), go through
+        # csv.writer
+        forked = writers(2)
+        x = np.arange(12.0).reshape(2, 3, 2) / 7
+        ms = MultiArraySet(x=x + 6, y=-x, gene_ids=ids)
+        write_table(ms, tmp_path / "t.csv")
+        cells = list(np.ndindex(x.shape))
+        assert written(tmp_path / "t.csv") == csv_reference(io.LOG_HEADER, [
+            np.array([ids[g] for _, g, _ in cells], dtype=object),
+            [r + 1 for *_, r in cells], [a + 1 for a, *_ in cells],
+            [ms.x[c] for c in cells], [ms.y[c] for c in cells]])
+        assert len(forked) == (1 if ids[0] == "g1" else 0)
+
 
 def csv_reference(header, columns):
     """write_csv's text as csv.writer writes the whole table at once."""
@@ -60,14 +78,14 @@ def written(path):
 def forked(monkeypatch):
     """The list that collects the pid of every child io forks."""
     pids = []
-    fork = io._fork
+    fork = _forking.fork
 
     def counting_fork(*args):
         pid, pipe = fork(*args)
         pids.append(pid)
         return pid, pipe
 
-    monkeypatch.setattr(io, "_fork", counting_fork)
+    monkeypatch.setattr(_forking, "fork", counting_fork)
     return pids
 
 
@@ -78,7 +96,7 @@ def writers(monkeypatch, forked):
     monkeypatch.setattr(io, "_WRITE_ROWS", 3)
 
     def set_workers(n):
-        monkeypatch.setattr(io, "_workers", lambda: n)
+        monkeypatch.setattr(_forking, "workers", lambda: n)
         return forked
 
     return set_workers
@@ -170,13 +188,13 @@ class TestWriteCsv:
     def test_a_range_with_no_text_is_formatted_here(self, tmp_path, writers,
                                                      monkeypatch):
         forked = writers(3)
-        receive, calls = io._receive, []
+        receive, calls = _forking.receive, []
 
         def losing(pipe):
             calls.append(pipe)
             return None if len(calls) == 1 else receive(pipe)
 
-        monkeypatch.setattr(io, "_receive", losing)
+        monkeypatch.setattr(_forking, "receive", losing)
         columns = JOINED["floats"] + JOINED["ints"]
         header = [f"c{k}" for k in range(len(columns))]
         io.write_csv(tmp_path / "t.csv", header, columns)
@@ -587,7 +605,7 @@ def cpus(monkeypatch, forked):
     """cpus(n) makes the affinity set n CPUs wide; returns the list that
     collects the pid of every child io forks."""
     def set_cpus(n):
-        monkeypatch.setattr(io.os, "sched_getaffinity",
+        monkeypatch.setattr(_forking.os, "sched_getaffinity",
                             lambda pid: set(range(n)), raising=False)
         return forked
 
@@ -726,7 +744,7 @@ class TestRanges:
     def test_other_threads_keep_the_parse_in_process(self, tmp_path, cpus,
                                                      monkeypatch):
         forked = cpus(4)
-        monkeypatch.setattr(io.threading, "active_count", lambda: 2)
+        monkeypatch.setattr(_forking.threading, "active_count", lambda: 2)
         path = tmp_path / "t.csv"
         write_rows(path, False, gene_major_rows(5, 3, 2))
         assert io._read_columns(path) is not None

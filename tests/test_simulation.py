@@ -1,10 +1,11 @@
-import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from genevar import _forking
 from genevar.model import GenevarError, InvalidRho, TooFewReplicates
 from genevar.simulation import (
     GRID,
@@ -244,20 +245,28 @@ class TestRunExperiment:
                               equal_nan=True)
 
     @staticmethod
-    def report_on_cpus(monkeypatch, cpus, design, estimators):
-        """run_experiment with the affinity set read as cpus; also the pool size."""
-        context = multiprocessing.get_context("fork")
-        make_pool, sizes = context.Pool, []
+    def counting_forks(patch):
+        """The list that collects the pid of every child _forking forks."""
+        fork, pids = _forking.fork, []
 
-        def pool(processes, *args):
-            sizes.append(processes)
-            return make_pool(processes, *args)
+        def counting_fork(*args):
+            pid, pipe = fork(*args)
+            pids.append(pid)
+            return pid, pipe
 
+        patch.setattr(_forking, "fork", counting_fork)
+        return pids
+
+    @classmethod
+    def report_on_cpus(cls, monkeypatch, cpus, design, estimators):
+        """run_experiment with the affinity set read as cpus; also the number
+        of processes that ran the runs, [1] when none was forked."""
         with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
-            patch.setattr(context, "Pool", pool)
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                          raising=False)
+            forked = cls.counting_forks(patch)
             report = run_experiment(design, estimators=estimators)
-        return report, sizes
+        return report, [len(forked) or 1]
 
     @staticmethod
     def assert_same_report(a, b):
@@ -287,10 +296,71 @@ class TestRunExperiment:
         assert sizes == [1]
         self.assert_same_report(one, two)
 
-    def test_error_inside_a_run_reaches_the_caller(self):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_report_independent_of_patched_workers(self, monkeypatch, workers):
+        # 5 runs dealt to 2 or 3 shares are uneven shares; bit-identical
+        table2 = ("replicate_average", "corrected", "oracle")
+        d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=5, seed=29)
+        reports = []
+        for n in (1, workers):
+            with monkeypatch.context() as patch:
+                patch.setattr(_forking, "workers", lambda: n)
+                forked = self.counting_forks(patch)
+                reports.append(run_experiment(d, estimators=table2))
+            assert len(forked) == (0 if n == 1 else n)
+        self.assert_same_report(*reports)
+
+    def test_share_with_no_result_runs_in_process(self, monkeypatch):
+        table2 = ("replicate_average", "corrected", "oracle")
+        d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=5, seed=29)
+        with monkeypatch.context() as patch:
+            patch.setattr(_forking, "workers", lambda: 1)
+            one = run_experiment(d, estimators=table2)
+        receive, calls = _forking.receive, []
+
+        def losing(pipe):
+            calls.append(pipe)
+            return None if len(calls) == 2 else receive(pipe)
+
+        monkeypatch.setattr(_forking, "workers", lambda: 3)
+        monkeypatch.setattr(_forking, "receive", losing)
+        self.assert_same_report(one, run_experiment(d, estimators=table2))
+        assert len(calls) == 3
+
+    def test_no_affinity_call_runs_in_process(self, monkeypatch):
+        # as on macOS, where os.sched_getaffinity does not exist
+        d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=3, seed=41)
+        want, _ = self.report_on_cpus(monkeypatch, {0, 1}, d, ("corrected",))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        forked = self.counting_forks(monkeypatch)
+        self.assert_same_report(want, run_experiment(d, estimators=("corrected",)))
+        assert forked == []
+
+    def test_other_threads_keep_the_runs_in_process(self, monkeypatch):
+        d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=3, seed=41)
+        want, _ = self.report_on_cpus(monkeypatch, {0, 1}, d, ("corrected",))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        forked = self.counting_forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            report = run_experiment(d, estimators=("corrected",))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forked == []
+        self.assert_same_report(want, report)
+
+    def test_error_inside_a_run_reaches_the_caller(self, monkeypatch):
         d = SimDesign(n_genes=300, n_active=40, n_replicates=2, n_runs=3, seed=1)
+        monkeypatch.setattr(_forking, "workers", lambda: 2)
         with pytest.raises(GenevarError, match="replicate_average needs I >= 3"):
             run_experiment(d, estimators=("replicate_average",))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_unknown_estimator_rejected(self):
         d = SimDesign(n_genes=100, n_active=20, n_runs=1, seed=1)
