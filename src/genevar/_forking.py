@@ -8,6 +8,8 @@ import pickle
 import signal
 import threading
 
+_LOST = object()  # a result that no child sent
+
 
 def workers():
     """Processes for a forked job: one per CPU in this process's affinity
@@ -19,17 +21,35 @@ def workers():
     return len(os.sched_getaffinity(0))
 
 
-@contextlib.contextmanager
-def forked(func, arg_tuples):
-    """The pipes of one forked child per argument tuple, each running
-    fork(func, *args).  Every child is reaped when the block exits, on
-    every path; one still running then has nothing left to send, so it is
-    killed first."""
+def run(func, arg_tuples):
+    """Yield func(*args) for each tuple of arg_tuples, in order.
+
+    With n = min(workers(), len(arg_tuples)) > 1, the tuples are cut into n
+    contiguous shares, one per forked child.  A child computes its whole
+    share, then sends each result as its own pickle; this process only
+    waits, so that it touches none of its pages while the children run.  A
+    result that does not arrive is computed here, which also raises a
+    run's error in the caller.  With n <= 1 every tuple runs here, one at a
+    time.  Every child is killed and reaped when the iterator is exhausted
+    or closed; one still running then has nothing left to send.
+    """
+    arg_tuples = list(arg_tuples)
+    n = min(workers(), len(arg_tuples))
+    if n <= 1:
+        for args in arg_tuples:
+            yield func(*args)
+        return
+    cuts = [len(arg_tuples) * k // n for k in range(n + 1)]
+    shares = [arg_tuples[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     children = []
     try:
-        for args in arg_tuples:
-            children.append(fork(func, *args))
-        yield [pipe for _, pipe in children]
+        for share in shares:
+            children.append(_fork(func, share))
+        for (_, pipe), share in zip(children, shares):
+            received = _received(pipe)
+            for args in share:
+                result = next(received, _LOST)
+                yield func(*args) if result is _LOST else result
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -37,8 +57,9 @@ def forked(func, arg_tuples):
             os.waitpid(pid, 0)
 
 
-def fork(func, *args):
-    """(pid, pipe) of a forked child that pickles func(*args) into the pipe.
+def _fork(func, share):
+    """(pid, pipe) of a forked child that pickles func(*args) of each tuple
+    of share into the pipe, one result at a time, once it has them all.
     The child leaves only through os._exit, so this process's atexit
     handlers and stdio buffers never run twice."""
     read, write = os.pipe()
@@ -52,8 +73,10 @@ def fork(func, *args):
         code = 1
         try:
             os.close(read)
+            results = [func(*args) for args in share]
             with open(write, "wb") as pipe:
-                pickle.dump(func(*args), pipe, pickle.HIGHEST_PROTOCOL)
+                for result in results:
+                    pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
@@ -61,9 +84,9 @@ def fork(func, *args):
     return pid, open(read, "rb")
 
 
-def receive(pipe):
-    """A child's pickled result, or None if it died before sending it all."""
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        return None
+def _received(pipe):
+    """The results a child sent, in order, up to the first that did not
+    arrive whole."""
+    with contextlib.suppress(EOFError, pickle.UnpicklingError):
+        while True:
+            yield pickle.load(pipe)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,8 +59,20 @@ DEFAULT_ALPHAS = (0.05, 0.01, 0.005, 0.001)
 DEFAULT_FOLD_CHANGES = (1.5, 2.0, 4.0)
 
 
-def _float_list(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _float_list(text, low=-math.inf, high=math.inf):
+    """Comma-separated floats, each strictly between low and high, which
+    also rules out infinities and NaN."""
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    for value in values:
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(
+                f"{value!r} is not strictly between {low!r} and {high!r}")
+    return values
+
+
+def _levels(text):
+    """Comma-separated significance levels, each in (0, 1)."""
+    return _float_list(text, 0.0, 1.0)
 
 
 def _int_list(text):
@@ -353,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="t-test vs z-test gene selection")
     _add_input(p)
-    p.add_argument("--alphas", type=_float_list, default=DEFAULT_ALPHAS,
-                   help="comma-separated significance levels")
+    p.add_argument("--alphas", type=_levels, default=DEFAULT_ALPHAS,
+                   help="comma-separated significance levels in (0, 1)")
     p.add_argument("--fold-changes", type=_float_list, default=DEFAULT_FOLD_CHANGES,
-                   help="comma-separated fold-change thresholds")
+                   help="comma-separated finite fold-change thresholds")
     p.add_argument("--swap-arrays", type=_int_list, default=(),
                    help="1-based indices of dye-swapped arrays (ratios negated)")
     p.add_argument("--average-pairs", type=_pair_list, default=None,

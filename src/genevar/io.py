@@ -12,38 +12,36 @@ first appearance.  Serialization writes the log layout with full round-trip
 precision.
 
 A file is read in one of two passes.  The columnar pass splits the body
-into line-aligned byte ranges, one per CPU in the process's affinity set
-(os.sched_getaffinity, the rule run_experiment uses).  The first range is
-parsed in this process and each other one in a child forked by _forking,
-which pickles its result back through a pipe; every child is reaped
-before the pass returns or raises.  With one usable CPU, without os.fork,
-or with other threads alive (forking is then unsafe), the whole body is
-one range, parsed here.  A range is read through a bounded binary
-stream with universal newlines, _CHUNK_ROWS rows at a time with
-np.loadtxt, and each chunk is checked with array operations; of a chunk
-the pass keeps only a packed int64 (gene, array, replicate) key per row,
-with the gene indexed within its range, and copies of the two value
-columns, so at most one chunk's strings are alive per process.  The parent
-maps each range's gene ids in range order, which keeps first-appearance
-order, and scatters the chunks into the (J, N, I) blocks.  The columnar
-pass gives way to the row pass, which reads with csv one row at a time and
-raises at the first faulty row with its path:line, when a chunk fails a
-check (a spelling np.loadtxt refuses, quotes, a blank gene id, a
-non-finite value, a non-positive channel or index), when an index does not
-fit the packed key, when a child dies or sends no result, or when the cells
-do not fill the blocks exactly once.  So every file gets the row pass's
-result; the columnar pass only makes the common case fast and small.  The
-blocks are handed over read-only, so MultiArraySet keeps them without a
-copy.
+into line-aligned byte ranges, one per CPU in the process's affinity set,
+and maps _parse_range over them through _forking.run: with more than one
+range, each is parsed in a forked child and pickled back while this
+process waits, and a range whose result does not arrive is parsed here;
+with one usable CPU, without os.fork, or with other threads alive
+(forking is then unsafe), the whole body is one range, parsed here.  A
+range is read through a bounded binary stream with universal newlines,
+_CHUNK_ROWS rows at a time with np.loadtxt, and each chunk is checked
+with array operations; of a chunk the pass keeps only a packed int64
+(gene, array, replicate) key per row, with the gene indexed within its
+range, and copies of the two value columns, so at most one chunk's
+strings are alive per process.  This process maps each range's gene ids
+in range order, which keeps first-appearance order, and scatters the
+chunks into the (J, N, I) blocks.  The columnar pass gives way to the row
+pass, which reads with csv one row at a time and raises at the first
+faulty row with its path:line, when a chunk fails a check (a spelling
+np.loadtxt refuses, quotes, a blank gene id, a non-finite value, a
+non-positive channel or index), when an index does not fit the packed
+key, or when the cells do not fill the blocks exactly once.  So every
+file gets the row pass's result; the columnar pass only makes the common
+case fast and small.  The blocks are handed over read-only, so
+MultiArraySet keeps them without a copy.
 
-Writing follows the same rule.  A table of float, int, bool and str
-columns is cut into contiguous row ranges, one per usable CPU and never
-more than its _WRITE_ROWS-row blocks, so a small table is never forked.
-The first range is formatted here and the others in forked children, each
-block a column at a time: a float column through the repr of its list,
-which gives each float's repr, as csv writes it.  A child that sends no
-text has its range formatted here.  A table whose strings csv would quote,
-or with any other column, goes through csv.writer, as the header does.
+Writing maps _format_block over a table's _WRITE_ROWS-row blocks
+through _forking.run the same way, so this process holds one block's
+text at a time on any number of CPUs.  A block is formatted a column at
+a time: a float column through the repr of its list, which gives each
+float's repr, as csv writes it.  Only a table of float, int, bool and
+str columns whose strings csv would never quote takes that route; any
+other table, and the header, go through csv.writer.
 """
 
 from __future__ import annotations
@@ -92,10 +90,11 @@ def _parse_float(token, what, where):
 def read_table(path) -> MultiArraySet:
     """Read either CSV layout into a MultiArraySet.
 
-    The columns are parsed in C, over one byte range per usable CPU, and
-    checked with array operations.  A file that fails any of those checks
-    is read again row by row, which accepts it or raises at its first
-    faulty row with that row's path:line.
+    The columns are parsed in C, over one byte range per usable CPU, each
+    range in a forked child when there are several, and checked with array
+    operations.  A file that fails any of those checks is read again row
+    by row, which accepts it or raises at its first faulty row with that
+    row's path:line.
     """
     path = Path(path)
     parsed = _read_columns(path)
@@ -128,7 +127,9 @@ def _read_columns(path):
         if header not in (LOG_HEADER, RAW_HEADER):
             return None
         raw = header == RAW_HEADER
-        parsed = _parse_ranges(path, _ranges(path, _forking.workers()), raw)
+        parsed = list(_forking.run(
+            _parse_range, [(path, start, end, raw)
+                           for start, end in _ranges(path, _forking.workers())]))
     except (OSError, ValueError):
         return None
     if any(p is None for p in parsed):
@@ -234,17 +235,6 @@ def _parse_range(path, start, end, raw):
     return chunks, tuple(index)
 
 
-def _parse_ranges(path, ranges, raw):
-    """_parse_range of each range, in order: the first in this process, the
-    others in forked children at the same time.  A child that sends no
-    result counts as None."""
-    jobs = [(path, start, end, raw) for start, end in ranges[1:]]
-    with _forking.forked(_parse_range, jobs) as pipes:
-        parsed = [_parse_range(path, *ranges[0], raw)]
-        parsed.extend(map(_forking.receive, pipes))
-        return parsed
-
-
 def _pack_chunk(rec, raw, index):
     """One parsed chunk as (key, a, b), or None if it fails a check.  New
     gene ids join index in order of first appearance; key packs (gene,
@@ -345,37 +335,30 @@ def write_csv(path, header, columns) -> None:
     """Write equal-length columns under header, as csv.writer would.
 
     A table of float, int, bool and str columns whose strings csv would
-    never quote is cut into contiguous row ranges, one per usable CPU (the
-    rule of the columnar pass) and at most one per _WRITE_ROWS block; a
-    table of one block is never forked.  The first range is formatted and
-    written here, and each other one is formatted in a forked child, which
-    sends its text back, or here if the child sends none.  Any other table,
-    and the header, go through csv.writer.
+    never quote is formatted a _WRITE_ROWS-row block at a time through
+    _forking.run, so the blocks are shared among forked children, one
+    contiguous share per usable CPU, and written here as they arrive; a
+    table of one block is never forked.  Any other table, and the header,
+    go through csv.writer.
     """
     columns = [np.asarray(c) for c in columns]
     n_rows = min((len(c) for c in columns), default=0)
-    if not all(map(_joinable, columns)):
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for start in range(0, n_rows, _WRITE_ROWS):
+    starts = range(0, n_rows, _WRITE_ROWS)
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        if all(map(_joinable, columns)):
+            handle.writelines(_forking.run(_format_block, [
+                (columns, start, min(start + _WRITE_ROWS, n_rows))
+                for start in starts]))
+        else:
+            for start in starts:
                 writer.writerows(zip(*(c[start:start + _WRITE_ROWS].tolist()
                                        for c in columns)))
-        return
-    n = max(1, min(_forking.workers(), -(-n_rows // _WRITE_ROWS)))
-    cuts = [n_rows * k // n for k in range(n + 1)]
-    jobs = [(columns, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    with (_forking.forked(_format_range, jobs[1:]) as pipes,
-          Path(path).open("w", newline="") as handle):
-        csv.writer(handle, lineterminator="\n").writerow(header)
-        handle.writelines(_format_blocks(*jobs[0]))
-        for job, pipe in zip(jobs[1:], pipes):
-            text = _forking.receive(pipe)
-            handle.writelines(_format_blocks(*job) if text is None else [text])
 
 
 def _joinable(column):
-    """Whether _format_blocks writes column as csv.writer does: a 1-d
+    """Whether _format_block writes column as csv.writer does: a 1-d
     column of floats no wider than double, of ints or bools, or of
     non-empty strings without a character of _QUOTED, which csv quotes
     (or, for some of them, quotes or refuses by Python version)."""
@@ -388,22 +371,14 @@ def _joinable(column):
     return kind in "iub" or kind == "f" and column.dtype.itemsize <= 8
 
 
-def _format_blocks(columns, lo, hi):
-    """Rows [lo, hi) of joinable columns as CSV text, one str per block of
-    up to _WRITE_ROWS rows, each column formatted once per block.  A float
-    field is the float's repr, which round-trips and is what csv writes;
-    any other field is the str of its Python scalar."""
-    for start in range(lo, hi, _WRITE_ROWS):
-        stop = min(start + _WRITE_ROWS, hi)
-        fields = [repr(c[start:stop].tolist())[1:-1].split(", ")
-                  if c.dtype.kind == "f" else map(str, c[start:stop].tolist())
-                  for c in columns]
-        yield "\n".join(map(",".join, zip(*fields))) + "\n"
-
-
-def _format_range(columns, lo, hi):
-    """Rows [lo, hi) as one str, built block by block: a child's result."""
-    return "".join(_format_blocks(columns, lo, hi))
+def _format_block(columns, lo, hi):
+    """Rows [lo, hi) of joinable columns as CSV text, each column formatted
+    once.  A float field is the float's repr, which round-trips and is what
+    csv writes; any other field is the str of its Python scalar."""
+    fields = [repr(c[lo:hi].tolist())[1:-1].split(", ")
+              if c.dtype.kind == "f" else map(str, c[lo:hi].tolist())
+              for c in columns]
+    return "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
 def write_table(mset: MultiArraySet, path) -> None:

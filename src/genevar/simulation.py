@@ -15,10 +15,11 @@ Noise rows are equicorrelated standard normal with correlation rho, drawn
 through the Cholesky factor of the equicorrelation matrix.
 
 Each run is seeded from (seed, run, array), so every run is bit-reproducible
-on its own, whatever runs precede it.  run_experiment deals run t to share
-t mod n, n workers, each share in a forked child (with one worker, all runs
-in process), and writes the curves into slots in run order, so the report
-does not depend on the worker count.  Per grid point x_k over T runs,
+on its own, whatever runs precede it.  run_experiment maps the runs
+through _forking.run, which shares them among forked children in
+contiguous blocks (with one worker, all runs in process), and writes the
+curves into slots in run order, so the report does not depend on the
+worker count.  Per grid point x_k over T runs,
 with estimate m_t(x_k) and truth v(x_k):
 
     B_k = mean_t m_t(x_k) - v(x_k),   S_k = var_t m_t(x_k),
@@ -257,12 +258,6 @@ def _run_once(design: SimDesign, run: int, estimators, truth_moments):
     return out, params
 
 
-def _run_share(design: SimDesign, estimators, truth_moments, first, step):
-    """_run_once of runs first, first + step, ... of design, in that order."""
-    return [_run_once(design, t, estimators, truth_moments)
-            for t in range(first, design.n_runs, step)]
-
-
 @dataclass(frozen=True)
 class EstimatorMetrics:
     bias2: float
@@ -317,10 +312,11 @@ def run_experiment(design: SimDesign,
                    ) -> SimulationReport:
     """Run design.n_runs simulations and reduce them to a report.
 
-    Run t goes to share t mod n, n = _forking.workers() and at most one per
-    run, each share in a forked child; with one worker every run runs in
-    this process.  To use fewer cores, narrow the affinity (e.g. with
-    taskset).  An error raised inside a run is raised here.  Results are
+    The runs go through _forking.run: with n = _forking.workers() > 1 and
+    more than one run, they are cut into n contiguous shares, each computed
+    in a forked child while this process only waits; with one worker every run
+    runs in this process.  To use fewer cores, narrow the affinity (e.g.
+    with taskset).  An error raised inside a run is raised here.  Results are
     bit-identical for a given seed, whatever the worker count: each run is
     seeded on its own, its curves land in preallocated slots in run order
     and all reductions are plain numpy sums over fixed-shape arrays.
@@ -330,24 +326,14 @@ def run_experiment(design: SimDesign,
             raise GenevarError(f"unknown estimator {name!r}")
     truth_moments = scale_moments(design.variance_fn)
     t_runs = design.n_runs
-    # this process only waits, so that it touches none of its pages while
-    # the children run; it runs a share only if its child sent nothing
-    n = min(_forking.workers(), t_runs)
-    jobs = [(design, estimators, truth_moments, k, n) for k in range(n)]
-    received = [None]
-    if n > 1:
-        with _forking.forked(_run_share, jobs) as pipes:
-            received = [_forking.receive(pipe) for pipe in pipes]
     curves = {name: np.empty((t_runs, GRID.size)) for name in estimators}
     params = np.full((t_runs, 3), np.nan)
-    for k, share in enumerate(received):
-        if share is None:
-            share = _run_share(*jobs[k])
-        for t, (out, par) in zip(range(k, t_runs, n), share):
-            for name in estimators:
-                curves[name][t] = out[name]
-            if par is not None:
-                params[t] = par
+    jobs = [(design, t, estimators, truth_moments) for t in range(t_runs)]
+    for t, (out, par) in enumerate(_forking.run(_run_once, jobs)):
+        for name in estimators:
+            curves[name][t] = out[name]
+        if par is not None:
+            params[t] = par
 
     truth = np.asarray(design.variance_fn(GRID), dtype=float)
     weights = intensity_density(GRID)

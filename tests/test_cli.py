@@ -260,16 +260,9 @@ class TestSelect:
         assert [float(r["alpha"]) for r in power] == [0.05, 0.01, 0.005, 0.001]
 
     def test_outputs_do_not_depend_on_workers(self, replicated_csv, tmp_path,
-                                              monkeypatch):
-        # 64-row blocks, so that 3 workers write gene_calls.csv in 3 ranges
+                                              monkeypatch, forked):
+        # 64-row blocks, so that 3 workers write gene_calls.csv in 3 shares
         monkeypatch.setattr(genevar_io, "_WRITE_ROWS", 64)
-        fork, forked = _forking.fork, []
-
-        def counting_fork(*args):
-            forked.append(args[0])
-            return fork(*args)
-
-        monkeypatch.setattr(_forking, "fork", counting_fork)
         outputs = []
         for n in (1, 3):
             monkeypatch.setattr(_forking, "workers", lambda: n)
@@ -278,7 +271,9 @@ class TestSelect:
                          "--out", str(out), "--format", "csv"]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()
                             if p.name != "manifest.json"})
-        assert forked.count(genevar_io._format_range) == 2
+        # 3 children parse the input's 3 byte ranges and 3 format
+        # gene_calls.csv; counts.csv and power.csv are one block each
+        assert len(forked) == 6
         assert sorted(outputs[0]) == ["counts.csv", "gene_calls.csv", "power.csv"]
         assert outputs[0] == outputs[1]
 
@@ -323,6 +318,20 @@ class TestSelect:
             main(["select", "--input", str(selection_csv),
                   "--out", str(tmp_path / "out"), "--average-pairs", "1-2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--alphas", "0"], ["--alphas", "1"], ["--alphas", "1.5"],
+        ["--alphas", "-0.1"], ["--alphas", "nan"], ["--alphas", "0.05,1"],
+        ["--fold-changes", "nan"], ["--fold-changes", "2,inf"],
+    ])
+    def test_level_or_threshold_out_of_range_usage_error(
+            self, selection_csv, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--input", str(selection_csv),
+                  "--out", str(tmp_path / "out")] + flags)
+        assert exc.value.code == 2
+        assert "is not strictly between" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def gene_calls(path, out, *flags):

@@ -57,7 +57,7 @@ class TestRoundTrip:
             np.array([ids[g] for _, g, _ in cells], dtype=object),
             [r + 1 for *_, r in cells], [a + 1 for a, *_ in cells],
             [ms.x[c] for c in cells], [ms.y[c] for c in cells]])
-        assert len(forked) == (1 if ids[0] == "g1" else 0)
+        assert len(forked) == (2 if ids[0] == "g1" else 0)
 
 
 def csv_reference(header, columns):
@@ -72,21 +72,6 @@ def csv_reference(header, columns):
 def written(path):
     with open(path, newline="") as handle:
         return handle.read()
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """The list that collects the pid of every child io forks."""
-    pids = []
-    fork = _forking.fork
-
-    def counting_fork(*args):
-        pid, pipe = fork(*args)
-        pids.append(pid)
-        return pid, pipe
-
-    monkeypatch.setattr(_forking, "fork", counting_fork)
-    return pids
 
 
 @pytest.fixture
@@ -144,7 +129,8 @@ class TestWriteCsv:
         header = [f"c{k}" for k in range(len(columns))]
         io.write_csv(tmp_path / "t.csv", header, columns)
         assert written(tmp_path / "t.csv") == csv_reference(header, columns)
-        assert len(forked) == n - 1  # 4 blocks of 3 rows: every range forks
+        # 4 blocks of 3 rows: a child per usable CPU, none with one
+        assert len(forked) == (n if n > 1 else 0)
         assert_reaped(forked)
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -182,24 +168,30 @@ class TestWriteCsv:
         columns = [np.arange(n_rows), np.linspace(0, 1, n_rows)]
         io.write_csv(tmp_path / "t.csv", ["i", "v"], columns)
         assert written(tmp_path / "t.csv") == csv_reference(["i", "v"], columns)
-        assert len(forked) == -(-n_rows // 3) - 1
+        n_blocks = -(-n_rows // 3)
+        assert len(forked) == (n_blocks if n_blocks > 1 else 0)
         assert_reaped(forked)
 
     def test_a_range_with_no_text_is_formatted_here(self, tmp_path, writers,
                                                      monkeypatch):
+        # 4 blocks in shares [0], [1], [2, 3]; the first child sends nothing
         forked = writers(3)
-        receive, calls = _forking.receive, []
+        parent, format_block, here = os.getpid(), io._format_block, []
 
-        def losing(pipe):
-            calls.append(pipe)
-            return None if len(calls) == 1 else receive(pipe)
+        def losing(columns, lo, hi):
+            if os.getpid() == parent:
+                here.append(lo)
+            elif lo == 0:
+                os._exit(0)
+            return format_block(columns, lo, hi)
 
-        monkeypatch.setattr(_forking, "receive", losing)
+        monkeypatch.setattr(io, "_format_block", losing)
         columns = JOINED["floats"] + JOINED["ints"]
         header = [f"c{k}" for k in range(len(columns))]
         io.write_csv(tmp_path / "t.csv", header, columns)
         assert written(tmp_path / "t.csv") == csv_reference(header, columns)
-        assert len(calls) == len(forked) == 2
+        assert here == [0]
+        assert len(forked) == 3
         assert_reaped(forked)
 
     def test_a_directory_path_raises_and_leaves_no_child(self, tmp_path,
@@ -207,27 +199,30 @@ class TestWriteCsv:
         forked = writers(3)
         with pytest.raises(OSError):
             io.write_csv(tmp_path, ["v"], [np.arange(10.0)])
-        assert len(forked) == 2
+        assert forked == []  # the file is opened before any block is formatted
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_children_killed_and_reaped_when_the_parent_is_interrupted(
             self, tmp_path, writers, monkeypatch):
+        # the first child sends nothing, and formatting its block here is
+        # interrupted while the other children are still busy
         forked = writers(3)
+        parent = os.getpid()
 
         def interrupted(columns, lo, hi):
-            raise KeyboardInterrupt
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            if lo == 0:
+                os._exit(0)
+            time.sleep(60)
 
-        # the children run _format_range; only this process runs
-        # _format_blocks directly, for the first range
-        monkeypatch.setattr(io, "_format_range",
-                            lambda columns, lo, hi: time.sleep(60))
-        monkeypatch.setattr(io, "_format_blocks", interrupted)
+        monkeypatch.setattr(io, "_format_block", interrupted)
         began = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             io.write_csv(tmp_path / "t.csv", ["v"], [np.arange(10.0)])
         assert time.monotonic() - began < 30
-        assert len(forked) == 2
+        assert len(forked) == 3
         assert_reaped(forked)
 
     def test_other_threads_keep_the_writing_in_process(self, tmp_path, cpus):
@@ -603,7 +598,7 @@ class TestMemory:
 @pytest.fixture
 def cpus(monkeypatch, forked):
     """cpus(n) makes the affinity set n CPUs wide; returns the list that
-    collects the pid of every child io forks."""
+    collects the pid of every child forked."""
     def set_cpus(n):
         monkeypatch.setattr(_forking.os, "sched_getaffinity",
                             lambda pid: set(range(n)), raising=False)
@@ -655,7 +650,7 @@ class TestRanges:
                    data[s:].split(b",")[0]) for s, _ in ranges[1:]]
         assert any(before == after for before, after in around)
         got = io._read_columns(path)
-        assert got is not None and len(forked) == len(ranges) - 1
+        assert got is not None and len(forked) == len(ranges)
         assert got[1] == tuple(f"g{k + 1}" for k in range(5))
         assert_parity(path)
         assert_reaped(forked)
@@ -695,7 +690,7 @@ class TestRanges:
         write_rows(path, False, rows)
         assert io._ranges(path, 2)[1][0] < len(path.read_bytes()) - 100
         assert io._read_columns(path) is None
-        assert len(forked) == 1
+        assert len(forked) == 2
         if error is None:
             assert_parity(path)
         else:
@@ -721,7 +716,7 @@ class TestRanges:
         write_rows(path, False, gene_major_rows(1, 2, 1))
         assert len(io._ranges(path, 16)) == 3  # header, row 1, row 2
         assert io._read_columns(path) is not None
-        assert len(forked) == 2
+        assert len(forked) == 3
         assert_parity(path)
 
     def test_header_only_range_and_empty_body(self, tmp_path, cpus):
@@ -751,13 +746,15 @@ class TestRanges:
         assert forked == []
 
     @pytest.mark.parametrize("fault", ["raise", "exit"])
-    def test_failed_child_sends_the_file_to_the_row_pass(
+    def test_a_range_a_child_does_not_send_is_parsed_here(
             self, tmp_path, cpus, monkeypatch, fault):
         forked = cpus(3)
-        parse = io._parse_range
+        parent, parse, here = os.getpid(), io._parse_range, []
 
         def failing(path, start, end, raw):
-            if start > 0:  # only in the children
+            if os.getpid() == parent:
+                here.append(start)
+            elif start > 0:  # every child but the first
                 if fault == "raise":
                     raise RuntimeError("child fails")
                 os._exit(0)
@@ -766,22 +763,28 @@ class TestRanges:
         monkeypatch.setattr(io, "_parse_range", failing)
         path = tmp_path / "t.csv"
         write_rows(path, False, gene_major_rows(5, 3, 2))
-        parsed = io._parse_ranges(path, io._ranges(path, 3), False)
-        assert parsed[0] is not None and parsed[1:] == [None, None]
-        assert io._read_columns(path) is None
-        assert len(forked) == 4
+        ranges = io._ranges(path, 3)
+        got = io._read_columns(path)
+        assert got is not None
+        assert here == [start for start, _ in ranges[1:]]
+        assert len(forked) == 3
         assert_reaped(forked)
         assert_same(read_table(path), outcome_by_rows(path))
         assert_reaped(forked)
 
     def test_children_killed_and_reaped_when_the_parent_is_interrupted(
             self, tmp_path, cpus, monkeypatch):
+        # the first child sends nothing, and parsing its range here is
+        # interrupted while the other children are still busy
         forked = cpus(3)
+        parent = os.getpid()
 
         def interrupted(path, start, end, raw):
-            if start == 0:
+            if os.getpid() == parent:
                 raise KeyboardInterrupt
-            time.sleep(60)  # a child still busy when the parent stops
+            if start == 0:
+                os._exit(0)
+            time.sleep(60)
 
         monkeypatch.setattr(io, "_parse_range", interrupted)
         path = tmp_path / "t.csv"
@@ -790,7 +793,7 @@ class TestRanges:
         with pytest.raises(KeyboardInterrupt):
             io._read_columns(path)
         assert time.monotonic() - began < 30
-        assert len(forked) == 2
+        assert len(forked) == 3
         assert_reaped(forked)
 
 

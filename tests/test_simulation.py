@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from genevar import _forking
+from genevar import _forking, simulation
 from genevar.model import GenevarError, InvalidRho, TooFewReplicates
 from genevar.simulation import (
     GRID,
@@ -245,28 +245,15 @@ class TestRunExperiment:
                               equal_nan=True)
 
     @staticmethod
-    def counting_forks(patch):
-        """The list that collects the pid of every child _forking forks."""
-        fork, pids = _forking.fork, []
-
-        def counting_fork(*args):
-            pid, pipe = fork(*args)
-            pids.append(pid)
-            return pid, pipe
-
-        patch.setattr(_forking, "fork", counting_fork)
-        return pids
-
-    @classmethod
-    def report_on_cpus(cls, monkeypatch, cpus, design, estimators):
+    def report_on_cpus(monkeypatch, forked, cpus, design, estimators):
         """run_experiment with the affinity set read as cpus; also the number
         of processes that ran the runs, [1] when none was forked."""
+        before = len(forked)
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
                           raising=False)
-            forked = cls.counting_forks(patch)
             report = run_experiment(design, estimators=estimators)
-        return report, [len(forked) or 1]
+        return report, [len(forked) - before or 1]
 
     @staticmethod
     def assert_same_report(a, b):
@@ -279,69 +266,81 @@ class TestRunExperiment:
                                       equal_nan=True)
         assert a.parameter_stats == b.parameter_stats
 
-    def test_report_independent_of_worker_count(self, monkeypatch):
+    def test_report_independent_of_worker_count(self, monkeypatch, forked):
         # 5 runs on 2 workers split unevenly; the report is bit-identical
         table2 = ("replicate_average", "corrected", "oracle")
         d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=5, seed=29)
-        one, sizes_one = self.report_on_cpus(monkeypatch, {0}, d, table2)
-        two, sizes_two = self.report_on_cpus(monkeypatch, {0, 1}, d, table2)
+        one, sizes_one = self.report_on_cpus(monkeypatch, forked, {0}, d,
+                                             table2)
+        two, sizes_two = self.report_on_cpus(monkeypatch, forked, {0, 1}, d,
+                                             table2)
         assert (sizes_one, sizes_two) == ([1], [2])
         assert one.parameter_stats is not None
         self.assert_same_report(one, two)
 
-    def test_single_run_uses_one_worker(self, monkeypatch):
+    def test_single_run_uses_one_worker(self, monkeypatch, forked):
         d = SimDesign(n_genes=300, n_active=40, n_runs=1, seed=31)
-        one, _ = self.report_on_cpus(monkeypatch, {0}, d, ("corrected",))
-        two, sizes = self.report_on_cpus(monkeypatch, {0, 1}, d, ("corrected",))
+        one, _ = self.report_on_cpus(monkeypatch, forked, {0}, d,
+                                     ("corrected",))
+        two, sizes = self.report_on_cpus(monkeypatch, forked, {0, 1}, d,
+                                         ("corrected",))
         assert sizes == [1]
         self.assert_same_report(one, two)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_report_independent_of_patched_workers(self, monkeypatch, workers):
-        # 5 runs dealt to 2 or 3 shares are uneven shares; bit-identical
+    def test_report_independent_of_patched_workers(self, monkeypatch, forked,
+                                                   workers):
+        # 5 runs cut into 2 or 3 shares are uneven shares; bit-identical
         table2 = ("replicate_average", "corrected", "oracle")
         d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=5, seed=29)
         reports = []
         for n in (1, workers):
+            before = len(forked)
             with monkeypatch.context() as patch:
                 patch.setattr(_forking, "workers", lambda: n)
-                forked = self.counting_forks(patch)
                 reports.append(run_experiment(d, estimators=table2))
-            assert len(forked) == (0 if n == 1 else n)
+            assert len(forked) - before == (0 if n == 1 else n)
         self.assert_same_report(*reports)
 
-    def test_share_with_no_result_runs_in_process(self, monkeypatch):
+    def test_share_with_no_result_runs_in_process(self, monkeypatch, forked):
+        # 5 runs in shares [0], [1, 2], [3, 4]; the second child sends nothing
         table2 = ("replicate_average", "corrected", "oracle")
         d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=5, seed=29)
         with monkeypatch.context() as patch:
             patch.setattr(_forking, "workers", lambda: 1)
             one = run_experiment(d, estimators=table2)
-        receive, calls = _forking.receive, []
+        parent, run_once, here = os.getpid(), simulation._run_once, []
 
-        def losing(pipe):
-            calls.append(pipe)
-            return None if len(calls) == 2 else receive(pipe)
+        def losing(design, run, estimators, truth_moments):
+            if os.getpid() == parent:
+                here.append(run)
+            elif run == 2:
+                os._exit(0)
+            return run_once(design, run, estimators, truth_moments)
 
         monkeypatch.setattr(_forking, "workers", lambda: 3)
-        monkeypatch.setattr(_forking, "receive", losing)
+        monkeypatch.setattr(simulation, "_run_once", losing)
         self.assert_same_report(one, run_experiment(d, estimators=table2))
-        assert len(calls) == 3
+        assert here == [1, 2]
+        assert len(forked) == 3
 
-    def test_no_affinity_call_runs_in_process(self, monkeypatch):
+    def test_no_affinity_call_runs_in_process(self, monkeypatch, forked):
         # as on macOS, where os.sched_getaffinity does not exist
         d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=3, seed=41)
-        want, _ = self.report_on_cpus(monkeypatch, {0, 1}, d, ("corrected",))
+        want, _ = self.report_on_cpus(monkeypatch, forked, {0, 1}, d,
+                                      ("corrected",))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        forked = self.counting_forks(monkeypatch)
+        before = len(forked)
         self.assert_same_report(want, run_experiment(d, estimators=("corrected",)))
-        assert forked == []
+        assert len(forked) == before
 
-    def test_other_threads_keep_the_runs_in_process(self, monkeypatch):
+    def test_other_threads_keep_the_runs_in_process(self, monkeypatch, forked):
         d = SimDesign(n_genes=300, n_active=40, rho=0.3, n_runs=3, seed=41)
-        want, _ = self.report_on_cpus(monkeypatch, {0, 1}, d, ("corrected",))
+        want, _ = self.report_on_cpus(monkeypatch, forked, {0, 1}, d,
+                                      ("corrected",))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        forked = self.counting_forks(monkeypatch)
+        before = len(forked)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
@@ -351,7 +350,7 @@ class TestRunExperiment:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert forked == []
+        assert len(forked) == before
         self.assert_same_report(want, report)
 
     def test_error_inside_a_run_reaches_the_caller(self, monkeypatch):
