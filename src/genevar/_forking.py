@@ -22,7 +22,7 @@ def workers():
 
 
 def run(func, arg_tuples):
-    """Yield func(*args) for each tuple of arg_tuples, in order.
+    """Yield func(*args) for each tuple of the list arg_tuples, in order.
 
     With n = min(workers(), len(arg_tuples)) > 1, the tuples are cut into n
     contiguous shares, one per forked child.  A child computes its whole
@@ -33,7 +33,6 @@ def run(func, arg_tuples):
     time.  Every child is killed and reaped when the iterator is exhausted
     or closed; one still running then has nothing left to send.
     """
-    arg_tuples = list(arg_tuples)
     n = min(workers(), len(arg_tuples))
     if n <= 1:
         for args in arg_tuples:

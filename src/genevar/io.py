@@ -16,8 +16,8 @@ into line-aligned byte ranges, one per CPU in the process's affinity set,
 and maps _parse_range over them through _forking.run: with more than one
 range, each is parsed in a forked child and pickled back while this
 process waits, and a range whose result does not arrive is parsed here;
-with one usable CPU, without os.fork, or with other threads alive
-(forking is then unsafe), the whole body is one range, parsed here.  A
+with one usable CPU, where forking is unavailable, or with other threads
+alive (forking is then unsafe), the whole body is one range, parsed here.  A
 range is read through a bounded binary stream with universal newlines,
 _CHUNK_ROWS rows at a time with np.loadtxt, and each chunk is checked
 with array operations; of a chunk the pass keeps only a packed int64
