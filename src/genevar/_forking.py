@@ -31,7 +31,9 @@ def run(func, arg_tuples):
     result that does not arrive is computed here, which also raises a
     run's error in the caller.  With n <= 1 every tuple runs here, one at a
     time.  Every child is killed and reaped when the iterator is exhausted
-    or closed; one still running then has nothing left to send.
+    or closed; one still running then has nothing left to send.  SIGINT is
+    blocked while the children are forked, so that a Ctrl-C cannot land
+    between a fork and the list of children that this cleanup reads.
     """
     n = min(workers(), len(arg_tuples))
     if n <= 1:
@@ -42,8 +44,15 @@ def run(func, arg_tuples):
     shares = [arg_tuples[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     children = []
     try:
-        for share in shares:
-            children.append(_fork(func, share))
+        # read apart from the change, since pthread_sigmask can raise a
+        # pending KeyboardInterrupt once it has changed the mask
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        try:
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            for share in shares:
+                children.append(_fork(func, share, mask))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for (_, pipe), share in zip(children, shares):
             received = _received(pipe)
             for args in share:
@@ -56,11 +65,12 @@ def run(func, arg_tuples):
             os.waitpid(pid, 0)
 
 
-def _fork(func, share):
+def _fork(func, share, mask):
     """(pid, pipe) of a forked child that pickles func(*args) of each tuple
     of share into the pipe, one result at a time, once it has them all.
-    The child leaves only through os._exit, so this process's atexit
-    handlers and stdio buffers never run twice."""
+    The child first sets its signal mask to mask, then leaves only through
+    os._exit, so this process's atexit handlers and stdio buffers never
+    run twice."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -71,6 +81,7 @@ def _fork(func, share):
     if pid == 0:
         code = 1
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(read)
             results = [func(*args) for args in share]
             with open(write, "wb") as pipe:

@@ -14,9 +14,14 @@ and the intensity density.  simulate evaluates on the design's grid.  In
 table format each command prints a summary to stdout: estimate one line
 (rho, sigma1, sigma2, iterations, converged), the others a table.
 
-Each command imports inside its function the modules that only it runs
-(asymptotics for estimate, inference for validate and select, simulation
-for simulate), so that a process loads no more than its command needs.
+The module itself imports only the standard library's argparse, math and
+sys, so that --help and a usage error answer without numpy.  Each command
+imports, inside its function or the helpers it calls, the modules that it
+runs: numpy and the fit's modules (model, io, correlation, smoothing) for
+every command, asymptotics for estimate, inference for validate and select,
+simulation for simulate, and hashlib, json and pathlib for the outputs and
+the manifest.  So a process loads no more than its command needs, and only
+once its arguments parse.
 
 Every command writes a manifest.json (flags, package and library versions,
 input digests) sufficient to re-run bit-identically; simulate's flags include
@@ -28,27 +33,10 @@ analysis, 5 estimation did not converge.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from . import __version__
-from .model import (
-    EstimationConfig,
-    GenevarError,
-    IngestionError,
-    MultiArraySet,
-    NoReplicatedGenes,
-    TooFewArrays,
-    default_grid,
-)
-from .correlation import fixed_point_solve
-from .io import read_table, write_csv
-from .smoothing import density_interpolator
 
 EXIT_OK = 0
 EXIT_INGESTION = 3
@@ -94,16 +82,22 @@ def _pair_list(text):
     return tuple(pairs)
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path) -> str:
     """The input's digest, read in 1 MB blocks rather than whole."""
+    import hashlib
+
     digest = hashlib.sha256()
-    with path.open("rb") as handle:
+    with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, args, inputs):
+def _write_manifest(outdir, command: str, args, inputs):
+    import json
+
+    import numpy as np
+
     manifest = {
         "command": command,
         "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
@@ -112,16 +106,22 @@ def _write_manifest(outdir: Path, command: str, args, inputs):
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {str(p): _sha256(p) for p in inputs},
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _fit(args, mset: MultiArraySet, rho):
+def _fit(args, mset, rho):
     """The fit behind estimate, validate and select: the config from the
     pooled intensities, the fixed point (which checks the data) and the
     intensity density.  Returns (config, fixed point, density)."""
+    import numpy as np
+
+    from .correlation import fixed_point_solve
+    from .model import EstimationConfig, GenevarError, TooFewArrays, default_grid
+    from .smoothing import density_interpolator
+
     if rho is None and mset.n_arrays < 2:
         raise TooFewArrays(
             "J=1: replicate correlation is not estimable; pass --rho to pin it")
@@ -142,7 +142,10 @@ def _fit(args, mset: MultiArraySet, rho):
 
 
 def cmd_estimate(args) -> int:
+    from pathlib import Path
+
     from .asymptotics import corrected_curve_stderr
+    from .io import read_table, write_csv
 
     mset = read_table(args.input)
     config, fp, density = _fit(args, mset, args.rho)
@@ -177,7 +180,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from pathlib import Path
+
+    import numpy as np
+
     from .inference import gene_sigma, validation_tests
+    from .io import read_table, write_csv
+    from .model import NoReplicatedGenes
 
     mset = read_table(args.input)
     if mset.n_replicates < 2:
@@ -202,18 +211,24 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _array_indices(n_arrays: int, indices) -> np.ndarray:
+def _array_indices(n_arrays: int, indices):
     """0-based positions of 1-based array indices, each checked in order."""
+    import numpy as np
+
+    from .model import GenevarError
+
     for j in indices:
         if not 1 <= j <= n_arrays:
             raise GenevarError(f"array index {j} is outside 1..J (J={n_arrays})")
     return np.asarray(indices, dtype=np.intp) - 1
 
 
-def _super_block(block) -> np.ndarray:
+def _super_block(block):
     """The J arrays of a (J, N, I) block side by side as one read-only
     (1, N, J*I) block, whose row g holds gene g's spots array after array;
     one copy, which MultiArraySet keeps as it is."""
+    import numpy as np
+
     n_arrays, n_genes, n_reps = block.shape
     out = np.empty((n_genes, n_arrays, n_reps))
     out[...] = block.transpose(1, 0, 2)
@@ -222,6 +237,10 @@ def _super_block(block) -> np.ndarray:
 
 
 def cmd_select(args) -> int:
+    from pathlib import Path
+
+    import numpy as np
+
     from .inference import (
         gene_sigma,
         power_increase,
@@ -229,6 +248,8 @@ def cmd_select(args) -> int:
         t_pvalues,
         z_pvalues,
     )
+    from .io import read_table, write_csv
+    from .model import MultiArraySet, TooFewArrays
 
     mset = read_table(args.input)
     x, y = mset.x, mset.y
@@ -295,6 +316,9 @@ PRESETS = {
 
 
 def cmd_simulate(args) -> int:
+    from pathlib import Path
+
+    from .io import write_csv
     from .simulation import SimDesign, run_experiment
 
     estimators = PRESETS[args.preset]
@@ -392,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .model import GenevarError, IngestionError
+
     try:
         return args.func(args)
     except IngestionError as exc:

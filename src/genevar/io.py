@@ -239,8 +239,12 @@ def _pack_chunk(rec, raw, index):
     """One parsed chunk as (key, a, b), or None if it fails a check.  New
     gene ids join index in order of first appearance; key packs (gene,
     array - 1, replicate - 1) into one int64 with _INDEX_BITS bits for
-    each index; a and b are copies, so that rec and its strings can go."""
-    genes = list(map(str.strip, rec["gene"].tolist()))
+    each index; a and b are copies, so that rec and its strings can go.
+    A gene's rows usually come in runs, so its id is stripped, checked and
+    looked up once per run of equal raw ids, and the index repeated."""
+    ids = rec["gene"]
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    genes = [g.strip() for g in ids[np.append(0, starts)].tolist()]
     if not all(genes) or '"' in "".join(genes):
         return None
     rep, arr = rec["replicate"], rec["array"]
@@ -252,8 +256,10 @@ def _pack_chunk(rec, raw, index):
         return None
     fresh = [g for g in dict.fromkeys(genes) if g not in index]
     index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-    key = np.fromiter(map(index.__getitem__, genes), dtype=np.int64,
-                      count=len(genes))
+    key = np.repeat(
+        np.fromiter(map(index.__getitem__, genes), dtype=np.int64,
+                    count=len(genes)),
+        np.diff(starts, prepend=0, append=len(ids)))
     key <<= _INDEX_BITS
     key |= arr - 1
     key <<= _INDEX_BITS
@@ -265,7 +271,11 @@ def _read_rows(path):
     """The row pass: _read_columns' result, built one csv row at a time
     with every check made in file order, so the first fault raises with
     its path:line."""
-    with path.open(newline="") as handle:
+    try:
+        handle = path.open(newline="")
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    with handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -154,9 +154,9 @@ class TestEstimate:
                                     monkeypatch):
         # every grid the CLI builds is equispaced; a producer that is not
         # must stop with the validation exit code
-        import genevar.cli
+        import genevar.model
 
-        monkeypatch.setattr(genevar.cli, "default_grid",
+        monkeypatch.setattr(genevar.model, "default_grid",
                             lambda x, n_points=101: np.geomspace(7.0, 15.0, n_points))
         assert main(["estimate", "--input", str(replicated_csv),
                      "--out", str(tmp_path / "out"), "--format", "csv"]
@@ -201,6 +201,20 @@ class TestEstimate:
         bad.write_text("nope\n")
         assert main(["estimate", "--input", str(bad), "--out",
                      str(tmp_path / "o"), "--format", "csv"]) == EXIT_INGESTION
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["estimate", "validate", "select"])
+    @pytest.mark.parametrize("kind, reason", [("missing", "No such file"),
+                                              ("directory", "Is a directory")])
+    def test_ingestion_exit_code(self, tmp_path, capsys, command, kind, reason):
+        path = tmp_path / "arrays.csv"
+        if kind == "directory":
+            path.mkdir()
+        assert main([command, "--input", str(path), "--out",
+                     str(tmp_path / "out"), "--format", "csv"]) == EXIT_INGESTION
+        err = capsys.readouterr().err
+        assert str(path) in err and reason in err
 
 
 class TestValidate:
@@ -451,7 +465,8 @@ class TestImportCost:
     """No command imports scipy: importing its special functions alone cost
     about 0.25 s and 20 MB per process, and genevar.distributions computes
     the p-values and the power in numpy.  Each command imports only the
-    genevar modules it runs."""
+    genevar modules it runs, and --help or a usage error none of them, nor
+    numpy."""
 
     @staticmethod
     def modules_after(code):
@@ -475,14 +490,24 @@ class TestImportCost:
     def test_cli_import_loads_none(self):
         assert not self.scipy(self.modules_after("import genevar.cli"))
 
-    def test_help_loads_numpy(self):
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["estimate", "--help"], 0),
+        (["validate", "--help"], 0),
+        (["select", "--help"], 0),
+        (["simulate", "--help"], 0),
+        (["estimate", "--input", "x"], 2),  # no --out
+    ], ids=["help", "estimate", "validate", "select", "simulate",
+            "usage-error"])
+    def test_help_loads_no_numpy(self, argv, code):
+        # argparse answers before any command imports what it runs
         loaded = self.modules_after(
-            "from genevar.cli import main\ntry:\n    main(['--help'])\n"
-            "except SystemExit as exc:\n    assert exc.code == 0")
-        assert "numpy" in loaded
-        assert not self.scipy(loaded)
-        assert not loaded & {"genevar.inference", "genevar.simulation",
-                             "genevar.asymptotics"}
+            f"from genevar.cli import main\ntry:\n    main({argv!r})\n"
+            f"except SystemExit as exc:\n    assert exc.code == {code}\n"
+            f"else:\n    raise AssertionError('main returned')")
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.split(".")[0] == "genevar"} == {
+            "genevar", "genevar.cli"}
 
     def test_package_import_loads_no_module(self):
         loaded = self.modules_after("import genevar")

@@ -1,5 +1,6 @@
 import itertools
 import os
+import signal
 import time
 
 import pytest
@@ -133,3 +134,24 @@ def test_no_child_left_after_keyboard_interrupt(workers, forked):
     assert time.monotonic() - began < 30
     assert len(forked) == 3
     assert_no_child_left()
+
+
+def test_no_child_left_after_keyboard_interrupt_at_a_fork(workers, forked,
+                                                          monkeypatch):
+    # SIGINT reaches this process right after the real fork returns here,
+    # before the child can join the list that the cleanup reads
+    workers(3)
+    fork = os.fork
+
+    def interrupted_fork():
+        pid = fork()
+        if pid:
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", interrupted_fork)
+    with pytest.raises(KeyboardInterrupt):
+        list(_forking.run(square_where, [(k,) for k in range(6)]))
+    assert forked
+    assert_no_child_left()
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())

@@ -480,6 +480,28 @@ class TestColumnarParity:
         for a, b in zip(got.arrays, plain.arrays):
             assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
+    def test_gene_runs_of_one_row(self, tmp_path):
+        # no two neighbouring rows share an id
+        rows = [f"g{g + 1},{r + 1},{a + 1},{7.0 + g + r / 4},{0.1 * a - 0.2}"
+                for a in range(2) for r in range(2) for g in range(3)]
+        path = tmp_path / "ones.csv"
+        write_rows(path, False, rows)
+        assert io._read_columns(path) is not None
+        assert_parity(path)
+        assert read_table(path).gene_ids == ("g1", "g2", "g3")
+
+    def test_a_run_broken_only_by_spaces(self, tmp_path):
+        # the raw ids differ, the stripped ones are the same gene
+        rows = ["g1,1,1,7.0,0.1", " g1 ,2,1,7.5,0.2", " g1 ,1,2,7.25,0.3",
+                "g1,2,2,7.75,0.4", "g2,1,1,8.0,0.5", "g2,2,1,8.5,0.6",
+                "g2,1,2,8.25,0.7", "g2,2,2,8.75,0.8"]
+        path = tmp_path / "spaces.csv"
+        write_rows(path, False, rows)
+        assert io._read_columns(path) is not None
+        assert_parity(path)
+        got = read_table(path)
+        assert got.gene_ids == ("g1", "g2")
+        assert got.x[1].tolist() == [[7.25, 7.75], [8.25, 8.75]]
 
 # ---------------------------------------------------------------------------
 # The columnar pass across chunk edges
