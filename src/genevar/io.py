@@ -254,11 +254,9 @@ def _pack_chunk(rec, raw, index):
             or not (np.isfinite(a).all() and np.isfinite(b).all())
             or raw and not ((a > 0).all() and (b > 0).all())):
         return None
-    fresh = [g for g in dict.fromkeys(genes) if g not in index]
-    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
     key = np.repeat(
-        np.fromiter(map(index.__getitem__, genes), dtype=np.int64,
-                    count=len(genes)),
+        np.fromiter((index.setdefault(g, len(index)) for g in genes),
+                    dtype=np.int64, count=len(genes)),
         np.diff(starts, prepend=0, append=len(ids)))
     key <<= _INDEX_BITS
     key |= arr - 1
