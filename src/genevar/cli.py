@@ -93,6 +93,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _outdir(path):
+    """The output directory, made with its parents if missing."""
+    from pathlib import Path
+
+    outdir = Path(path)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _write_manifest(outdir, command: str, args, inputs):
     import json
 
@@ -142,8 +151,6 @@ def _fit(args, mset, rho):
 
 
 def cmd_estimate(args) -> int:
-    from pathlib import Path
-
     from .asymptotics import corrected_curve_stderr
     from .io import read_table, write_csv
 
@@ -154,8 +161,7 @@ def cmd_estimate(args) -> int:
     stderr = corrected_curve_stderr(fp, mset.n_genes, mset.n_arrays, config,
                                     density)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.out)
     write_csv(outdir / "curve.csv", ["x", "variance", "stderr", "flags"],
               [curve.grid, curve.values, stderr, curve.flags])
     write_csv(outdir / "correlation.csv",
@@ -180,8 +186,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from pathlib import Path
-
     import numpy as np
 
     from .inference import gene_sigma, validation_tests
@@ -198,8 +202,7 @@ def cmd_validate(args) -> int:
     results = [validation_tests(array, sigma[j], array_id=f"array{j + 1}")
                for j, array in enumerate(mset.arrays)]
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.out)
     fields = ["array_id", "t1", "p1", "t2", "p2", "t3", "p3", "t4", "p4"]
     write_csv(outdir / "validation.csv", fields,
               [[getattr(r, name) for r in results] for name in fields])
@@ -237,8 +240,6 @@ def _super_block(block):
 
 
 def cmd_select(args) -> int:
-    from pathlib import Path
-
     import numpy as np
 
     from .inference import (
@@ -282,8 +283,7 @@ def cmd_select(args) -> int:
     z_stat, p_z = z_pvalues(means, sigma_hat, n)
     fold = 2.0 ** np.abs(means)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.out)
     write_csv(outdir / "gene_calls.csv",
               ["gene_id", "mean", "sample_sd", "sigma_hat", "fold_change",
                "t_stat", "p_t", "z_stat", "p_z", "flagged"],
@@ -316,8 +316,6 @@ PRESETS = {
 
 
 def cmd_simulate(args) -> int:
-    from pathlib import Path
-
     from .io import write_csv
     from .simulation import SimDesign, run_experiment
 
@@ -334,8 +332,7 @@ def cmd_simulate(args) -> int:
     )
     report = run_experiment(design, estimators=estimators)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.out)
     names = report.estimators
     metrics = [report.metrics[name] for name in names]
     write_csv(outdir / "report.csv", ["estimator", "bias2", "var", "mise"],
