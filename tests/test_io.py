@@ -503,6 +503,7 @@ class TestColumnarParity:
         assert got.gene_ids == ("g1", "g2")
         assert got.x[1].tolist() == [[7.25, 7.75], [8.25, 8.75]]
 
+
 # ---------------------------------------------------------------------------
 # The columnar pass across chunk edges
 # ---------------------------------------------------------------------------
