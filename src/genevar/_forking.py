@@ -13,9 +13,10 @@ _LOST = object()  # a result that no child sent
 
 def workers():
     """Processes for a forked job: one per CPU in this process's affinity
-    set, or 1 where forking is unavailable or, with other threads alive,
-    unsafe."""
+    set, or 1 where forking is unavailable or, off the main thread or with
+    other threads alive, unsafe."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.current_thread() is not threading.main_thread()
             or threading.active_count() > 1):
         return 1
     return len(os.sched_getaffinity(0))
@@ -31,9 +32,12 @@ def run(func, arg_tuples):
     result that does not arrive is computed here, which also raises a
     run's error in the caller.  With n <= 1 every tuple runs here, one at a
     time.  Every child is killed and reaped when the iterator is exhausted
-    or closed; one still running then has nothing left to send.  SIGINT is
-    blocked while the children are forked, so that a Ctrl-C cannot land
-    between a fork and the list of children that this cleanup reads.
+    or closed; one still running then has nothing left to send.  While the
+    children are forked, SIGINT only sets a flag, so that a Ctrl-C cannot
+    raise between a fork and the list of children that this cleanup reads;
+    once they are all listed, a SIGINT that came goes to the caller's
+    handler.  The flag is a Python-level handler, so it holds whichever
+    thread of the process the kernel hands the signal to.
     """
     n = min(workers(), len(arg_tuples))
     if n <= 1:
@@ -44,15 +48,16 @@ def run(func, arg_tuples):
     shares = [arg_tuples[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     children = []
     try:
-        # read apart from the change, since pthread_sigmask can raise a
-        # pending KeyboardInterrupt once it has changed the mask
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        caught = []
+        handler = signal.signal(signal.SIGINT,
+                                lambda signum, frame: caught.append(signum))
         try:
-            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             for share in shares:
-                children.append(_fork(func, share, mask))
+                children.append(_fork(func, share, handler))
         finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            signal.signal(signal.SIGINT, handler)
+        if caught:
+            signal.raise_signal(signal.SIGINT)
         for (_, pipe), share in zip(children, shares):
             received = _received(pipe)
             for args in share:
@@ -65,12 +70,12 @@ def run(func, arg_tuples):
             os.waitpid(pid, 0)
 
 
-def _fork(func, share, mask):
+def _fork(func, share, handler):
     """(pid, pipe) of a forked child that pickles func(*args) of each tuple
     of share into the pipe, one result at a time, once it has them all.
-    The child first sets its signal mask to mask, then leaves only through
-    os._exit, so this process's atexit handlers and stdio buffers never
-    run twice."""
+    The child first makes handler its SIGINT handler again, then leaves
+    only through os._exit, so this process's atexit handlers and stdio
+    buffers never run twice."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -81,7 +86,7 @@ def _fork(func, share, mask):
     if pid == 0:
         code = 1
         try:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            signal.signal(signal.SIGINT, handler)
             os.close(read)
             results = [func(*args) for args in share]
             with open(write, "wb") as pipe:

@@ -240,8 +240,10 @@ def _pack_chunk(rec, raw, index):
     gene ids join index in order of first appearance; key packs (gene,
     array - 1, replicate - 1) into one int64 with _INDEX_BITS bits for
     each index; a and b are copies, so that rec and its strings can go.
-    A gene's rows usually come in runs, so its id is stripped, checked and
-    looked up once per run of equal raw ids, and the index repeated."""
+    A gene's id is stripped, checked and looked up once per run of equal
+    raw ids on neighbouring rows, and its index repeated over the run; in
+    a file with no such runs, such as one in (array, replicate, gene) row
+    order, that is one lookup per row."""
     ids = rec["gene"]
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     genes = [g.strip() for g in ids[np.append(0, starts)].tolist()]
@@ -274,7 +276,7 @@ def _read_rows(path):
     except OSError as exc:
         raise IngestionError(f"{path}: cannot read: {exc.strerror or exc}") from None
     with handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_decoded_lines(handle, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -337,6 +339,24 @@ def _read_rows(path):
         a3[ai, gi, r] = av
         b3[ai, gi, r] = bv
     return raw, tuple(gene_order), a3, b3
+
+
+def _decoded_lines(handle, path):
+    """The lines of handle, a text file opened on path.  Bytes that do not
+    decode raise IngestionError with the path:line of the first line that
+    holds such bytes."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        with path.open("rb") as raw:
+            for lineno, line in enumerate(raw, start=1):
+                try:
+                    line.decode(exc.encoding)
+                except UnicodeDecodeError as bad:
+                    raise IngestionError(f"{path}:{lineno}: not {exc.encoding} "
+                                         f"text: {bad.reason}") from None
+        raise IngestionError(
+            f"{path}: not {exc.encoding} text: {exc.reason}") from None
 
 
 def write_csv(path, header, columns) -> None:

@@ -216,6 +216,14 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert str(path) in err and reason in err
 
+    @pytest.mark.parametrize("command", ["estimate", "validate", "select"])
+    def test_undecodable_input(self, tmp_path, capsys, command):
+        path = tmp_path / "arrays.csv"
+        path.write_bytes(b"gene_id,replicate,array,x,y\ng\xff1,1,1,7.0,0.1\n")
+        assert main([command, "--input", str(path), "--out",
+                     str(tmp_path / "out"), "--format", "csv"]) == EXIT_INGESTION
+        assert f"{path}:2: not utf-8" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_end_to_end(self, replicated_csv, tmp_path, capsys):

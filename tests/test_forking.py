@@ -150,8 +150,21 @@ def test_no_child_left_after_keyboard_interrupt_at_a_fork(workers, forked,
         return pid
 
     monkeypatch.setattr(os, "fork", interrupted_fork)
+    handler = signal.getsignal(signal.SIGINT)
     with pytest.raises(KeyboardInterrupt):
         list(_forking.run(square_where, [(k,) for k in range(6)]))
-    assert forked
+    assert len(forked) == 3
     assert_no_child_left()
-    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    assert signal.getsignal(signal.SIGINT) is handler
+
+
+def sigint_handler_id(_):
+    return id(signal.getsignal(signal.SIGINT))
+
+
+def test_children_run_with_the_callers_sigint_handler(workers, forked):
+    # the flag-setting handler of the fork loop is gone in every child
+    workers(2)
+    got = list(_forking.run(sigint_handler_id, [(0,), (1,)]))
+    assert len(forked) == 2
+    assert got == [id(signal.getsignal(signal.SIGINT))] * 2

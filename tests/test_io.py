@@ -299,6 +299,18 @@ class TestIngestionErrors:
         with pytest.raises(IngestionError, match="inf.csv:2"):
             read_table(path)
 
+    @pytest.mark.parametrize("line", [1, 3, 3000])
+    def test_undecodable_bytes(self, tmp_path, line):
+        # line 3000 lies past the text layer's first read: the error names
+        # the line that holds the bytes, not the one the reader had reached
+        lines = ["gene_id,replicate,array,x,y"] + [
+            f"g{g},{r},1,{7 + g},0.1" for g in range(2000) for r in (1, 2)]
+        lines[line - 1] += "\xff"
+        path = tmp_path / "bytes.csv"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(IngestionError, match=f"bytes.csv:{line}: not utf-8"):
+            read_table(path)
+
     def test_bad_replicate_index(self, tmp_path):
         path = tmp_path / "rep.csv"
         path.write_text(
