@@ -28,10 +28,11 @@ def run(func, arg_tuples):
     With n = min(workers(), len(arg_tuples)) > 1, the tuples are cut into n
     contiguous shares, one per forked child.  A child computes its whole
     share, then sends each result as its own pickle; this process only
-    waits, so that it touches none of its pages while the children run.  A
-    result that does not arrive is computed here, which also raises a
-    run's error in the caller.  With n <= 1 every tuple runs here, one at a
-    time.  Every child is killed and reaped when the iterator is exhausted
+    waits, so that it touches none of its pages while the children run,
+    and keeps no reference to a result it has yielded.  A result that does
+    not arrive is computed here, which also raises a run's error in the
+    caller.  With n <= 1 every tuple runs here, one at a time.  Every
+    child is killed and reaped when the iterator is exhausted
     or closed; one still running then has nothing left to send.  While the
     children are forked, SIGINT only sets a flag, so that a Ctrl-C cannot
     raise between a fork and the list of children that this cleanup reads;
@@ -61,8 +62,10 @@ def run(func, arg_tuples):
         for (_, pipe), share in zip(children, shares):
             received = _received(pipe)
             for args in share:
-                result = next(received, _LOST)
-                yield func(*args) if result is _LOST else result
+                # through a list, so that no reference to a result stays
+                # here while the caller holds it
+                result = [next(received, _LOST)]
+                yield func(*args) if result[0] is _LOST else result.pop()
     finally:
         for pid, pipe in children:
             pipe.close()

@@ -83,13 +83,15 @@ def _pair_list(text):
 
 
 def _sha256(path) -> str:
-    """The input's digest, read in 1 MB blocks rather than whole."""
+    """The input's digest, read through one reusable 64 KB buffer."""
     import hashlib
 
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as handle:
+        while n := handle.readinto(buffer):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -173,6 +175,7 @@ def cmd_estimate(args) -> int:
                   est.iterations, est.converged, est.clipped,
                   fp.curve_change,
                   "paired" if mset.n_replicates == 2 else "pooled")])
+    del mset, fp, curve, stderr, density  # before the manifest loads hashlib
     _write_manifest(outdir, "estimate", args, [args.input])
     if args.format == "table":
         print(f"rho {est.rho:.4f}  sigma1 {est.sigma1:.4f}  "
@@ -206,6 +209,7 @@ def cmd_validate(args) -> int:
     fields = ["array_id", "t1", "p1", "t2", "p2", "t3", "p3", "t4", "p4"]
     write_csv(outdir / "validation.csv", fields,
               [[getattr(r, name) for r in results] for name in fields])
+    del mset, fp, density, sigma  # before the manifest loads hashlib
     _write_manifest(outdir, "validate", args, [args.input])
     if args.format == "table":
         print(f"{'array':<10s} {'p(T1)':>8s} {'p(T2)':>8s} {'p(T3)':>8s} {'p(T4)':>8s}")
@@ -299,6 +303,9 @@ def cmd_select(args) -> int:
                            sample_sd=sample_sd)
     write_csv(outdir / "power.csv", ["alpha", "theoretical", "empirical"],
               [args.alphas, *zip(*power)])
+    # before the manifest loads hashlib
+    del mset, super_array, fp, density, sigma_hat, means, sample_sd
+    del t_stat, p_t, flagged, z_stat, p_z, fold
     _write_manifest(outdir, "select", args, [args.input])
 
     if args.format == "table":

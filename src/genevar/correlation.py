@@ -74,7 +74,9 @@ def variance_components(mset: MultiArraySet) -> VarianceComponents:
     array_means = y.mean(axis=2)               # (J, N)
     grand = array_means.mean(axis=0)           # (N,)
     s_between = i / (j - 1) * ((array_means - grand) ** 2).sum(axis=0)
-    s_within = ((y - array_means[:, :, None]) ** 2).sum(axis=(0, 2)) / (j * (i - 1))
+    deviations = y - array_means[:, :, None]
+    deviations *= deviations                   # squared in place
+    s_within = deviations.sum(axis=(0, 2)) / (j * (i - 1))
     return VarianceComponents(s_between=s_between, s_within=s_within)
 
 
@@ -150,7 +152,9 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     for iterations in range(1, MAX_ITERATIONS + 1):
         scale = VarianceCurve(grid=grid, values=current).scale_at(points)
         sigma1 = float(scale.mean())
-        sigma2 = float((scale * scale).mean())
+        scale *= scale                         # squared in place
+        sigma2 = float(scale.mean())
+        del scale  # so that the next iteration's is the only one
         if sigma1 <= 0:
             raise NonpositiveSigma(
                 "estimated mean noise scale is zero; data appear constant")

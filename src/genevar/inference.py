@@ -151,7 +151,8 @@ def gene_sigma(curve: VarianceCurve, x, density):
     if np.any(total <= 0):
         raise ZeroDensityEverywhere(
             "density vanishes at every intensity of a gene")
-    out = (vals * w).sum(axis=-1) / total
+    vals *= w  # in place: two full-size arrays, not three
+    out = vals.sum(axis=-1) / total
     return float(out) if pts.ndim == 1 else out
 
 

@@ -14,26 +14,31 @@ precision.
 A file is read in one of two passes.  The columnar pass splits the body
 into line-aligned byte ranges, one per CPU in the process's affinity set,
 and maps _parse_range over them through _forking.run: with more than one
-range, each is parsed in a forked child and pickled back while this
-process waits, and a range whose result does not arrive is parsed here;
-with one usable CPU, where forking is unavailable, or with other threads
-alive (forking is then unsafe), the whole body is one range, parsed here.  A
-range is read through a bounded binary stream with universal newlines,
-_CHUNK_ROWS rows at a time with np.loadtxt, and each chunk is checked
-with array operations; of a chunk the pass keeps only a packed int64
-(gene, array, replicate) key per row, with the gene indexed within its
-range, and copies of the two value columns, so at most one chunk's
-strings are alive per process.  This process maps each range's gene ids
-in range order, which keeps first-appearance order, and scatters the
-chunks into the (J, N, I) blocks.  The columnar pass gives way to the row
+range, each is parsed in a forked child while this process waits, and a
+range whose result does not arrive is parsed here; with one usable CPU,
+where forking is unavailable, or with other threads alive (forking is then
+unsafe), the whole body is one range, parsed here.  Before the fork this
+process maps one anonymous shared region per range, with room for as many
+rows as the range's bytes could hold, and a range's parse writes its rows
+there, so only its row count, gene ids and index maxima go back through
+the pipe.  A range is read through a bounded binary stream with universal
+newlines, _CHUNK_ROWS rows at a time with np.loadtxt, and each chunk is
+checked with array operations; of a chunk the pass keeps only a packed
+int64 (gene, array, replicate) key per row, with the gene indexed within
+its range, and the two value columns, written to the region, so at most
+one chunk's strings are alive per process.  This process maps each
+range's gene ids in range order, which keeps first-appearance order, then
+scatters the regions one at a time, _CHUNK_ROWS rows at a time, into
+NaN-filled (J, N, I) blocks in anonymous mappings of their own, and gives
+back each scattered slice's pages.  The columnar pass gives way to the row
 pass, which reads with csv one row at a time and raises at the first
 faulty row with its path:line, when a chunk fails a check (a spelling
 np.loadtxt refuses, quotes, a blank gene id, a non-finite value, a
 non-positive channel or index), when an index does not fit the packed
-key, or when the cells do not fill the blocks exactly once.  So every
-file gets the row pass's result; the columnar pass only makes the common
-case fast and small.  The blocks are handed over read-only, so
-MultiArraySet keeps them without a copy.
+key, when a range's rows overflow its region, or when the cells do not
+fill the blocks exactly once.  So every file gets the row pass's result;
+the columnar pass only makes the common case fast and small.  The blocks
+are handed over read-only, so MultiArraySet keeps them without a copy.
 
 Writing maps _format_block over a table's _WRITE_ROWS-row blocks
 through _forking.run the same way, so this process holds one block's
@@ -46,8 +51,10 @@ other table, and the header, go through csv.writer.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import mmap
 import os
 import warnings
 from pathlib import Path
@@ -62,6 +69,11 @@ RAW_HEADER = ["gene_id", "replicate", "array", "r", "g"]
 _COLUMNS = [("gene", object), ("replicate", np.int64), ("array", np.int64),
             ("a", float), ("b", float)]
 _CHUNK_ROWS = 16384  # rows per np.loadtxt call of the columnar pass
+_ROW = np.dtype([("key", np.int64), ("a", float), ("b", float)])  # a region's row
+_MIN_ROW_BYTES = 9   # bytes of the shortest row, "g,1,1,0,0"
+# gives back a scattered slice's pages: MADV_REMOVE also frees the shared
+# region's memory, MADV_DONTNEED only unmaps it from this process
+_RELEASE = getattr(mmap, "MADV_REMOVE", getattr(mmap, "MADV_DONTNEED", None))
 _INDEX_BITS = 16     # bits for each of array - 1 and replicate - 1 in a packed key
 _WRITE_ROWS = 1024   # rows per block that write_csv formats at once
 _QUOTED = ',"\r\n\0'  # a str field with one of these goes through csv.writer
@@ -121,42 +133,51 @@ def _read_columns(path):
     a blank line "not counted towards max_rows", and "input contained no
     data" from a chunk that starts at the end of a range.
     """
+    # each range's gene indices -> first-appearance order over the file
+    index, to_file, counts, n_reps, n_arrays = {}, [], [], 0, 0
     try:
         with path.open() as handle:
             header = [h.strip() for h in handle.readline().split(",")]
         if header not in (LOG_HEADER, RAW_HEADER):
             return None
         raw = header == RAW_HEADER
-        parsed = list(_forking.run(
-            _parse_range, [(path, start, end, raw)
-                           for start, end in _ranges(path, _forking.workers())]))
+        ranges = _ranges(path, _forking.workers())
+        shared, regions = _regions([end - start for start, end in ranges])
+        with contextlib.closing(_forking.run(
+                _parse_range, [(path, start, end, raw, region) for (start, end),
+                               (_, region) in zip(ranges, regions)])) as parsed:
+            for result in parsed:  # one range's gene ids alive at a time
+                if result is None:
+                    return None
+                n_rows, ids, top_rep, top_arr = result
+                to_file.append(np.fromiter(
+                    (index.setdefault(g, len(index)) for g in ids),
+                    dtype=np.int64, count=len(ids)))
+                counts.append(n_rows)
+                n_reps, n_arrays = max(n_reps, top_rep), max(n_arrays, top_arr)
+                del result, ids
     except (OSError, ValueError):
         return None
-    if any(p is None for p in parsed):
-        return None
-    # each range's gene indices -> first-appearance order over the file
-    index, chunks = {}, []
-    for range_chunks, ids in parsed:
-        to_file = np.fromiter((index.setdefault(g, len(index)) for g in ids),
-                              dtype=np.int64, count=len(ids))
-        chunks.extend((key, a, b, to_file) for key, a, b in range_chunks)
-    del parsed, range_chunks  # so that the scatter frees each chunk as it goes
-    if not chunks:
-        return None
-    n_genes, mask = len(index), (1 << _INDEX_BITS) - 1
-    n_reps = 1 + max(int((c[0] & mask).max()) for c in chunks)
-    n_arrays = 1 + max(int((c[0] >> _INDEX_BITS & mask).max()) for c in chunks)
+    gene_ids = tuple(index)
+    del index  # before the blocks
+    n_genes, mask = len(gene_ids), (1 << _INDEX_BITS) - 1
     size = n_arrays * n_genes * n_reps
-    if size != sum(c[0].size for c in chunks):
+    if size == 0 or size != sum(counts):
         return None
-    a3, b3 = np.full(size, np.nan), np.full(size, np.nan)
-    while chunks:
-        key, a, b, to_file = chunks.pop()
-        cell = ((key >> _INDEX_BITS & mask) * n_genes
-                + to_file[key >> 2 * _INDEX_BITS]) * n_reps + (key & mask)
-        a3[cell] = a
-        b3[cell] = b
-        del key, a, b, cell  # one chunk at a time
+    a3, b3 = _nan_block(size), _nan_block(size)
+    for n_rows, (offset, region), genes in zip(counts, regions, to_file):
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n_rows)
+            rows = region[lo:hi]
+            key = rows["key"]
+            cell = ((key >> _INDEX_BITS & mask) * n_genes
+                    + genes[key >> 2 * _INDEX_BITS]) * n_reps + (key & mask)
+            a3[cell] = rows["a"]
+            b3[cell] = rows["b"]
+            del rows, key, cell
+            end = offset + hi * _ROW.itemsize  # the region's last page is its own
+            _release(shared, offset + lo * _ROW.itemsize,
+                     end if hi < n_rows else _page_up(end))
     if np.isnan(a3).any():
         # as many rows as cells, every value finite: a cell left NaN means
         # another one was written twice
@@ -164,7 +185,43 @@ def _read_columns(path):
     shape = (n_arrays, n_genes, n_reps)
     a3.setflags(write=False)
     b3.setflags(write=False)
-    return raw, tuple(index), a3.reshape(shape), b3.reshape(shape)
+    return raw, gene_ids, a3.reshape(shape), b3.reshape(shape)
+
+
+def _regions(sizes):
+    """(shared, [(offset, region)]): one anonymous shared mapping that
+    forked children write into, and in it a page-aligned _ROW array per
+    byte range of sizes[k] bytes, with room for every row those bytes can
+    hold, sizes[k] // _MIN_ROW_BYTES + 1.  A page is only allocated once a
+    row is written to it."""
+    capacities = [nbytes // _MIN_ROW_BYTES + 1 for nbytes in sizes]
+    offsets = np.cumsum([0] + [_page_up(n * _ROW.itemsize) for n in capacities])
+    shared = mmap.mmap(-1, int(offsets[-1]))
+    return shared, [(int(offset), np.frombuffer(shared, _ROW, n, int(offset)))
+                    for offset, n in zip(offsets, capacities)]
+
+
+def _page_up(nbytes):
+    return -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+
+
+def _release(shared, lo, hi):
+    """Give back the pages of shared from the one that holds byte lo up to
+    the one that holds byte hi, that one excluded: every row on them has
+    been scattered."""
+    lo, hi = lo - lo % mmap.PAGESIZE, hi - hi % mmap.PAGESIZE
+    if _RELEASE is not None and hi > lo:
+        with contextlib.suppress(OSError):
+            shared.madvise(_RELEASE, lo, hi - lo)
+
+
+def _nan_block(size):
+    """A writable float array of size NaNs in an anonymous private mapping
+    of its own, so that its memory goes back to the system when it is
+    freed."""
+    block = np.frombuffer(mmap.mmap(-1, size * 8, flags=mmap.MAP_PRIVATE), float)
+    block.fill(np.nan)
+    return block
 
 
 def _ranges(path, n):
@@ -204,12 +261,15 @@ class _Range(io.RawIOBase):
         super().close()
 
 
-def _parse_range(path, start, end, raw):
+def _parse_range(path, start, end, raw, region):
     """The bytes [start, end) of path through np.loadtxt, _CHUNK_ROWS rows
-    at a time: (chunks, ids), where ids are the range's gene ids in order of
-    first appearance and each chunk's keys index them, or None when a chunk
-    fails a check.  The range from byte 0 starts with the header line."""
-    index, chunks = {}, []
+    at a time, each checked chunk's rows written to the _ROW array region
+    in file order: (rows, ids, replicates, arrays), where rows counts them,
+    ids are the range's gene ids in order of first appearance, which the
+    keys index, and replicates and arrays are the largest indices; or None
+    when a chunk fails a check or the rows overflow region.  The range
+    from byte 0 starts with the header line."""
+    index, rows, n_reps, n_arrays = {}, 0, 0, 0
     try:
         stream = io.BufferedReader(_Range(path, start, end), 1 << 16)
         with io.TextIOWrapper(stream, newline=None) as handle:
@@ -225,21 +285,25 @@ def _parse_range(path, start, end, raw):
                                      dtype=_COLUMNS, ndmin=1, max_rows=_CHUNK_ROWS)
                     full = rec.size == _CHUNK_ROWS
                     if rec.size:
-                        chunk = _pack_chunk(rec, raw, index)
-                        if chunk is None:
+                        if rows + rec.size > region.size:
                             return None
-                        chunks.append(chunk)
+                        top = _pack_chunk(rec, raw, index,
+                                          region[rows:rows + rec.size])
+                        if top is None:
+                            return None
+                        rows += rec.size
+                        n_reps, n_arrays = max(n_reps, top[0]), max(n_arrays, top[1])
                     del rec  # before the next chunk is parsed
     except (OSError, ValueError, Warning):
         return None
-    return chunks, tuple(index)
+    return rows, tuple(index), n_reps, n_arrays
 
 
-def _pack_chunk(rec, raw, index):
-    """One parsed chunk as (key, a, b), or None if it fails a check.  New
-    gene ids join index in order of first appearance; key packs (gene,
-    array - 1, replicate - 1) into one int64 with _INDEX_BITS bits for
-    each index; a and b are copies, so that rec and its strings can go.
+def _pack_chunk(rec, raw, index, out):
+    """Write one parsed chunk to the _ROW array out and return its largest
+    (replicate, array), or None if it fails a check.  New gene ids join
+    index in order of first appearance; key packs (gene, array - 1,
+    replicate - 1) into one int64 with _INDEX_BITS bits for each index.
     A gene's id is stripped, checked and looked up once per run of equal
     raw ids on neighbouring rows, and its index repeated over the run; in
     a file with no such runs, such as one in (array, replicate, gene) row
@@ -251,8 +315,8 @@ def _pack_chunk(rec, raw, index):
         return None
     rep, arr = rec["replicate"], rec["array"]
     a, b = rec["a"], rec["b"]
-    if (min(rep.min(), arr.min()) < 1
-            or max(rep.max(), arr.max()) > 1 << _INDEX_BITS
+    top = int(rep.max()), int(arr.max())
+    if (min(rep.min(), arr.min()) < 1 or max(top) > 1 << _INDEX_BITS
             or not (np.isfinite(a).all() and np.isfinite(b).all())
             or raw and not ((a > 0).all() and (b > 0).all())):
         return None
@@ -264,7 +328,8 @@ def _pack_chunk(rec, raw, index):
     key |= arr - 1
     key <<= _INDEX_BITS
     key |= rep - 1
-    return key, a.copy(), b.copy()
+    out["key"], out["a"], out["b"] = key, a, b
+    return top
 
 
 def _read_rows(path):

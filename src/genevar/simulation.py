@@ -93,15 +93,6 @@ def variance_curvature(x) -> np.ndarray:
     return 0.03 * (np.asarray(x, dtype=float) < 12.0)
 
 
-def scale_curvature(x) -> np.ndarray:
-    """Analytic s'' for the design's noise scale."""
-    x = np.asarray(x, dtype=float)
-    v = variance_function(x)
-    vp = np.where(x < 12.0, -0.03 * (12.0 - x), 0.0)
-    vpp = variance_curvature(x)
-    return vpp / (2.0 * np.sqrt(v)) - vp ** 2 / (4.0 * v ** 1.5)
-
-
 def smooth_effect(x) -> np.ndarray:
     """Bump effect exp(-1/(1-(x-13)^2)) on (12, 14), zero elsewhere."""
     x = np.asarray(x, dtype=float)

@@ -64,6 +64,7 @@ _LATTICE_MAX = 1 << 19  # lattice nodes per binned fit, at most (4 MB per row of
 # bandwidth from 0.05 to 1 (16: 3e-5, 8: 3e-4), and no window of the
 # 2000-gene benchmark designs at h = 1 holds fewer (the least holds 42)
 _EXACT_BELOW = 32
+_BIN_ROWS = 1 << 16  # data binned at once by _lattice_sums
 
 
 @dataclass(frozen=True)
@@ -145,18 +146,20 @@ def _lattice_sums(x, h, points, *weights):
     a narrow window and the data's own spread for a wide one.  R is found up
     to a relative 1e-9, so that rounding in g, h or x cannot flip it; every
     point is then a lattice node.  Each x is split linearly between its two
-    nearest nodes with np.bincount and np.add.at, and the sums at the points
-    are one strided matmul of the bins with the taps K(u) u^l / h.  The
-    lattice and the taps are cropped to the nodes where the data meet a
-    window of some point.  Where that would still take more than
-    _LATTICE_MAX nodes, R is lowered, so the step exceeds s / _TAPS_PER_H
-    and the sums lose accuracy; if R = 1 is still too fine, GenevarError is
-    raised.
+    nearest nodes with np.add.at, _BIN_ROWS data at a time, so that no
+    temporary grows with x, and the sums at the points are one strided
+    matmul of the bins with the taps K(u) u^l / h.  The lattice and the
+    taps are cropped to the nodes where the data meet a window of some
+    point.  Where that would still take more than _LATTICE_MAX nodes, R is
+    lowered, so the step exceeds s / _TAPS_PER_H and the sums lose
+    accuracy; if R = 1 is still too fine, GenevarError is raised.
     """
     n = points.size
     spacing = (points[-1] - points[0]) / (n - 1) if n > 1 else h / _TAPS_PER_H
-    rel = (x - points[0]) / spacing               # data positions, in units of g
-    lo_x, hi_x = rel.min(), rel.max()
+    # data positions in units of g; rounding is monotone, so these are the
+    # least and greatest of (x - points[0]) / spacing
+    lo_x = (x.min() - points[0]) / spacing
+    hi_x = (x.max() - points[0]) / spacing
     furthest = max(hi_x, n - 1 - lo_x)            # from any point to any datum
     scale = min(h, 0.25 * (hi_x - lo_x) * spacing) if hi_x > lo_x else h
     refine = int(min(max(np.ceil(spacing * _TAPS_PER_H / scale * (1.0 - 1e-9)),
@@ -177,33 +180,50 @@ def _lattice_sums(x, h, points, *weights):
             "the grid spacing is too fine for the data range")
     step = spacing / refine
     sums = [np.zeros((k, n)) for _, k in weights]
-    if first <= last:
-        # lattice nodes 0..size-1, node 0 at point first's window edge; data
-        # off the lattice land on the discarded nodes -1 and size (and size+1)
-        right = rel                               # rel is not read again
+    if first > last:
+        return step, sums
+
+    def nodes(lo, hi):
+        """(index, right) of x[lo:hi]: the left node's bin and the right
+        node's share of each datum.  Lattice nodes run 0..size-1, node 0 at
+        point first's window edge; data off the lattice land on the
+        discarded nodes -1 and size (and size+1)."""
+        right = x[lo:hi] - points[0]
+        right /= spacing
         right *= refine
         right -= first * refine - reach
         np.clip(right, -1.0, size, out=right)
         index = np.floor(right)
-        right -= index                            # the right node's share
+        right -= index
         index = index.astype(np.intp)
-        index += 1                                # the left node's bin
-        share = np.empty_like(right)
-        u = np.arange(-reach, reach + 1) * (step / h)
-        w = tricube(u) / h
-        taps = np.stack([w, w * u, w * u * u], axis=1)
-        for (v, k), out in zip(weights, sums):
-            # left shares, then right ones in data order: one bincount's sums
-            np.subtract(1.0, right, out=share)
-            if v is not None:
-                share *= v
-            bins = np.bincount(index, share, size + 3)
-            np.add.at(bins[1:], index,
-                      right if v is None else np.multiply(right, v, out=share))
-            windows = np.lib.stride_tricks.sliding_window_view(
-                bins[1:size + 1], u.size)[::refine]
-            out[:, first:last + 1] = (windows @ taps[:, :k]).T
-            del bins, windows  # one row of bins at a time
+        index += 1
+        return index, right
+
+    chunks = [(lo, min(lo + _BIN_ROWS, x.size)) for lo in range(0, x.size, _BIN_ROWS)]
+    whole = nodes(0, x.size) if len(chunks) == 1 else None
+    u = np.arange(-reach, reach + 1) * (step / h)
+    w = tricube(u) / h
+    taps = np.stack([w, w * u, w * u * u], axis=1)
+    for (v, k), out in zip(weights, sums):
+        # the left shares of every chunk, then the right ones, each in data
+        # order: the same additions in the same order as binning all the
+        # data at once, so the bins do not depend on _BIN_ROWS
+        bins = np.zeros(size + 3)
+        for side in (0, 1):
+            for lo, hi in chunks:
+                index, right = whole or nodes(lo, hi)
+                if side == 0:
+                    share = np.subtract(1.0, right)
+                    if v is not None:
+                        share *= v[lo:hi]
+                else:
+                    share = right if v is None else right * v[lo:hi]
+                np.add.at(bins[side:], index, share)
+                del index, right, share
+        windows = np.lib.stride_tricks.sliding_window_view(
+            bins[1:size + 1], u.size)[::refine]
+        out[:, first:last + 1] = (windows @ taps[:, :k]).T
+        del bins, windows  # one row of bins at a time
     return step, sums
 
 
@@ -265,10 +285,11 @@ def density_interpolator(sample, config: EstimationConfig):
     1e-5 max(kde_values) of kde_values on the tested designs.  Returns a
     callable mapping points to density values."""
     sample = np.asarray(sample, dtype=float).ravel()
-    if not np.all(np.isfinite(sample)):
+    lo, hi = sample.min(), sample.max()  # NaN if the sample holds one
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NonFinite("density sample contains non-finite entries")
     h = config.bandwidth
-    grid = np.linspace(sample.min() - h, sample.max() + h, _DENSITY_NODES)
+    grid = np.linspace(lo - h, hi + h, _DENSITY_NODES)
     _, ((s0,),) = _lattice_sums(sample, h, grid, (None, 1))
     dens = s0 / sample.size
 

@@ -29,7 +29,8 @@ def residual_squares(array: ReplicatedArray) -> np.ndarray:
     if array.n_replicates < 2:
         raise TooFewReplicates("residuals need at least two replicates")
     d = array.y - array.y.mean(axis=1, keepdims=True)
-    return d * d
+    d *= d
+    return d
 
 
 def unbiasing_matrix(n_reps: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from genevar.simulation import (
     generate_set,
     intensity_density,
     sample_intensities,
-    scale_curvature,
     scale_moments,
     variance_curvature,
     variance_function,
@@ -62,6 +61,15 @@ def benchmark_pooled(x, rho=0.0, n_reps=3, n_genes=2000):
     return pooled_curve_asymptotics(
         benchmark_moments(rho, n_reps), benchmark_scale(x),
         intensity_density(x), n_genes, 1.0)
+
+
+def scale_curvature(x):
+    """Analytic s'' for the benchmark design's noise scale s = sqrt(s^2)."""
+    x = np.asarray(x, dtype=float)
+    v = variance_function(x)
+    vp = np.where(x < 12.0, -0.03 * (12.0 - x), 0.0)
+    vpp = variance_curvature(x)
+    return vpp / (2.0 * np.sqrt(v)) - vp ** 2 / (4.0 * v ** 1.5)
 
 
 def replicate_bias(x):

@@ -469,6 +469,33 @@ class TestSimulate:
         assert exc.value.code == 2
 
 
+class TestFitMemory:
+    def test_fit_holds_two_full_size_arrays_at_most(self):
+        # the fixed point's sorted intensities and one scale array at a
+        # time; the variance components and the scale are squared in
+        # place, and the density bins smoothing._BIN_ROWS data at a time.
+        # The margin is for the curves and other grid-sized arrays.
+        import argparse
+        import tracemalloc
+
+        from genevar.cli import _fit
+
+        args = argparse.Namespace(grid=None, bandwidth=1.0)
+        # a small fit first, so that its imports are not traced
+        _fit(args, generate_set(SimDesign(n_genes=300, seed=1), 0), None)
+        mset = generate_set(SimDesign(n_genes=20000, n_replicates=3,
+                                      n_arrays=4, rho=0.4, seed=1), 0)
+        full = mset.x.nbytes
+        tracemalloc.start()
+        try:
+            _fit(args, mset, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full == 8 * 20000 * 3 * 4
+        assert peak <= 2 * full + (1 << 18)
+
+
 class TestImportCost:
     """No command imports scipy: importing its special functions alone cost
     about 0.25 s and 20 MB per process, and genevar.distributions computes

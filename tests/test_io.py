@@ -1,4 +1,5 @@
 import csv
+import mmap
 import os
 import threading
 import time
@@ -625,6 +626,33 @@ class TestMemory:
         assert blocks == 2 * 8 * 20000 * 3 * 4
         assert peak <= 5 * blocks
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_read_table_heap_stays_near_the_blocks(self, tmp_path, monkeypatch,
+                                                   n):
+        # The regions and the blocks are anonymous mappings, which
+        # tracemalloc does not see; what it sees here is this process's
+        # heap: one chunk's strings when a range is parsed here, the gene
+        # ids and one range's ids as received.  Keys and values pickled
+        # back from the children held about 3.5 times the blocks' bytes.
+        import tracemalloc
+
+        from genevar.simulation import SimDesign, generate_set
+
+        monkeypatch.setattr(_forking, "workers", lambda: n)
+        design = SimDesign(n_genes=20000, n_replicates=3, n_arrays=4,
+                           rho=0.4, seed=1)
+        path = tmp_path / "big.csv"
+        write_table(generate_set(design, 0), path)
+        tracemalloc.start()
+        try:
+            ms = read_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = ms.x.nbytes + ms.y.nbytes
+        assert blocks == 2 * 8 * 20000 * 3 * 4
+        assert peak <= 1.5 * blocks
+
 
 # ---------------------------------------------------------------------------
 # The columnar pass over byte ranges, one per usable CPU
@@ -786,14 +814,14 @@ class TestRanges:
         forked = cpus(3)
         parent, parse, here = os.getpid(), io._parse_range, []
 
-        def failing(path, start, end, raw):
+        def failing(path, start, *args):
             if os.getpid() == parent:
                 here.append(start)
             elif start > 0:  # every child but the first
                 if fault == "raise":
                     raise RuntimeError("child fails")
                 os._exit(0)
-            return parse(path, start, end, raw)
+            return parse(path, start, *args)
 
         monkeypatch.setattr(io, "_parse_range", failing)
         path = tmp_path / "t.csv"
@@ -814,7 +842,7 @@ class TestRanges:
         forked = cpus(3)
         parent = os.getpid()
 
-        def interrupted(path, start, end, raw):
+        def interrupted(path, start, *args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             if start == 0:
@@ -830,6 +858,98 @@ class TestRanges:
         assert time.monotonic() - began < 30
         assert len(forked) == 3
         assert_reaped(forked)
+
+
+# ---------------------------------------------------------------------------
+# The shared regions that the ranges are parsed into
+# ---------------------------------------------------------------------------
+
+def shortest_rows(n_genes, n_reps, n_arrays):
+    """A valid log-layout file's rows of 9 bytes each, the fewest a row can
+    have, as "g,1,1,0,0"."""
+    return [f"{chr(97 + g)},{r + 1},{a + 1},{(g + r) % 10},{(g + a) % 10}"
+            for a in range(n_arrays) for g in range(n_genes)
+            for r in range(n_reps)]
+
+
+class TestRegions:
+    @pytest.fixture(autouse=True)
+    def workers(self, monkeypatch):
+        def set_workers(n):
+            monkeypatch.setattr(_forking, "workers", lambda: n)
+
+        return set_workers
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("blank", [False, True])
+    def test_shortest_rows_fit(self, tmp_path, workers, n, eol,
+                               final_newline, blank):
+        workers(n)
+        rows = shortest_rows(7, 3, 4)
+        assert {len(row) for row in rows} == {io._MIN_ROW_BYTES}
+        if blank:
+            for at in (len(rows), 40, 17, 1, 0):
+                rows.insert(at, "")
+        path = tmp_path / "short.csv"
+        write_rows(path, False, rows, eol=eol, final_newline=final_newline)
+        assert io._read_columns(path) is not None
+        assert_parity(path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_that_overflow_a_region_go_to_the_row_pass(
+            self, tmp_path, monkeypatch, workers, n):
+        workers(n)
+        monkeypatch.setattr(io, "_MIN_ROW_BYTES", 2 * io._MIN_ROW_BYTES)
+        path = tmp_path / "short.csv"
+        write_rows(path, False, shortest_rows(7, 3, 4))
+        assert io._read_columns(path) is None
+        assert_same(read_table(path), outcome_by_rows(path))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_scattered_page_is_given_back_once(self, tmp_path,
+                                                     monkeypatch, workers, n):
+        # 5-row slices, so that most slices end inside a page: a page goes
+        # back only once every row on it has been scattered
+        workers(n)
+        page, spans, release = mmap.PAGESIZE, [], io._release
+
+        def recording(shared, lo, hi):
+            spans.append((lo - lo % page, hi - hi % page))
+            release(shared, lo, hi)
+
+        monkeypatch.setattr(io, "_release", recording)
+        path = tmp_path / "short.csv"
+        write_rows(path, False, shortest_rows(26, 9, 4))
+        with chunked(5):
+            assert io._read_columns(path) is not None
+        given = [p for lo, hi in spans for p in range(lo, hi, page)]
+        assert len(given) == len(set(given))
+        ranges = io._ranges(path, n)
+        _, regions = io._regions([end - start for start, end in ranges])
+        used = set()
+        for (start, end), (offset, region) in zip(ranges, regions):
+            n_rows = io._parse_range(path, start, end, False, region)[0]
+            used.update(range(offset, io._page_up(
+                offset + n_rows * io._ROW.itemsize), page))
+        assert set(given) == used
+
+    def test_a_range_reports_its_rows_ids_and_largest_indices(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(3, 2, 4))
+        size = len(path.read_bytes())
+        _, ((_, region),) = io._regions([size])
+        n_rows, ids, n_reps, n_arrays = io._parse_range(path, 0, size, False,
+                                                        region)
+        assert (n_rows, ids, n_reps, n_arrays) == (24, ("g1", "g2", "g3"), 2, 4)
+        want = io._read_rows(path)
+        key = region["key"][:n_rows]
+        gene = key >> 2 * io._INDEX_BITS
+        array = key >> io._INDEX_BITS & (1 << io._INDEX_BITS) - 1
+        rep = key & (1 << io._INDEX_BITS) - 1
+        assert np.array_equal(region["a"][:n_rows], want[2][array, gene, rep])
+        assert np.array_equal(region["b"][:n_rows], want[3][array, gene, rep])
 
 
 class TestReadOnlyHandOver:

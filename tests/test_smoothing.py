@@ -243,9 +243,29 @@ class TestBinnedDensity:
         assert np.all(binned >= 0.0)
         assert np.max(np.abs(binned - exact)) <= 1e-5 * exact.max()
 
+    @pytest.mark.parametrize("h", [0.05, 1.0])
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_chunks_leave_the_density_unchanged(self, pooled, h, chunk,
+                                                monkeypatch):
+        # every chunk's left shares, then every chunk's right ones: the
+        # additions of one pass over the whole sample, in its order
+        config = config_for([0.0], h=h)
+        nodes = np.linspace(pooled.min() - h, pooled.max() + h,
+                            smoothing._DENSITY_NODES)
+        monkeypatch.setattr(smoothing, "_BIN_ROWS", pooled.size)
+        whole = density_interpolator(pooled, config)(nodes)
+        monkeypatch.setattr(smoothing, "_BIN_ROWS", chunk)
+        assert np.array_equal(density_interpolator(pooled, config)(nodes), whole)
+
     def test_non_finite_sample_rejected(self):
         with pytest.raises(NonFinite):
             density_interpolator(np.array([8.0, np.nan, 9.0]), config_for([0.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_sample_rejected(self, bad):
+        # the check reads the least and greatest values only
+        with pytest.raises(NonFinite):
+            density_interpolator(np.array([8.0, bad, 9.0]), config_for([0.0]))
 
 
 def full_sample_oracle(x, z, h, points):
@@ -356,6 +376,21 @@ class TestBinned:
         curve = fit_curve(data, config_for(nodes, h=h))
         assert not np.any(exact_degenerate & curve.evaluable)
         assert np.array_equal(np.isnan(curve.values), ~curve.evaluable)
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_chunks_leave_the_fit_unchanged(self, chunk, monkeypatch):
+        # the unit and the z-weighted sums both bin chunk by chunk
+        from genevar.simulation import SimDesign, generate_set
+
+        array = generate_set(SimDesign(n_genes=2000, seed=5), 0).arrays[0]
+        data = ScatterData(array.x.ravel(), array.y.ravel())
+        config = config_for(np.linspace(6.0, 16.0, 101), h=0.5)
+        monkeypatch.setattr(smoothing, "_BIN_ROWS", data.x.size)
+        whole = fit_curve(data, config)
+        monkeypatch.setattr(smoothing, "_BIN_ROWS", chunk)
+        curve = fit_curve(data, config)
+        assert np.array_equal(curve.values, whole.values, equal_nan=True)
+        assert np.array_equal(curve.flags, whole.flags)
 
     def test_constant_response_reproduced(self, rng):
         x = rng.uniform(6.0, 16.0, 3000)
