@@ -32,9 +32,9 @@ def run(func, arg_tuples):
     and keeps no reference to a result it has yielded.  A result that does
     not arrive is computed here, which also raises a run's error in the
     caller.  With n <= 1 every tuple runs here, one at a time.  Every
-    child is killed and reaped when the iterator is exhausted
-    or closed; one still running then has nothing left to send.  While the
-    children are forked, SIGINT only sets a flag, so that a Ctrl-C cannot
+    child is killed and reaped when the iterator is exhausted or closed;
+    one still running then has nothing left to send.  While the children
+    are forked, SIGINT only sets a flag, so that a Ctrl-C cannot
     raise between a fork and the list of children that this cleanup reads;
     once they are all listed, a SIGINT that came goes to the caller's
     handler.  The flag is a Python-level handler, so it holds whichever

@@ -175,7 +175,7 @@ def cmd_estimate(args) -> int:
                   est.iterations, est.converged, est.clipped,
                   fp.curve_change,
                   "paired" if mset.n_replicates == 2 else "pooled")])
-    del mset, fp, curve, stderr, density  # before the manifest loads hashlib
+    del mset  # its blocks go back before the manifest loads hashlib
     _write_manifest(outdir, "estimate", args, [args.input])
     if args.format == "table":
         print(f"rho {est.rho:.4f}  sigma1 {est.sigma1:.4f}  "
@@ -209,7 +209,7 @@ def cmd_validate(args) -> int:
     fields = ["array_id", "t1", "p1", "t2", "p2", "t3", "p3", "t4", "p4"]
     write_csv(outdir / "validation.csv", fields,
               [[getattr(r, name) for r in results] for name in fields])
-    del mset, fp, density, sigma  # before the manifest loads hashlib
+    del mset, sigma  # their memory goes back before the manifest loads hashlib
     _write_manifest(outdir, "validate", args, [args.input])
     if args.format == "table":
         print(f"{'array':<10s} {'p(T1)':>8s} {'p(T2)':>8s} {'p(T3)':>8s} {'p(T4)':>8s}")
@@ -303,9 +303,10 @@ def cmd_select(args) -> int:
                            sample_sd=sample_sd)
     write_csv(outdir / "power.csv", ["alpha", "theoretical", "empirical"],
               [args.alphas, *zip(*power)])
-    # before the manifest loads hashlib
-    del mset, super_array, fp, density, sigma_hat, means, sample_sd
-    del t_stat, p_t, flagged, z_stat, p_z, fold
+    # the blocks and the per-gene columns go back before the manifest
+    # loads hashlib
+    del mset, super_array, sigma_hat, means, sample_sd, fold
+    del t_stat, p_t, flagged, z_stat, p_z
     _write_manifest(outdir, "select", args, [args.input])
 
     if args.format == "table":

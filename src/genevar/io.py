@@ -174,7 +174,6 @@ def _read_columns(path):
                     + genes[key >> 2 * _INDEX_BITS]) * n_reps + (key & mask)
             a3[cell] = rows["a"]
             b3[cell] = rows["b"]
-            del rows, key, cell
             end = offset + hi * _ROW.itemsize  # the region's last page is its own
             _release(shared, offset + lo * _ROW.itemsize,
                      end if hi < n_rows else _page_up(end))

@@ -2,6 +2,7 @@ import itertools
 import os
 import signal
 import time
+import weakref
 
 import pytest
 
@@ -44,6 +45,27 @@ def test_results_in_order(workers, forked, n_workers, n_tuples):
         assert set(pids) == set(forked)
         sizes = [len(list(run)) for _, run in itertools.groupby(pids)]
         assert len(sizes) == n and max(sizes) - min(sizes) <= 1
+    assert_no_child_left()
+
+
+class Box:
+    """A result that a weak reference can follow."""
+
+    def __init__(self, k):
+        self.k = k
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_yielded_result_is_held_by_the_caller_alone(workers, n_workers):
+    # so that a caller that drops each result, as the parse does with each
+    # range's gene ids, never holds two at once
+    workers(n_workers)
+    results = _forking.run(Box, [(k,) for k in range(4)])
+    first = next(results)
+    ref = weakref.ref(first)
+    del first
+    assert ref() is None
+    assert [box.k for box in results] == [1, 2, 3]
     assert_no_child_left()
 
 

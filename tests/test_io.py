@@ -607,7 +607,8 @@ class TestChunkedParity:
 
 class TestMemory:
     def test_read_table_peak_is_a_few_blocks(self, tmp_path):
-        # the parse keeps one chunk of strings alive, not the file's
+        # the parse keeps one chunk of strings alive, not the file's; the
+        # regions and blocks are mappings, outside tracemalloc (see below)
         import tracemalloc
 
         from genevar.simulation import SimDesign, generate_set
@@ -624,9 +625,9 @@ class TestMemory:
             tracemalloc.stop()
         blocks = sum(a.x.nbytes + a.y.nbytes for a in ms.arrays)
         assert blocks == 2 * 8 * 20000 * 3 * 4
-        assert peak <= 5 * blocks
+        assert peak <= 1.5 * blocks
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 3])
     def test_read_table_heap_stays_near_the_blocks(self, tmp_path, monkeypatch,
                                                    n):
         # The regions and the blocks are anonymous mappings, which
@@ -873,8 +874,9 @@ def shortest_rows(n_genes, n_reps, n_arrays):
 
 
 class TestRegions:
-    @pytest.fixture(autouse=True)
+    @pytest.fixture
     def workers(self, monkeypatch):
+        """workers(n) gives the parse n usable CPUs."""
         def set_workers(n):
             monkeypatch.setattr(_forking, "workers", lambda: n)
 
