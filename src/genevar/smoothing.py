@@ -199,7 +199,8 @@ def _lattice_sums(x, h, points, *weights):
         index += 1
         return index, right
 
-    chunks = [(lo, min(lo + _BIN_ROWS, x.size)) for lo in range(0, x.size, _BIN_ROWS)]
+    chunks = [(lo, min(lo + _BIN_ROWS, x.size))
+              for lo in range(0, x.size, _BIN_ROWS)]
     whole = nodes(0, x.size) if len(chunks) == 1 else None
     u = np.arange(-reach, reach + 1) * (step / h)
     w = tricube(u) / h

@@ -633,8 +633,9 @@ class TestMemory:
         # The regions and the blocks are anonymous mappings, which
         # tracemalloc does not see; what it sees here is this process's
         # heap: one chunk's strings when a range is parsed here, the gene
-        # ids and one range's ids as received.  Keys and values pickled
-        # back from the children held about 3.5 times the blocks' bytes.
+        # ids and one range's ids as received.  Every range's keys and
+        # values held in this heap would come to 1.5 times the blocks'
+        # bytes on their own.
         import tracemalloc
 
         from genevar.simulation import SimDesign, generate_set
