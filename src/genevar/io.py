@@ -18,10 +18,10 @@ range, each is parsed in a forked child while this process waits, and a
 range whose result does not arrive is parsed here; with one usable CPU,
 where forking is unavailable, or with other threads alive (forking is then
 unsafe), the whole body is one range, parsed here.  Before the fork this
-process maps one anonymous shared region per range, with room for as many
-rows as the range's bytes could hold, and a range's parse writes its rows
-there, so only its row count, gene ids and index maxima go back through
-the pipe.  A range is read through a bounded binary stream with universal
+process maps one anonymous shared mapping with a region per range, room
+for as many rows as the range's bytes could hold, and a range's parse
+writes its rows there, so only its row count, gene ids and index maxima
+go back through the pipe.  A range is read through a bounded binary stream with universal
 newlines, _CHUNK_ROWS rows at a time with np.loadtxt, and each chunk is
 checked with array operations; of a chunk the pass keeps only a packed
 int64 (gene, array, replicate) key per row, with the gene indexed within
