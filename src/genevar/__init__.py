@@ -1,6 +1,8 @@
-"""Nonparametric genewise variance estimation for replicated two-color arrays."""
+"""Nonparametric genewise variance estimation for replicated two-color arrays.
 
-import importlib
+The API lives in the submodules (genevar.io, genevar.correlation, ...).
+"""
+
 import os
 
 # One OpenBLAS thread, set before numpy (and scipy) first load OpenBLAS.  No
@@ -16,64 +18,3 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
-
-# The public names, each resolved from its module on first access (PEP 562),
-# so that a process imports only the modules it uses: `genevar estimate`
-# never loads inference, distributions or simulation.
-_EXPORTS = {
-    "model": (
-        "CorrelationEstimate", "DegenerateWindow", "EstimationConfig",
-        "GenevarError", "IngestionError", "InvalidReplicateCount",
-        "InvalidRho", "MultiArraySet", "NonFinite", "NonpositiveSigma",
-        "NoReplicatedGenes", "ReplicatedArray", "ShapeMismatch",
-        "TooFewArrays", "TooFewReplicates", "VarianceCurve", "ZeroDenominator",
-        "ZeroDensityEverywhere", "default_grid", "validate",
-    ),
-    "smoothing": (
-        "ScatterData", "density_interpolator", "fit_curve", "kde_values",
-        "local_linear_at",
-    ),
-    "synthetic": (
-        "residual_squares", "synthetic_responses", "unbiasing_matrix",
-    ),
-    "estimators": (
-        "average_curves", "correct", "paired_difference_curve", "pooled_curve",
-        "replicate_curves", "two_stage_curve", "uncorrected_curve",
-    ),
-    "correlation": (
-        "FixedPointResult", "VarianceComponents", "corrected_correlation",
-        "fixed_point_solve", "raw_correlation", "variance_components",
-    ),
-    "asymptotics": (
-        "corrected_curve_se", "corrected_curve_stderr", "curve_bias",
-        "pooled_curve_asymptotics", "replicate_curve_asymptotics",
-        "residual_square_cov", "synthetic_response_cov",
-    ),
-    "inference": (
-        "TestConstants", "ValidationResult", "gene_sigma", "power_increase",
-        "selection_counts", "test_constants", "validation_tests",
-    ),
-    "simulation": (
-        "SimDesign", "SimulationReport", "intensity_density", "run_experiment",
-        "sample_intensities", "sample_noise", "scale_moments",
-        "variance_function",
-    ),
-    "io": (
-        "read_table", "write_table",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = sorted(_MODULE_OF)
-
-
-def __getattr__(name):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

@@ -23,9 +23,11 @@ simulation for simulate, and hashlib, json and pathlib for the outputs and
 the manifest.  So a process loads no more than its command needs, and only
 once its arguments parse.
 
-Every command writes a manifest.json (flags, package and library versions,
-input digests) sufficient to re-run bit-identically; simulate's flags include
-its --seed.  Exit codes:
+Once a command has returned, main writes a manifest.json (flags, package
+and library versions, input digests) sufficient to re-run bit-identically;
+simulate's flags include its --seed.  By then the command's data is out of
+scope, so hashlib and the digest do not load on top of it.  The manifest is
+written on exit 0 and 5, never on 2, 3 or 4.  Exit codes:
 0 success, 2 usage, 3 malformed input file, 4 invalid data for the requested
 analysis, 5 estimation did not converge.
 """
@@ -48,9 +50,11 @@ DEFAULT_FOLD_CHANGES = (1.5, 2.0, 4.0)
 
 
 def _float_list(text, low=-math.inf, high=math.inf):
-    """Comma-separated floats, each strictly between low and high, which
-    also rules out infinities and NaN."""
+    """Comma-separated floats, at least one, each strictly between low and
+    high, which also rules out infinities and NaN."""
     values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
     for value in values:
         if not low < value < high:
             raise argparse.ArgumentTypeError(
@@ -104,22 +108,25 @@ def _outdir(path):
     return outdir
 
 
-def _write_manifest(outdir, command: str, args, inputs):
+def _write_manifest(args):
+    """manifest.json in --out: the command, its flags, the package and
+    library versions and the --input's digest."""
     import json
 
     import numpy as np
 
     manifest = {
-        "command": command,
+        "command": args.command,
         "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "versions": {
             "genevar": __version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": ({args.input: _sha256(args.input)} if "input" in vars(args)
+                   else {}),
     }
-    (outdir / "manifest.json").write_text(
+    (_outdir(args.out) / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
 
 
@@ -175,8 +182,6 @@ def cmd_estimate(args) -> int:
                   est.iterations, est.converged, est.clipped,
                   fp.curve_change,
                   "paired" if mset.n_replicates == 2 else "pooled")])
-    del mset  # its blocks go back before the manifest loads hashlib
-    _write_manifest(outdir, "estimate", args, [args.input])
     if args.format == "table":
         print(f"rho {est.rho:.4f}  sigma1 {est.sigma1:.4f}  "
               f"sigma2 {est.sigma2:.4f}  iterations {est.iterations}  "
@@ -209,8 +214,6 @@ def cmd_validate(args) -> int:
     fields = ["array_id", "t1", "p1", "t2", "p2", "t3", "p3", "t4", "p4"]
     write_csv(outdir / "validation.csv", fields,
               [[getattr(r, name) for r in results] for name in fields])
-    del mset, sigma  # their memory goes back before the manifest loads hashlib
-    _write_manifest(outdir, "validate", args, [args.input])
     if args.format == "table":
         print(f"{'array':<10s} {'p(T1)':>8s} {'p(T2)':>8s} {'p(T3)':>8s} {'p(T4)':>8s}")
         for r in results:
@@ -303,12 +306,6 @@ def cmd_select(args) -> int:
                            sample_sd=sample_sd)
     write_csv(outdir / "power.csv", ["alpha", "theoretical", "empirical"],
               [args.alphas, *zip(*power)])
-    # the blocks and the per-gene columns go back before the manifest
-    # loads hashlib
-    del mset, super_array, sigma_hat, means, sample_sd, fold
-    del t_stat, p_t, flagged, z_stat, p_z
-    _write_manifest(outdir, "select", args, [args.input])
-
     if args.format == "table":
         print(f"{'FC':>5s} {'alpha':>7s} {'t':>7s} {'z':>7s}")
         for fc, alpha, t_n, z_n in counts_rows:
@@ -357,7 +354,6 @@ def cmd_simulate(args) -> int:
               [report.grid, report.truth] + [m.median_curve for m in metrics])
     write_csv(outdir / "ise.csv", ["run", *names],
               [range(design.n_runs)] + [m.ise for m in metrics])
-    _write_manifest(outdir, "simulate", args, [])
     if args.format == "table":
         print(report.format_table())
     return EXIT_OK
@@ -424,13 +420,15 @@ def main(argv=None) -> int:
     from .model import GenevarError, IngestionError
 
     try:
-        return args.func(args)
+        code = args.func(args)
     except IngestionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
     except GenevarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    _write_manifest(args)
+    return code
 
 
 if __name__ == "__main__":

@@ -125,8 +125,10 @@ class TestEstimate:
         out = tmp_path / "out"
         assert main(["estimate", "--input", str(path), "--out", str(out),
                      "--format", "csv"]) == EXIT_VALIDATION
+        assert not (out / "manifest.json").exists()
         assert main(["estimate", "--input", str(path), "--out", str(out),
                      "--rho", "0.0", "--format", "csv"]) == 0
+        assert (out / "manifest.json").is_file()
 
     def test_nonconvergence_exit_code(self, replicated_csv, tmp_path, monkeypatch):
         import genevar.correlation
@@ -137,6 +139,8 @@ class TestEstimate:
                      "--out", str(out), "--format", "csv"])
         assert code == EXIT_NONCONVERGENCE
         assert (out / "curve.csv").exists()  # outputs still written
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "estimate"
 
     @pytest.mark.parametrize("flags, message", [
         (["--bandwidth", "inf"], "bandwidth must be finite"),
@@ -215,6 +219,7 @@ class TestUnreadableInput:
                      str(tmp_path / "out"), "--format", "csv"]) == EXIT_INGESTION
         err = capsys.readouterr().err
         assert str(path) in err and reason in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["estimate", "validate", "select"])
     def test_undecodable_input(self, tmp_path, capsys, command):
@@ -353,6 +358,20 @@ class TestSelect:
                   "--out", str(tmp_path / "out")] + flags)
         assert exc.value.code == 2
         assert "is not strictly between" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--alphas", ","], ["--alphas", ""], ["--alphas", " , "],
+        ["--fold-changes", ","], ["--fold-changes", ""],
+    ])
+    def test_empty_level_or_threshold_list_usage_error(
+            self, selection_csv, tmp_path, capsys, flags):
+        # an empty list would select nothing and write header-only tables
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--input", str(selection_csv),
+                  "--out", str(tmp_path / "out")] + flags)
+        assert exc.value.code == 2
+        assert "expected at least one value" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
