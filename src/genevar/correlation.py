@@ -24,10 +24,25 @@ corrected correlation and the curve are solved jointly:
 Multiple arrays enter the curve side only through averaging: the uncorrected
 per-array curves are averaged for the iteration, and the final corrected
 curve is the average of the per-array corrected curves sharing one rho.
+
+Step 2 reads s1 and s2 as the means of VarianceCurve.scale_at over the
+pooled intensities without evaluating it there.  Linear interpolation is
+linear in the node scales a_k = sqrt(v_k), so with t the position of an
+intensity within its interval [x_k, x_k+1] (0 below the first node, 1 above
+the last)
+
+    n s1 = sum_k (wL_k a_k + wR_k a_k+1),
+    n s2 = sum_k (qLL_k a_k^2 + 2 qLR_k a_k a_k+1 + qRR_k a_k+1^2),
+
+where wL_k, wR_k, qLL_k, qLR_k and qRR_k sum 1 - t, t, (1 - t)^2,
+t (1 - t) and t^2 over the intensities in interval k.  _NodeWeights
+computes the five vectors once per solve, and again only if the set of
+evaluable nodes changes, which the damped updates do not do.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +51,7 @@ import numpy as np
 from .model import (
     CorrelationEstimate,
     EstimationConfig,
+    GenevarError,
     MultiArraySet,
     NonpositiveSigma,
     TooFewArrays,
@@ -53,6 +69,7 @@ from .estimators import (
 RHO_MARGIN = 1e-6  # keeps the equicorrelation matrix strictly positive definite
 CONVERGENCE_TOL = 1e-3  # on the rho move and the relative sigma1 move
 MAX_ITERATIONS = 100
+_WEIGHT_ROWS = 1 << 14  # intensities weighed at once by _NodeWeights
 
 
 @dataclass(frozen=True)
@@ -104,6 +121,73 @@ def corrected_correlation(rho_raw: float, sigma1: float, sigma2: float,
     return float(min(max(rho, lo), hi)), clipped
 
 
+class _NodeWeights:
+    """The five per-interval weight vectors of a sample of points over the
+    evaluable nodes of a curve, from which moments() gives the means of its
+    scale and squared scale at those points (see the module docstring).
+
+    The points are taken _WEIGHT_ROWS at a time, so no temporary grows
+    with them.  Each point's interval is the one np.interp uses,
+    np.searchsorted(nodes, p, side="right") - 1: where the nodes are a run
+    of the equispaced grid it is guessed from the spacing and corrected
+    against the two nodes around the guess; otherwise it is searched.
+    """
+
+    def __init__(self, points, grid, evaluable):
+        if not evaluable.any():
+            raise GenevarError("variance curve has no evaluable points")
+        self.evaluable = evaluable
+        self.n = points.size
+        nodes = grid[evaluable]
+        m = nodes.size
+        self.weights = np.zeros((5, max(m - 1, 0)))
+        if m == 1:
+            return
+        run = np.flatnonzero(evaluable)
+        equispaced = run[-1] - run[0] == m - 1
+        spacing = (nodes[-1] - nodes[0]) / (m - 1)
+        # nodes[j - 1] <= p < nodes[j] once j is right, for j in 0..m
+        bounds = np.concatenate(([-np.inf], nodes, [np.inf]))
+        width = np.diff(nodes)
+        for lo in range(0, self.n, _WEIGHT_ROWS):
+            p = points[lo:lo + _WEIGHT_ROWS]
+            if equispaced:
+                j = p - nodes[0]
+                j /= spacing
+                np.floor(j, out=j)
+                np.clip(j + 1.0, 0.0, m, out=j)
+                j = j.astype(np.intp)
+                while True:
+                    up = bounds[j + 1] <= p
+                    down = bounds[j] > p
+                    if not (up.any() or down.any()):
+                        break
+                    j += up
+                    j -= down
+            else:
+                j = np.searchsorted(nodes, p, side="right")
+            k = np.clip(j - 1, 0, m - 2)
+            t = p - nodes[k]
+            t /= width[k]
+            np.clip(t, 0.0, 1.0, out=t)
+            s = 1.0 - t
+            add = functools.partial(np.bincount, k, minlength=m - 1)
+            self.weights += [add(s), add(t), add(s * s), add(s * t), add(t * t)]
+
+    def moments(self, values):
+        """(mean scale, mean squared scale) at the points of the curve
+        with these values, as scale_at takes them."""
+        a = np.sqrt(np.clip(values[self.evaluable], 0.0, None))
+        if a.size == 1:
+            return float(a[0]), float(a[0] * a[0])
+        left, right = a[:-1], a[1:]
+        wl, wr, qll, qlr, qrr = self.weights
+        sigma1 = (wl @ left + wr @ right) / self.n
+        sigma2 = (qll @ (left * left) + 2.0 * (qlr @ (left * right))
+                  + qrr @ (right * right)) / self.n
+        return float(sigma1), float(sigma2)
+
+
 @dataclass(frozen=True)
 class FixedPointResult:
     estimate: CorrelationEstimate
@@ -130,11 +214,9 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     rho_raw = None if fixed_rho is not None \
         else raw_correlation(variance_components(mset), n_reps)
 
-    # sorted once so each iteration's scale_at lookup walks the grid in
-    # order; the moments are means, which the order changes only in the
-    # last bits
-    points = np.sort(mset.x, axis=None)
+    points = mset.x.reshape(-1)
     grid = eta_mean.grid
+    weights = None
     # Initial corrected-curve guess.  The pooled curve already targets the
     # variance scale for I >= 3; the paired curve targets roughly half of it.
     current = np.clip(eta_mean.values, 0.0, None)
@@ -150,11 +232,11 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        scale = VarianceCurve(grid=grid, values=current).scale_at(points)
-        sigma1 = float(scale.mean())
-        scale *= scale                         # squared in place
-        sigma2 = float(scale.mean())
-        del scale  # so that the next iteration's is the only one
+        # the evaluable nodes of VarianceCurve(grid=grid, values=current)
+        evaluable = np.isfinite(current)
+        if weights is None or not np.array_equal(evaluable, weights.evaluable):
+            weights = _NodeWeights(points, grid, evaluable)
+        sigma1, sigma2 = weights.moments(current)
         if sigma1 <= 0:
             raise NonpositiveSigma(
                 "estimated mean noise scale is zero; data appear constant")

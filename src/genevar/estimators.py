@@ -154,5 +154,9 @@ def two_stage_curve(array: ReplicatedArray, config: EstimationConfig) -> Varianc
     if n_degenerate:
         raise DegenerateWindow(
             f"stage-1 mean fit undefined at {n_degenerate} grid points")
-    resid2 = (y - np.interp(x, stage1.grid, stage1.values)) ** 2
+    # np.interp walks sorted points about ten times as fast as unsorted ones
+    order = np.argsort(x)
+    mean = np.empty_like(x)
+    mean[order] = np.interp(x[order], stage1.grid, stage1.values)
+    resid2 = (y - mean) ** 2
     return fit_curve(ScatterData(x, resid2), config)

@@ -196,6 +196,9 @@ def generate_set(design: SimDesign, run: int) -> MultiArraySet:
         scale = np.sqrt(np.clip(design.variance_fn(x[j]), 0.0, None))
         mean = smooth_effect(x[j]) if design.effect_mode == "smooth" else effects[:, None]
         y[j] = mean + scale * eps
+    # read-only blocks, which the set keeps without a copy
+    x.setflags(write=False)
+    y.setflags(write=False)
     return MultiArraySet(x=x, y=y, gene_ids=_gene_ids(design.n_genes))
 
 
@@ -315,6 +318,8 @@ def run_experiment(design: SimDesign,
     for name in estimators:
         if name not in ESTIMATORS:
             raise GenevarError(f"unknown estimator {name!r}")
+    # numpy loads numpy.random on first use: here once, not in each child
+    import numpy.random  # noqa: F401
     truth_moments = scale_moments(design.variance_fn)
     t_runs = design.n_runs
     curves = {name: np.empty((t_runs, GRID.size)) for name in estimators}

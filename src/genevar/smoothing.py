@@ -38,6 +38,7 @@ five moment sums; the density sums K(u).  A row holds at most n floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,9 +203,7 @@ def _lattice_sums(x, h, points, *weights):
     chunks = [(lo, min(lo + _BIN_ROWS, x.size))
               for lo in range(0, x.size, _BIN_ROWS)]
     whole = nodes(0, x.size) if len(chunks) == 1 else None
-    u = np.arange(-reach, reach + 1) * (step / h)
-    w = tricube(u) / h
-    taps = np.stack([w, w * u, w * u * u], axis=1)
+    taps = _taps(reach, step, h)
     for (v, k), out in zip(weights, sums):
         # the left shares of every chunk, then the right ones, each in data
         # order: the same additions in the same order as binning all the
@@ -221,11 +220,27 @@ def _lattice_sums(x, h, points, *weights):
                     share = right if v is None else right * v[lo:hi]
                 np.add.at(bins[side:], index, share)
                 del index, right, share
-        windows = np.lib.stride_tricks.sliding_window_view(
-            bins[1:size + 1], u.size)[::refine]
+        # row r is the window bins[1 + r*refine : 2 + r*refine + 2*reach]
+        windows = np.lib.stride_tricks.as_strided(
+            bins[1:], shape=(last - first + 1, taps.shape[0]),
+            strides=(refine * bins.strides[0], bins.strides[0]),
+            writeable=False)
         out[:, first:last + 1] = (windows @ taps[:, :k]).T
         del bins, windows  # one row of bins at a time
     return step, sums
+
+
+@functools.lru_cache(maxsize=8)
+def _taps(reach, step, h):
+    """The kernel taps of _lattice_sums, K(u) u^l / h for l = 0, 1, 2 in
+    columns at u = r step / h, r = -reach..reach.  Cached, as the fits of a
+    simulate run at one bandwidth over one grid all take the same taps, and
+    read-only, as those calls share them."""
+    u = np.arange(-reach, reach + 1) * (step / h)
+    w = tricube(u) / h
+    taps = np.stack([w, w * u, w * u * u], axis=1)
+    taps.setflags(write=False)
+    return taps
 
 
 def fit_curve(data: ScatterData, config: EstimationConfig) -> VarianceCurve:

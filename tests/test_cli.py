@@ -490,9 +490,9 @@ class TestSimulate:
 
 class TestFitMemory:
     def test_fit_holds_two_full_size_arrays_at_most(self):
-        # the fixed point's sorted intensities and one scale array at a
-        # time; the variance components and the scale are squared in
-        # place, and the density bins smoothing._BIN_ROWS data at a time.
+        # the variance components square their deviations in place, the
+        # fixed point weighs correlation._WEIGHT_ROWS intensities at a
+        # time, and the density bins smoothing._BIN_ROWS data at a time.
         # The margin is for the curves and other grid-sized arrays.
         import argparse
         import tracemalloc

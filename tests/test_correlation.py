@@ -260,28 +260,89 @@ class TestShiftEquivariance:
             rtol=1e-9, atol=0)
 
 
+def two_cluster_set(n_reps, n_genes=1000, seed=3):
+    """Two arrays whose intensities lie in [6, 9] and [12, 15] only, with
+    noise scale sqrt(0.2 + 0.02 x)."""
+    rng = np.random.default_rng(seed)
+    shape = (2, n_genes, n_reps)
+    x = np.where(rng.random(shape) < 0.5, 6.0, 12.0) + 3.0 * rng.random(shape)
+    y = rng.normal(size=shape) * np.sqrt(0.2 + 0.02 * x)
+    return MultiArraySet(x=x, y=y,
+                         gene_ids=tuple(f"g{k + 1}" for k in range(n_genes)))
+
+
+def on_and_beside_nodes(mset, grid):
+    """mset with its first intensities moved onto the grid's nodes and to
+    the floats just below and above each, which the interval guess from
+    the spacing rounds to either side."""
+    x = np.array(mset.x)
+    flat = x.reshape(-1)
+    below, above = np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf)
+    moved = np.concatenate([grid, below, above])
+    flat[:moved.size] = moved
+    return MultiArraySet(x=x, y=mset.y, gene_ids=mset.gene_ids)
+
+
 class TestMomentLookup:
     """The fixed point reads sigma1 and sigma2 off the curve at the pooled
-    intensities; doing so over them in sorted order changes only rounding."""
+    intensities through per-interval node weights; that changes only the
+    rounding of the means of VarianceCurve.scale_at."""
 
-    @pytest.mark.parametrize("n_reps", [2, 3])
-    def test_first_iteration_moments(self, n_reps, monkeypatch):
+    @staticmethod
+    def first_iteration(mset, cfg, monkeypatch):
         monkeypatch.setattr(correlation, "MAX_ITERATIONS", 1)
-        ms = generate_set(SimDesign(n_genes=1000, n_replicates=n_reps,
-                                    rho=0.4, seed=13), 0)
-        # a grid wider than the data leaves undefined points at both ends,
-        # which the lookup must skip
-        cfg = EstimationConfig(bandwidth=0.5, grid=np.linspace(4.0, 18.0, 141))
-        fp = fixed_point_solve(ms, cfg)
+        fp = fixed_point_solve(mset, cfg)
         start = np.clip(np.mean([c.values for c in fp.uncorrected], axis=0),
-                        0.0, None) * (2.0 if n_reps == 2 else 1.0)
-        assert np.isnan(start[[0, -1]]).all()
-        est = fp.estimate
+                        0.0, None) * (2.0 if mset.n_replicates == 2 else 1.0)
+        return fp.estimate, start
+
+    @staticmethod
+    def assert_scale_means(est, mset, cfg, start):
         scale = VarianceCurve(grid=cfg.grid, values=start).scale_at(
-            ms.x.ravel())
+            mset.x.ravel())
         assert est.iterations == 1
         assert est.sigma1 == pytest.approx(scale.mean(), rel=1e-14)
         assert est.sigma2 == pytest.approx((scale * scale).mean(), rel=1e-14)
+
+    @pytest.mark.parametrize("n_reps", [2, 3])
+    def test_first_iteration_moments(self, n_reps, monkeypatch):
+        ms = generate_set(SimDesign(n_genes=1000, n_replicates=n_reps,
+                                    rho=0.4, seed=13), 0)
+        # undefined points at both ends, which the lookup must skip
+        cfg = EstimationConfig(bandwidth=0.5, grid=np.linspace(4.0, 18.0, 141))
+        est, start = self.first_iteration(ms, cfg, monkeypatch)
+        assert np.isnan(start[[0, -1]]).all()
+        self.assert_scale_means(est, ms, cfg, start)
+
+    @pytest.mark.parametrize("n_reps", [2, 3])
+    def test_intensities_beyond_both_ends_and_on_the_nodes(self, n_reps,
+                                                          monkeypatch):
+        cfg = EstimationConfig(bandwidth=1.0, grid=np.linspace(7.3, 14.9, 77))
+        ms = on_and_beside_nodes(
+            generate_set(SimDesign(n_genes=1000, n_replicates=n_reps,
+                                   rho=0.4, seed=13), 0), cfg.grid)
+        est, start = self.first_iteration(ms, cfg, monkeypatch)
+        assert np.isfinite(start).all()
+        x = ms.x.ravel()
+        assert (x < cfg.grid[0]).any() and (x > cfg.grid[-1]).any()
+        # the spacing's guess misses the interval on both sides
+        spacing = (cfg.grid[-1] - cfg.grid[0]) / (cfg.grid.size - 1)
+        guess = np.floor((x - cfg.grid[0]) / spacing)
+        exact = np.searchsorted(cfg.grid, x, side="right") - 1
+        inside = (x >= cfg.grid[0]) & (x <= cfg.grid[-1])
+        assert (guess > exact)[inside].any() and (guess < exact)[inside].any()
+        self.assert_scale_means(est, ms, cfg, start)
+
+    @pytest.mark.parametrize("n_reps", [2, 3])
+    def test_nodes_with_an_interior_gap(self, n_reps, monkeypatch):
+        ms = two_cluster_set(n_reps)
+        cfg = EstimationConfig(bandwidth=0.5, grid=np.linspace(6.0, 15.0, 91))
+        est, start = self.first_iteration(ms, cfg, monkeypatch)
+        # the evaluable nodes are not one run of the grid: they are searched
+        run = np.flatnonzero(np.isfinite(start))
+        assert run[-1] - run[0] + 1 > run.size
+        assert np.isfinite(start[[0, -1]]).all()
+        self.assert_scale_means(est, ms, cfg, start)
 
 
 class TestExactInvariances:

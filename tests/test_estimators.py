@@ -225,6 +225,23 @@ class TestTwoStage:
         rel = np.nanmax(np.abs(fast.values - exact.values)) / np.nanmean(exact.values)
         assert rel < 1e-3
 
+    def test_sorted_stage1_lookup_matches_unsorted(self, unit_config):
+        # reference: stage 1 interpolated at the intensities in data order
+        from genevar.estimators import _STAGE1_NODES
+        from genevar.model import EstimationConfig
+        from genevar.simulation import SimDesign, generate_set
+
+        array = generate_set(SimDesign(n_genes=800, n_runs=1, seed=4), 0).arrays[1]
+        x, y = array.x.ravel(), array.y.ravel()
+        nodes = np.linspace(x.min(), x.max(), _STAGE1_NODES)
+        stage1 = fit_curve(ScatterData(x, y), EstimationConfig(
+            bandwidth=unit_config.bandwidth, grid=nodes))
+        resid2 = (y - np.interp(x, stage1.grid, stage1.values)) ** 2
+        reference = fit_curve(ScatterData(x, resid2), unit_config)
+        got = two_stage_curve(array, unit_config)
+        assert np.array_equal(got.values, reference.values, equal_nan=True)
+        assert np.array_equal(got.flags, reference.flags)
+
     def test_constant_scale_no_effects(self, unit_config):
         ms = constant_sigma_set(sigma0=0.6, rho=0.0, n_genes=4000,
                                 n_arrays=1, seed=9)

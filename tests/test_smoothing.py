@@ -392,6 +392,28 @@ class TestBinned:
         assert np.array_equal(curve.values, whole.values, equal_nan=True)
         assert np.array_equal(curve.flags, whole.flags)
 
+    def test_cached_taps_leave_the_fits_unchanged(self):
+        # h = 1 on a 0.1 grid and h = 0.5 on a 0.0499 grid both take 26
+        # lattice steps per grid step and taps of reach 260, with u = r/260
+        # and u = r/260.52: taps cached by reach alone would serve both
+        from genevar.simulation import SimDesign, generate_set
+
+        array = generate_set(SimDesign(n_genes=2000, seed=5), 0).arrays[0]
+        data = ScatterData(array.x.ravel(), array.y.ravel())
+        coarse = config_for(np.linspace(6.0, 16.0, 101), h=1.0)
+        fine = config_for(np.linspace(6.0, 15.98, 201), h=0.5)
+        smoothing._taps.cache_clear()
+        first = fit_curve(data, coarse)
+        second = fit_curve(data, fine)
+        third = fit_curve(data, coarse)
+        assert np.array_equal(third.values, first.values, equal_nan=True)
+        smoothing._taps.cache_clear()
+        alone = fit_curve(data, fine)
+        assert np.array_equal(second.values, alone.values, equal_nan=True)
+        taps = smoothing._taps(4, 0.25, 1.0)
+        assert taps is smoothing._taps(4, 0.25, 1.0)
+        assert not taps.flags.writeable
+
     def test_constant_response_reproduced(self, rng):
         x = rng.uniform(6.0, 16.0, 3000)
         curve = fit_curve(ScatterData(x, np.full(x.size, 2.5)),
