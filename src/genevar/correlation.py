@@ -69,7 +69,7 @@ from .estimators import (
 RHO_MARGIN = 1e-6  # keeps the equicorrelation matrix strictly positive definite
 CONVERGENCE_TOL = 1e-3  # on the rho move and the relative sigma1 move
 MAX_ITERATIONS = 100
-_WEIGHT_ROWS = 1 << 14  # intensities weighed at once by _NodeWeights
+_WEIGHT_ROWS = 1 << 16  # intensities weighed at once by _NodeWeights
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,8 @@ class _NodeWeights:
                 j = p - nodes[0]
                 j /= spacing
                 np.floor(j, out=j)
-                np.clip(j + 1.0, 0.0, m, out=j)
+                j += 1.0
+                np.clip(j, 0.0, m, out=j)
                 j = j.astype(np.intp)
                 while True:
                     up = bounds[j + 1] <= p
