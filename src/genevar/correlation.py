@@ -129,8 +129,8 @@ class _NodeWeights:
     The points are taken _WEIGHT_ROWS at a time, so no temporary grows
     with them.  Each point's interval is the one np.interp uses,
     np.searchsorted(nodes, p, side="right") - 1: where the nodes are a run
-    of the equispaced grid it is guessed from the spacing and corrected
-    against the two nodes around the guess; otherwise it is searched.
+    of the equispaced grid it is guessed from the spacing, then moved a
+    node at a time until its two nodes bracket p; otherwise it is searched.
     """
 
     def __init__(self, points, grid, evaluable):
