@@ -128,9 +128,10 @@ class _NodeWeights:
 
     The points are taken _WEIGHT_ROWS at a time, so no temporary grows
     with them.  Each point's interval is the one np.interp uses,
-    np.searchsorted(nodes, p, side="right") - 1: where the nodes are a run
-    of the equispaced grid it is guessed from the spacing, then moved a
-    node at a time until its two nodes bracket p; otherwise it is searched.
+    np.searchsorted(nodes, p, side="right") - 1 within 0..m-2.  It is
+    guessed from the mean node spacing, and searched only for the points
+    whose guessed interval does not hold them: a few by the nodes when the
+    nodes are equispaced, more when they have a gap.
     """
 
     def __init__(self, points, grid, evaluable):
@@ -143,31 +144,19 @@ class _NodeWeights:
         self.weights = np.zeros((5, max(m - 1, 0)))
         if m == 1:
             return
-        run = np.flatnonzero(evaluable)
-        equispaced = run[-1] - run[0] == m - 1
-        spacing = (nodes[-1] - nodes[0]) / (m - 1)
-        # nodes[j - 1] <= p < nodes[j] once j is right, for j in 0..m
-        bounds = np.concatenate(([-np.inf], nodes, [np.inf]))
         width = np.diff(nodes)
+        spacing = (nodes[-1] - nodes[0]) / (m - 1)
         for lo in range(0, self.n, _WEIGHT_ROWS):
             p = points[lo:lo + _WEIGHT_ROWS]
-            if equispaced:
-                j = p - nodes[0]
-                j /= spacing
-                np.floor(j, out=j)
-                j += 1.0
-                np.clip(j, 0.0, m, out=j)
-                j = j.astype(np.intp)
-                while True:
-                    up = bounds[j + 1] <= p
-                    down = bounds[j] > p
-                    if not (up.any() or down.any()):
-                        break
-                    j += up
-                    j -= down
-            else:
-                j = np.searchsorted(nodes, p, side="right")
-            k = np.clip(j - 1, 0, m - 2)
+            k = p - nodes[0]
+            k /= spacing
+            np.clip(k, 0.0, m - 2, out=k)
+            k = k.astype(np.intp)
+            miss = (p < nodes[k]) & (k > 0)
+            miss |= (p >= nodes[k + 1]) & (k < m - 2)
+            if miss.any():
+                k[miss] = np.clip(
+                    np.searchsorted(nodes, p[miss], side="right") - 1, 0, m - 2)
             t = p - nodes[k]
             t /= width[k]
             np.clip(t, 0.0, 1.0, out=t)
