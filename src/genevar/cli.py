@@ -14,20 +14,22 @@ and the intensity density.  simulate evaluates on the design's grid.  In
 table format each command prints a summary to stdout: estimate one line
 (rho, sigma1, sigma2, iterations, converged), the others a table.
 
-The module itself imports only the standard library's argparse, math and
-sys, so that --help and a usage error answer without numpy.  Each command
+The module itself imports only the standard library's argparse, math, os
+and sys, so that --help and a usage error answer without numpy.  Once the
+arguments parse, main makes the --out directory with pathlib; one that
+cannot be made is a usage error, answered before any work.  Each command
 imports, inside its function or the helpers it calls, the modules that it
 runs: numpy and the fit's modules (model, io, correlation, smoothing) for
 every command, asymptotics for estimate, inference for validate and select,
-simulation for simulate, and hashlib, json and pathlib for the outputs and
-the manifest.  So a process loads no more than its command needs, and only
-once its arguments parse.
+simulation for simulate, and hashlib and json for the manifest.  So a
+process loads no more than its command needs.
 
 Once a command has returned, main writes a manifest.json (flags, package
 and library versions, input digests) sufficient to re-run bit-identically;
 simulate's flags include its --seed.  By then the command's data is out of
 scope, so hashlib and the digest do not load on top of it.  The manifest is
-written on exit 0 and 5, never on 2, 3 or 4.  Exit codes:
+written on exit 0 and 5, never on 2, 3 or 4; a run that exits 3 or 4
+leaves --out empty if it was new.  Exit codes:
 0 success, 2 usage, 3 malformed input file, 4 invalid data for the requested
 analysis, 5 estimation did not converge.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -100,12 +103,11 @@ def _sha256(path) -> str:
 
 
 def _outdir(path):
-    """The output directory, made with its parents if missing."""
+    """Make the output directory with its parents if missing; "" is the
+    current directory."""
     from pathlib import Path
 
-    outdir = Path(path)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    Path(path).mkdir(parents=True, exist_ok=True)
 
 
 def _write_manifest(args):
@@ -126,8 +128,9 @@ def _write_manifest(args):
         "inputs": ({args.input: _sha256(args.input)} if "input" in vars(args)
                    else {}),
     }
-    (_outdir(args.out) / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
+    with open(os.path.join(args.out, "manifest.json"), "w") as handle:
+        handle.write(json.dumps(manifest, sort_keys=True, indent=2,
+                                default=str) + "\n")
 
 
 def _fit(args, mset, rho):
@@ -170,10 +173,10 @@ def cmd_estimate(args) -> int:
     stderr = corrected_curve_stderr(fp, mset.n_genes, mset.n_arrays, config,
                                     density)
 
-    outdir = _outdir(args.out)
-    write_csv(outdir / "curve.csv", ["x", "variance", "stderr", "flags"],
+    write_csv(os.path.join(args.out, "curve.csv"),
+              ["x", "variance", "stderr", "flags"],
               [curve.grid, curve.values, stderr, curve.flags])
-    write_csv(outdir / "correlation.csv",
+    write_csv(os.path.join(args.out, "correlation.csv"),
               ["rho", "sigma1", "sigma2", "rho_raw", "iterations",
                "converged", "clipped", "curve_change", "mode"],
               [[v] for v in (
@@ -210,9 +213,8 @@ def cmd_validate(args) -> int:
     results = [validation_tests(array, sigma[j], array_id=f"array{j + 1}")
                for j, array in enumerate(mset.arrays)]
 
-    outdir = _outdir(args.out)
     fields = ["array_id", "t1", "p1", "t2", "p2", "t3", "p3", "t4", "p4"]
-    write_csv(outdir / "validation.csv", fields,
+    write_csv(os.path.join(args.out, "validation.csv"), fields,
               [[getattr(r, name) for r in results] for name in fields])
     if args.format == "table":
         print(f"{'array':<10s} {'p(T1)':>8s} {'p(T2)':>8s} {'p(T3)':>8s} {'p(T4)':>8s}")
@@ -290,21 +292,21 @@ def cmd_select(args) -> int:
     z_stat, p_z = z_pvalues(means, sigma_hat, n)
     fold = 2.0 ** np.abs(means)
 
-    outdir = _outdir(args.out)
-    write_csv(outdir / "gene_calls.csv",
+    write_csv(os.path.join(args.out, "gene_calls.csv"),
               ["gene_id", "mean", "sample_sd", "sigma_hat", "fold_change",
                "t_stat", "p_t", "z_stat", "p_z", "flagged"],
               [mset.gene_ids, means, sample_sd, sigma_hat, fold,
                t_stat, p_t, z_stat, p_z, flagged])
 
     counts_rows = selection_counts(p_t, p_z, fold, args.fold_changes, args.alphas)
-    write_csv(outdir / "counts.csv",
+    write_csv(os.path.join(args.out, "counts.csv"),
               ["fold_change", "alpha", "t_selected", "z_selected"],
               zip(*counts_rows))
 
     power = power_increase(means, sigma_hat, n, args.alphas,
                            sample_sd=sample_sd)
-    write_csv(outdir / "power.csv", ["alpha", "theoretical", "empirical"],
+    write_csv(os.path.join(args.out, "power.csv"),
+              ["alpha", "theoretical", "empirical"],
               [args.alphas, *zip(*power)])
     if args.format == "table":
         print(f"{'FC':>5s} {'alpha':>7s} {'t':>7s} {'z':>7s}")
@@ -337,22 +339,22 @@ def cmd_simulate(args) -> int:
     )
     report = run_experiment(design, estimators=estimators)
 
-    outdir = _outdir(args.out)
     names = report.estimators
     metrics = [report.metrics[name] for name in names]
-    write_csv(outdir / "report.csv", ["estimator", "bias2", "var", "mise"],
+    write_csv(os.path.join(args.out, "report.csv"),
+              ["estimator", "bias2", "var", "mise"],
               [names, [m.bias2 for m in metrics], [m.var for m in metrics],
                [m.mise for m in metrics]])
     if report.parameter_stats:
         stats = report.parameter_stats
         fields = ["truth", "mean", "bias2", "var", "mse"]
-        write_csv(outdir / "params.csv", ["parameter", *fields],
+        write_csv(os.path.join(args.out, "params.csv"), ["parameter", *fields],
                   [list(stats)] + [[getattr(p, f) for p in stats.values()]
                                    for f in fields])
-    write_csv(outdir / "curves.csv",
+    write_csv(os.path.join(args.out, "curves.csv"),
               ["x", "truth"] + [f"{name}_median_run" for name in names],
               [report.grid, report.truth] + [m.median_curve for m in metrics])
-    write_csv(outdir / "ise.csv", ["run", *names],
+    write_csv(os.path.join(args.out, "ise.csv"), ["run", *names],
               [range(design.n_runs)] + [m.ise for m in metrics])
     if args.format == "table":
         print(report.format_table())
@@ -416,7 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _outdir(args.out)
+    except OSError as exc:
+        parser.error(f"--out {args.out!r} cannot be made a directory: "
+                     f"{exc.strerror or exc}")
     from .model import GenevarError, IngestionError
 
     try:

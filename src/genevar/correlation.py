@@ -26,23 +26,21 @@ per-array curves are averaged for the iteration, and the final corrected
 curve is the average of the per-array corrected curves sharing one rho.
 
 Step 2 reads s1 and s2 as the means of VarianceCurve.scale_at over the
-pooled intensities without evaluating it there.  Linear interpolation is
-linear in the node scales a_k = sqrt(v_k), so with t the position of an
-intensity within its interval [x_k, x_k+1] (0 below the first node, 1 above
-the last)
+n pooled intensities without evaluating it there.  With t an intensity's
+position in its interval [x_k, x_k+1] (0 below the first node, 1 above the
+last), its scale s = (1 - t) a_k + t a_k+1 between the node scales
+a_k = sqrt(v_k) has s^2 = (1-t) a_k^2 + t a_k+1^2 - t (1-t) (a_k+1 - a_k)^2.
+So with each node's tent weight T_j, the sum of 1 - t over interval j and of
+t over interval j - 1 (linear binning, Fan & Marron 1994), and each
+interval's bend C_k, the sum of t (1 - t) over interval k,
 
-    n s1 = sum_k (wL_k a_k + wR_k a_k+1),
-    n s2 = sum_k (qLL_k a_k^2 + 2 qLR_k a_k a_k+1 + qRR_k a_k+1^2),
+    n s1 = sum_j T_j a_j,   n s2 = sum_j T_j a_j^2 - sum_k C_k (a_k+1 - a_k)^2.
 
-where wL_k, wR_k, qLL_k, qLR_k and qRR_k sum 1 - t, t, (1 - t)^2,
-t (1 - t) and t^2 over the intensities in interval k.  _NodeWeights
-computes the five vectors once per solve, and again only if the set of
-evaluable nodes changes, which the damped updates do not do.
+_NodeWeights computes T and C once per solve.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,9 +120,10 @@ def corrected_correlation(rho_raw: float, sigma1: float, sigma2: float,
 
 
 class _NodeWeights:
-    """The five per-interval weight vectors of a sample of points over the
-    evaluable nodes of a curve, from which moments() gives the means of its
-    scale and squared scale at those points (see the module docstring).
+    """The tent weights and bends of a sample of points over the evaluable
+    nodes of a curve, each divided by the sample size, from which moments()
+    gives the means of its scale and squared scale at those points (see the
+    module docstring).
 
     The points are taken _WEIGHT_ROWS at a time, so no temporary grows
     with them.  Each point's interval is the one np.interp uses,
@@ -138,15 +137,15 @@ class _NodeWeights:
         if not evaluable.any():
             raise GenevarError("variance curve has no evaluable points")
         self.evaluable = evaluable
-        self.n = points.size
         nodes = grid[evaluable]
         m = nodes.size
-        self.weights = np.zeros((5, max(m - 1, 0)))
+        self.tent, self.bend = np.zeros(m), np.zeros(m - 1)
         if m == 1:
+            self.tent[0] = 1.0
             return
         width = np.diff(nodes)
         spacing = (nodes[-1] - nodes[0]) / (m - 1)
-        for lo in range(0, self.n, _WEIGHT_ROWS):
+        for lo in range(0, points.size, _WEIGHT_ROWS):
             p = points[lo:lo + _WEIGHT_ROWS]
             k = p - nodes[0]
             k /= spacing
@@ -161,21 +160,19 @@ class _NodeWeights:
             t /= width[k]
             np.clip(t, 0.0, 1.0, out=t)
             s = 1.0 - t
-            add = functools.partial(np.bincount, k, minlength=m - 1)
-            self.weights += [add(s), add(t), add(s * s), add(s * t), add(t * t)]
+            self.tent[:-1] += np.bincount(k, s, m - 1)
+            self.tent[1:] += np.bincount(k, t, m - 1)
+            self.bend += np.bincount(k, s * t, m - 1)
+        self.tent /= points.size
+        self.bend /= points.size
 
     def moments(self, values):
         """(mean scale, mean squared scale) at the points of the curve
         with these values, as scale_at takes them."""
         a = np.sqrt(np.clip(values[self.evaluable], 0.0, None))
-        if a.size == 1:
-            return float(a[0]), float(a[0] * a[0])
-        left, right = a[:-1], a[1:]
-        wl, wr, qll, qlr, qrr = self.weights
-        sigma1 = (wl @ left + wr @ right) / self.n
-        sigma2 = (qll @ (left * left) + 2.0 * (qlr @ (left * right))
-                  + qrr @ (right * right)) / self.n
-        return float(sigma1), float(sigma2)
+        step = np.diff(a)
+        return (float(self.tent @ a),
+                float(self.tent @ (a * a) - self.bend @ (step * step)))
 
 
 @dataclass(frozen=True)
@@ -204,9 +201,10 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     rho_raw = None if fixed_rho is not None \
         else raw_correlation(variance_components(mset), n_reps)
 
-    points = mset.x.reshape(-1)
-    grid = eta_mean.grid
-    weights = None
+    # The starting curve, and every correct(eta_mean, .) after it, is finite
+    # exactly where eta_mean is: its evaluable nodes are weighed once.
+    weights = _NodeWeights(mset.x.reshape(-1), eta_mean.grid,
+                           np.isfinite(eta_mean.values))
     # Initial corrected-curve guess.  The pooled curve already targets the
     # variance scale for I >= 3; the paired curve targets roughly half of it.
     current = np.clip(eta_mean.values, 0.0, None)
@@ -222,10 +220,6 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        # the evaluable nodes of VarianceCurve(grid=grid, values=current)
-        evaluable = np.isfinite(current)
-        if weights is None or not np.array_equal(evaluable, weights.evaluable):
-            weights = _NodeWeights(points, grid, evaluable)
         sigma1, sigma2 = weights.moments(current)
         if sigma1 <= 0:
             raise NonpositiveSigma(
@@ -248,8 +242,7 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
         # (a neutral two-cycle), and near clamped discriminants the I >= 3
         # map loses smoothness as well.
         new_values = 0.5 * (current + corrected.values)
-        curve_change = float(np.nanmax(np.abs(new_values - current))) \
-            if np.isfinite(new_values).any() else float("inf")
+        curve_change = float(np.nanmax(np.abs(new_values - current)))
         current = new_values
         # rho alone is blind to the curve's scale (it feeds through the
         # scale-invariant ratio sigma2/sigma1^2), so track sigma1 as well;

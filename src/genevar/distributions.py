@@ -55,8 +55,7 @@ def _log_beta(a, b):
 
 
 def _beta_series(x, xc, a, b):
-    """I_x(a, b) with xc = 1 - x, for one float or elementwise over an
-    array, by the power series
+    """I_x(a, b) with xc = 1 - x, elementwise, by the power series
 
         I_x(a, b) = x^a xc^b / (a B(a, b)) sum_k (a+b)_k / (a+1)_k x^k.
 
@@ -76,16 +75,6 @@ def _beta_series(x, xc, a, b):
     with np.errstate(divide="ignore"):  # x or xc = 0
         log_front = a * np.log(x) + b * np.log(xc)
     return np.exp(log_front - (math.log(a) + _log_beta(a, b))) * total
-
-
-def _t_tail(y, x, df):
-    """P(|T| > t) = I_y(df/2, 1/2) for one float, from y = df/(df + t^2)
-    and x = 1 - y, summed on the side of (a + 1)/(a + b + 2) where its
-    series converges fast; t_two_sided makes the same split elementwise."""
-    a = 0.5 * df
-    if y <= (a + 1.0) / (a + 2.5):
-        return _beta_series(y, x, a, 0.5)
-    return 1.0 - _beta_series(x, y, 0.5, a)
 
 
 def t_two_sided(t, df):
@@ -112,12 +101,11 @@ def _t_density(t: float, df) -> float:
 def t_critical(alpha: float, df) -> float:
     """The two-sided t critical value: P(|T| > c) = alpha, by Newton steps
     on log P(|T| > c) from the normal critical value, kept inside the
-    bracket that the evaluated points establish (bisecting otherwise).
-    Each step sums the tail's series in floats, not arrays."""
+    bracket that the evaluated points establish (bisecting otherwise)."""
     lo, hi = 0.0, math.inf
     c = normal_critical(alpha)
     for _ in range(200):
-        p = float(_t_tail(df / (df + c * c), c * c / (df + c * c), df))
+        p = float(t_two_sided(c, df))
         step = (math.log(p) - math.log(alpha)) * p / (2.0 * _t_density(c, df))
         # near the root the sign of p - alpha is rounding, so a small step
         # is taken before it can move the bracket

@@ -230,6 +230,46 @@ class TestUnreadableInput:
         assert f"{path}:2: not utf-8" in capsys.readouterr().err
 
 
+class TestUnmakeableOut:
+    """An --out that cannot be made a directory is a usage error, answered
+    before numpy loads and so before any work; the directory is made before
+    the command runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--input", "arrays.csv"],
+        ["simulate", "--preset", "table3", "--n-genes", "300", "--reps", "2"],
+    ], ids=["estimate", "simulate"])
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["a-file", "below-a-file"])
+    def test_usage_error(self, tmp_path, argv, below):
+        import genevar
+
+        out = tmp_path / "taken"
+        out.write_text("")
+        if below:
+            out = out / "sub"
+        argv = [*argv, "--out", str(out)]
+        code = ("import sys\nfrom genevar.cli import main\n"
+                f"try:\n    main({argv!r})\nexcept SystemExit as exc:\n"
+                "    print(exc.code, 'numpy' in sys.modules)\n")
+        src = str(Path(genevar.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "2 False\n"
+        assert str(out) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_failed_run_leaves_a_new_out_empty(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("nope\n")
+        out = tmp_path / "new" / "out"
+        assert main(["estimate", "--input", str(bad), "--out", str(out),
+                     "--format", "csv"]) == EXIT_INGESTION
+        assert out.is_dir() and not any(out.iterdir())
+
+
 class TestValidate:
     def test_end_to_end(self, replicated_csv, tmp_path, capsys):
         out = tmp_path / "out"

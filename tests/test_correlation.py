@@ -18,6 +18,7 @@ from genevar.model import (
     TooFewArrays,
     VarianceCurve,
     ZeroDenominator,
+    default_grid,
 )
 from genevar.simulation import SimDesign, generate_set, intensity_density, variance_function
 from genevar.smoothing import density_interpolator
@@ -338,6 +339,46 @@ class TestMomentLookup:
         assert run[-1] - run[0] + 1 > run.size
         assert np.isfinite(start[[0, -1]]).all()
         self.assert_scale_means(est, ms, cfg, start)
+
+    @pytest.mark.parametrize("n_reps", [2, 3])
+    def test_one_point_grid(self, n_reps):
+        # one node: the scale is flat, so sigma2 is sigma1 squared and the
+        # correction leaves rho_raw as it is
+        ms = generate_set(SimDesign(n_genes=1000, n_replicates=n_reps,
+                                    rho=0.4, seed=13), 0)
+        cfg = EstimationConfig(bandwidth=1.0,
+                               grid=default_grid(ms.x, n_points=1))
+        fp = fixed_point_solve(ms, cfg)
+        assert fp.estimate.sigma2 == fp.estimate.sigma1 ** 2
+        assert fp.estimate.rho == fp.rho_raw
+        assert not fp.estimate.clipped
+
+    @pytest.mark.parametrize("n_reps", [2, 3])
+    @pytest.mark.parametrize("design", ["both_ends", "interior_gap"])
+    def test_weights_built_once_over_the_finite_nodes(self, n_reps, design,
+                                                      monkeypatch):
+        if design == "both_ends":
+            ms = generate_set(SimDesign(n_genes=1000, n_replicates=n_reps,
+                                        rho=0.4, seed=13), 0)
+            grid = np.linspace(4.0, 18.0, 141)
+        else:
+            ms = two_cluster_set(n_reps)
+            grid = np.linspace(6.0, 15.0, 91)
+        built = []
+
+        class Counted(correlation._NodeWeights):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(correlation, "_NodeWeights", Counted)
+        fp = fixed_point_solve(ms, EstimationConfig(bandwidth=0.5, grid=grid))
+        assert fp.estimate.iterations > 1
+        assert len(built) == 1
+        finite = np.isfinite(
+            np.mean([c.values for c in fp.uncorrected], axis=0))
+        assert not finite.all()
+        np.testing.assert_array_equal(built[0].evaluable, finite)
 
 
 class TestExactInvariances:
