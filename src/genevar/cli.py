@@ -128,7 +128,8 @@ def _write_manifest(args):
         "inputs": ({args.input: _sha256(args.input)} if "input" in vars(args)
                    else {}),
     }
-    with open(os.path.join(args.out, "manifest.json"), "w") as handle:
+    with open(os.path.join(args.out, "manifest.json"), "w",
+              encoding="utf-8") as handle:
         handle.write(json.dumps(manifest, sort_keys=True, indent=2,
                                 default=str) + "\n")
 

@@ -9,7 +9,8 @@ Raw channels are transformed on ingestion: y = log2(g / r) and
 x = (1/2) log2(g * r).  replicate runs 1..I and array 1..J; every
 (gene, replicate, array) cell must appear exactly once.  Gene order follows
 first appearance.  Serialization writes the log layout with full round-trip
-precision.
+precision.  Files are read and written as UTF-8 whatever the locale, and a
+byte-order mark before the header is skipped.
 
 A file is read in one of two passes.  The columnar pass splits the body
 into line-aligned byte ranges, one per CPU in the process's affinity set,
@@ -21,24 +22,26 @@ unsafe), the whole body is one range, parsed here.  Before the fork this
 process maps one anonymous shared mapping with a region per range, room
 for as many rows as the range's bytes could hold, and a range's parse
 writes its rows there, so only its row count, gene ids and index maxima
-go back through the pipe.  A range is read through a bounded binary stream with universal
-newlines, _CHUNK_ROWS rows at a time with np.loadtxt, and each chunk is
-checked with array operations; of a chunk the pass keeps only a packed
-int64 (gene, array, replicate) key per row, with the gene indexed within
-its range, and the two value columns, written to the region, so at most
-one chunk's strings are alive per process.  This process maps each
-range's gene ids in range order, which keeps first-appearance order, then
-scatters the regions one at a time, _CHUNK_ROWS rows at a time, into
-NaN-filled (J, N, I) blocks in anonymous mappings of their own, and gives
-back each scattered slice's pages.  The columnar pass gives way to the row
-pass, which reads with csv one row at a time and raises at the first
-faulty row with its path:line, when a chunk fails a check (a spelling
-np.loadtxt refuses, quotes, a blank gene id, a non-finite value, a
-non-positive channel or index), when an index does not fit the packed
-key, when a range's rows overflow its region, or when the cells do not
-fill the blocks exactly once.  So every file gets the row pass's result;
-the columnar pass only makes the common case fast and small.  The blocks
-are handed over read-only, so MultiArraySet keeps them without a copy.
+go back through the pipe.  A range is read in text blocks of about
+_BLOCK_BYTES, each cut after its last line end, decoded as UTF-8 and
+parsed whole by np.loadtxt with universal newlines, and each block's rows
+are checked with array operations; of a text block the pass keeps only a
+packed int64 (gene, array, replicate) key per row, with the gene indexed
+within its range, and the two value columns, written to the region, so at
+most one text block's strings are alive per process.  This process maps
+each range's gene ids in range order, which keeps first-appearance order,
+then scatters the regions one at a time, _BLOCK_BYTES of rows at a time,
+into NaN-filled (J, N, I) blocks in anonymous mappings of their own, and
+gives back each scattered slice's pages.  The columnar pass gives way to
+the row pass, which reads with csv one row at a time and raises at the
+first faulty row with its path:line, when a text block fails a check
+(bytes that are not UTF-8, a spelling np.loadtxt refuses, quotes, a blank
+gene id, a non-finite value, a non-positive channel or index), when an
+index does not fit the packed key, when a range's rows overflow its
+region, or when the cells do not fill the blocks exactly once.  So every
+file gets the row pass's result; the columnar pass only makes the common
+case fast and small.  The blocks are handed over read-only, so
+MultiArraySet keeps them without a copy.
 
 Writing maps _format_block over a table's _WRITE_ROWS-row blocks
 through _forking.run the same way, so this process holds one block's
@@ -68,7 +71,7 @@ LOG_HEADER = ["gene_id", "replicate", "array", "x", "y"]
 RAW_HEADER = ["gene_id", "replicate", "array", "r", "g"]
 _COLUMNS = [("gene", object), ("replicate", np.int64), ("array", np.int64),
             ("a", float), ("b", float)]
-_CHUNK_ROWS = 16384  # rows per np.loadtxt call of the columnar pass
+_BLOCK_BYTES = 1 << 18  # per np.loadtxt call and scatter step; bounds the heap
 _ROW = np.dtype([("key", np.int64), ("a", float), ("b", float)])  # a region's row
 _MIN_ROW_BYTES = 9   # bytes of the shortest row, "g,1,1,0,0"
 # gives back a scattered slice's pages: MADV_REMOVE also frees the shared
@@ -128,15 +131,14 @@ def _read_columns(path):
     np.loadtxt takes fewer number spellings than int() and float() (no
     "1_0", no "1.0" replicate), needs exactly 5 fields on every non-empty
     line and reads universal newlines as csv does; quotes, which csv would
-    strip, send the file to the row pass.  Every other warning of np.loadtxt
-    sends the file there too, but not the two that max_rows brings with it:
-    a blank line "not counted towards max_rows", and "input contained no
-    data" from a chunk that starts at the end of a range.
+    strip, send the file to the row pass.  Every warning of np.loadtxt
+    sends the file there too, but "input contained no data" from a text
+    block of blank lines, or from a range that holds only the header.
     """
     # each range's gene indices -> first-appearance order over the file
     index, to_file, counts, n_reps, n_arrays = {}, [], [], 0, 0
     try:
-        with path.open() as handle:
+        with path.open(encoding="utf-8-sig") as handle:
             header = [h.strip() for h in handle.readline().split(",")]
         if header not in (LOG_HEADER, RAW_HEADER):
             return None
@@ -165,9 +167,10 @@ def _read_columns(path):
     if size == 0 or size != sum(counts):
         return None
     a3, b3 = _nan_block(size), _nan_block(size)
+    step = -(-_BLOCK_BYTES // _ROW.itemsize)
     for n_rows, (offset, region), genes in zip(counts, regions, to_file):
-        for lo in range(0, n_rows, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n_rows)
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
             rows = region[lo:hi]
             key = rows["key"]
             cell = ((key >> _INDEX_BITS & mask) * n_genes
@@ -239,74 +242,71 @@ def _ranges(path, n):
             if start == 0 or end > start]
 
 
-class _Range(io.RawIOBase):
-    """The bytes [start, end) of a file as an unbuffered binary stream."""
-
-    def __init__(self, path, start, end):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(start)
-        self._left = end - start
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        n = self._file.readinto(memoryview(buffer)[:self._left])
-        self._left -= n
-        return n
-
-    def close(self):
-        self._file.close()
-        super().close()
-
-
 def _parse_range(path, start, end, raw, region):
-    """The bytes [start, end) of path through np.loadtxt, _CHUNK_ROWS rows
-    at a time, each checked chunk's rows written to the _ROW array region
-    in file order: (rows, ids, replicates, arrays), where rows counts them,
-    ids are the range's gene ids in order of first appearance, which the
-    keys index, and replicates and arrays are the largest indices; or None
-    when a chunk fails a check or the rows overflow region.  The range
-    from byte 0 starts with the header line."""
+    """The bytes [start, end) of path through np.loadtxt, one text block of
+    _blocks at a time, each checked block's rows written to the _ROW array
+    region in file order: (rows, ids, replicates, arrays), where rows
+    counts them, ids are the range's gene ids in order of first
+    appearance, which the keys index, and replicates and arrays are the
+    largest indices; or None when a block does not decode or fails a
+    check, or the rows overflow region.  Range 0 starts with the header."""
     index, rows, n_reps, n_arrays = {}, 0, 0, 0
     try:
-        stream = io.BufferedReader(_Range(path, start, end), 1 << 16)
-        with io.TextIOWrapper(stream, newline=None) as handle:
-            if start == 0:
-                handle.readline()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                warnings.filterwarnings("ignore", "Input line .* contained no data")
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                full = True
-                while full:
-                    rec = np.loadtxt(handle, delimiter=",", comments=None,
-                                     dtype=_COLUMNS, ndmin=1, max_rows=_CHUNK_ROWS)
-                    full = rec.size == _CHUNK_ROWS
-                    if rec.size:
-                        if rows + rec.size > region.size:
-                            return None
-                        top = _pack_chunk(rec, raw, index,
-                                          region[rows:rows + rec.size])
-                        if top is None:
-                            return None
-                        rows += rec.size
-                        n_reps, n_arrays = max(n_reps, top[0]), max(n_arrays, top[1])
-                    del rec  # before the next chunk is parsed
+        with open(path, "rb", buffering=0) as handle, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            handle.seek(start)
+            for k, text in enumerate(_blocks(handle, end - start)):
+                lines = io.StringIO(text, newline=None)
+                del text  # lines holds a copy
+                if k == start == 0:
+                    lines.readline()  # the header
+                rec = np.loadtxt(lines, delimiter=",", comments=None,
+                                 dtype=_COLUMNS, ndmin=1)
+                del lines
+                if rec.size:
+                    if rows + rec.size > region.size:
+                        return None
+                    top = _pack_block(rec, raw, index,
+                                      region[rows:rows + rec.size])
+                    if top is None:
+                        return None
+                    rows += rec.size
+                    n_reps, n_arrays = max(n_reps, top[0]), max(n_arrays, top[1])
+                del rec  # before the next block is read
     except (OSError, ValueError, Warning):
         return None
     return rows, tuple(index), n_reps, n_arrays
 
 
-def _pack_chunk(rec, raw, index, out):
-    """Write one parsed chunk to the _ROW array out and return its largest
-    (replicate, array), or None if it fails a check.  New gene ids join
-    index in order of first appearance; key packs (gene, array - 1,
-    replicate - 1) into one int64 with _INDEX_BITS bits for each index.
-    A gene's id is stripped, checked and looked up once per run of equal
-    raw ids on neighbouring rows, and its index repeated over the run; in
-    a file with no such runs, such as one in (array, replicate, gene) row
-    order, that is one lookup per row."""
+def _blocks(handle, size):
+    """The next size bytes of the binary file handle as UTF-8 text, in
+    blocks of about _BLOCK_BYTES, each cut after its last "\n" or "\r", so
+    at a line end under universal newlines; what follows a cut starts the
+    next block, and a line longer than a block lengthens its block.  A CRLF
+    pair split by a cut leaves a blank line.  Bytes that do not decode
+    raise UnicodeDecodeError."""
+    pending = []  # bytes read since the last cut
+    while size > 0 and (data := handle.read(min(_BLOCK_BYTES, size))):
+        size -= len(data)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        if cut:
+            yield b"".join([*pending, data[:cut]]).decode("utf-8")
+            pending.clear()
+        pending.append(data[cut:])
+    if any(pending):
+        yield b"".join(pending).decode("utf-8")
+
+
+def _pack_block(rec, raw, index, out):
+    """Write one text block's parsed rows rec to the _ROW array out and
+    return their largest (replicate, array), or None if they fail a check.
+    New gene ids join index in order of first appearance; key packs (gene,
+    array - 1, replicate - 1) into one int64 with _INDEX_BITS bits for each
+    index.  A gene's id is stripped, checked and looked up once per run of
+    equal raw ids on neighbouring rows, and its index repeated over the
+    run; in a file with no such runs, such as one in (array, replicate,
+    gene) row order, that is one lookup per row."""
     ids = rec["gene"]
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     genes = [g.strip() for g in ids[np.append(0, starts)].tolist()]
@@ -336,7 +336,7 @@ def _read_rows(path):
     with every check made in file order, so the first fault raises with
     its path:line."""
     try:
-        handle = path.open(newline="")
+        handle = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestionError(f"{path}: cannot read: {exc.strerror or exc}") from None
     with handle:
@@ -406,21 +406,20 @@ def _read_rows(path):
 
 
 def _decoded_lines(handle, path):
-    """The lines of handle, a text file opened on path.  Bytes that do not
-    decode raise IngestionError with the path:line of the first line that
-    holds such bytes."""
+    """The lines of handle, a UTF-8 text file opened on path.  Bytes that
+    do not decode raise IngestionError with the path:line of the first line
+    that holds such bytes."""
     try:
         yield from handle
     except UnicodeDecodeError as exc:
         with path.open("rb") as raw:
             for lineno, line in enumerate(raw, start=1):
                 try:
-                    line.decode(exc.encoding)
+                    line.decode("utf-8")
                 except UnicodeDecodeError as bad:
-                    raise IngestionError(f"{path}:{lineno}: not {exc.encoding} "
+                    raise IngestionError(f"{path}:{lineno}: not utf-8 "
                                          f"text: {bad.reason}") from None
-        raise IngestionError(
-            f"{path}: not {exc.encoding} text: {exc.reason}") from None
+        raise IngestionError(f"{path}: not utf-8 text: {exc.reason}") from None
 
 
 def write_csv(path, header, columns) -> None:
@@ -436,7 +435,7 @@ def write_csv(path, header, columns) -> None:
     columns = [np.asarray(c) for c in columns]
     n_rows = min((len(c) for c in columns), default=0)
     starts = range(0, n_rows, _WRITE_ROWS)
-    with Path(path).open("w", newline="") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         if all(map(_joinable, columns)):

@@ -230,6 +230,51 @@ class TestUnreadableInput:
         assert f"{path}:2: not utf-8" in capsys.readouterr().err
 
 
+class TestEncoding:
+    """Inputs are read, and outputs written, as UTF-8 whatever the locale."""
+
+    def test_select_under_a_non_utf8_locale(self, selection_csv, tmp_path):
+        import genevar
+
+        path = tmp_path / "arrays.csv"
+        path.write_bytes(selection_csv.read_bytes().replace(
+            b"\ng0,", "\ngène1,".encode()))
+        src = str(Path(genevar.__file__).resolve().parents[1])
+        calls = {}
+        for lc_all in ("C", "C.UTF-8"):
+            out = tmp_path / lc_all
+            env = dict(os.environ, PYTHONPATH=src, LC_ALL=lc_all,
+                       PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+            done = subprocess.run(
+                [sys.executable, "-m", "genevar.cli", "select", "--input",
+                 str(path), "--out", str(out), "--format", "csv"],
+                env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            calls[lc_all] = (out / "gene_calls.csv").read_bytes()
+        assert "\ngène1,".encode() in calls["C.UTF-8"]
+        assert calls["C"] == calls["C.UTF-8"]
+
+    @pytest.mark.parametrize("quoted", [False, True],
+                             ids=["columnar", "row-pass"])
+    def test_byte_order_mark_before_the_header(self, replicated_csv,
+                                               tmp_path, quoted):
+        # a quoted gene id sends the file to the row pass
+        text = replicated_csv.read_bytes()
+        if quoted:
+            text = text.replace(b"\ng1,", b'\n"g1",')
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / f"arrays{len(mark)}.csv"
+            path.write_bytes(mark + text)
+            assert (genevar_io._read_columns(path) is None) == quoted
+            out = tmp_path / f"out{len(mark)}"
+            assert main(["estimate", "--input", str(path), "--out", str(out),
+                         "--format", "csv"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+        assert outputs[0] == outputs[1] and len(outputs[0]) > 1
+
+
 class TestUnmakeableOut:
     """An --out that cannot be made a directory is a usage error, answered
     before numpy loads and so before any work; the directory is made before
@@ -658,7 +703,8 @@ class TestImportCost:
         pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
         sources = sorted(Path(genevar.__file__).parent.glob("*.py"))
         assert sources
-        assert [p.name for p in sources if pattern.search(p.read_text())] == []
+        assert [p.name for p in sources
+                if pattern.search(p.read_text(encoding="utf-8"))] == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

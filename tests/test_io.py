@@ -71,7 +71,7 @@ def csv_reference(header, columns):
 
 
 def written(path):
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         return handle.read()
 
 
@@ -518,12 +518,13 @@ class TestColumnarParity:
 
 
 # ---------------------------------------------------------------------------
-# The columnar pass across chunk edges
+# The columnar pass across text block edges
 # ---------------------------------------------------------------------------
 
-def chunked(rows):
-    """_CHUNK_ROWS patched down to rows, so that small files span chunks."""
-    return mock.patch.object(io, "_CHUNK_ROWS", rows)
+def chunked(nbytes):
+    """_BLOCK_BYTES patched down to nbytes, so that small files span many
+    text blocks, and lines span block edges."""
+    return mock.patch.object(io, "_BLOCK_BYTES", nbytes)
 
 
 class TestChunkedParity:
@@ -543,7 +544,7 @@ class TestChunkedParity:
            n_genes=st.integers(1, 3), n_reps=st.integers(1, 3),
            n_arrays=st.integers(1, 2), edits=mutations,
            crlf=st.booleans(), final_newline=st.booleans(),
-           chunk=st.integers(1, 7))
+           chunk=st.integers(1, 96))
     def test_matches_row_pass(self, tmp_path_factory, seed, raw, n_genes,
                               n_reps, n_arrays, edits, crlf, final_newline,
                               chunk):
@@ -559,17 +560,22 @@ class TestChunkedParity:
     @pytest.mark.parametrize("final_newline", [False, True])
     def test_row_count_a_multiple_of_the_chunk(self, tmp_path, chunk,
                                                final_newline):
-        # the call after the last full chunk warns "input contained no data"
+        # the file's bytes a multiple of the block, so that every read is a
+        # whole block and the last one ends at the file's end
         path = tmp_path / "t.csv"
-        write_rows(path, False, valid_rows(0, False, 2, 2, 2),
-                   final_newline=final_newline)
-        with chunked(chunk):
+        rows = valid_rows(0, False, 2, 2, 2)
+        write_rows(path, False, rows, final_newline=final_newline)
+        rows[0] = rows[0].replace(",", " " * (-path.stat().st_size % 8) + ",", 1)
+        write_rows(path, False, rows, final_newline=final_newline)
+        assert path.stat().st_size % 8 == 0
+        with chunked(path.stat().st_size // chunk):
             assert io._read_columns(path) is not None
             assert_parity(path)
 
     @pytest.mark.parametrize("chunk", [2, 3, 4])
     def test_blank_crlf_lines_at_chunk_edges(self, tmp_path, chunk):
-        # under max_rows, np.loadtxt warns on every blank line it skips
+        # blocks of 2 to 4 bytes split CRLF pairs and make blocks of blank
+        # lines, which np.loadtxt must skip without a warning
         rows = valid_rows(1, False, 2, 2, 2)
         for at in (6, 3):
             rows[at:at] = ["", ""]
@@ -603,6 +609,106 @@ class TestChunkedParity:
         write_table(ms, path)
         assert io._read_columns(path) is None
         assert_same(read_table(path), ms)
+
+
+def text_blocks(path):
+    """The text blocks of the whole of path, as _blocks cuts them."""
+    with path.open("rb") as handle:
+        return list(io._blocks(handle, path.stat().st_size))
+
+
+class TestBlockEdges:
+    """A read of _BLOCK_BYTES may end anywhere in a line; the columnar pass
+    must accept a valid file wherever it does, with the row pass's
+    result."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """workers(n) gives the parse n usable CPUs."""
+        def set_workers(n):
+            monkeypatch.setattr(_forking, "workers", lambda: n)
+
+        return set_workers
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_crlf_pair_split_across_an_edge(self, tmp_path, workers, n):
+        workers(n)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, gene_major_rows(3, 2, 2), eol="\r\n")
+        data = path.read_bytes()
+        at = data.index(b"\r\n", data.index(b"\r\n") + 2) + 1
+        with chunked(at):  # the first read ends between a CR and its LF
+            blocks = text_blocks(path)
+            assert blocks[0].endswith("\r") and blocks[1].startswith("\n")
+            assert io._read_columns(path) is not None
+            assert_parity(path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("prefix", ["gène", "遺伝子", "😀"],
+                             ids=["latin", "cjk", "emoji"])
+    def test_multibyte_id_across_an_edge(self, tmp_path, workers, n, prefix):
+        workers(n)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, [prefix + row for row in gene_major_rows(3, 2, 2)])
+        data = path.read_bytes()
+        line = data.index(b"\n") + 1
+        for inside in range(1, len(prefix[0].encode())):
+            at = line + inside  # the first read ends inside a character
+            with pytest.raises(UnicodeDecodeError):
+                data[:at].decode()
+            with chunked(at):
+                got = io._read_columns(path)
+                assert got is not None
+                assert got[1] == tuple(f"{prefix}g{k + 1}" for k in range(3))
+                assert_parity(path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_line_longer_than_a_block(self, tmp_path, workers, n):
+        workers(n)
+        long = "g" * 5000
+        rows = [long + row[2:] if row.startswith("g2,") else row
+                for row in gene_major_rows(3, 2, 2)]
+        path = tmp_path / "t.csv"
+        write_rows(path, False, rows)
+        with chunked(64):
+            assert max(map(len, text_blocks(path))) > 5000
+            got = io._read_columns(path)
+            assert got is not None and got[1] == ("g1", long, "g3")
+            assert_parity(path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_unterminated_end_and_blocks_of_blank_lines(self, tmp_path,
+                                                        workers, n, eol):
+        workers(n)
+        rows = gene_major_rows(3, 2, 2)
+        rows[6:6] = [""] * 40
+        path = tmp_path / "t.csv"
+        write_rows(path, False, rows, eol=eol, final_newline=False)
+        with chunked(16):
+            blocks = text_blocks(path)
+            assert len(blocks) > 10
+            assert any(not block.strip() for block in blocks)
+            assert not blocks[-1].endswith(("\n", "\r"))
+            assert io._read_columns(path) is not None
+            assert_parity(path)
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_byte_order_mark_is_skipped(self, tmp_path, quoted):
+        # a quoted gene id sends the file to the row pass
+        rows = valid_rows(3, False, 2, 2, 2)
+        if quoted:
+            rows = ['"g1"' + row[2:] if row.startswith("g1,") else row
+                    for row in rows]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_rows(plain, False, rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert (io._read_columns(marked) is None) == quoted
+        assert_same(read_table(marked), read_table(plain))
+        assert_same(outcome_by_rows(marked), read_table(plain))
 
 
 class TestMemory:
@@ -654,6 +760,31 @@ class TestMemory:
         blocks = ms.x.nbytes + ms.y.nbytes
         assert blocks == 2 * 8 * 20000 * 3 * 4
         assert peak <= 1.5 * blocks
+
+    def test_cr_only_file_is_read_a_block_at_a_time(self, tmp_path,
+                                                    monkeypatch):
+        # lines that end in CR alone are cut there too, so no text block
+        # holds more than a few lines beyond _BLOCK_BYTES
+        import tracemalloc
+
+        from genevar.simulation import SimDesign, generate_set
+
+        monkeypatch.setattr(_forking, "workers", lambda: 1)
+        design = SimDesign(n_genes=20000, n_replicates=3, n_arrays=4,
+                           rho=0.4, seed=1)
+        want = generate_set(design, 0)
+        path = tmp_path / "big.csv"
+        write_table(want, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert path.stat().st_size > 40 * io._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            ms = read_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same(ms, want)
+        assert peak <= 1.5 * (ms.x.nbytes + ms.y.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +1056,7 @@ class TestRegions:
         monkeypatch.setattr(io, "_release", recording)
         path = tmp_path / "short.csv"
         write_rows(path, False, shortest_rows(26, 9, 4))
-        with chunked(5):
+        with chunked(5 * io._ROW.itemsize):
             assert io._read_columns(path) is not None
         given = [p for lo, hi in spans for p in range(lo, hi, page)]
         assert len(given) == len(set(given))
