@@ -163,6 +163,17 @@ def _fit(args, mset, rho):
     return config, fp, density_interpolator(pooled_x, config)
 
 
+def _exit_code(fp) -> int:
+    """The exit code of an input command whose fit is fp: EXIT_OK, or
+    EXIT_NONCONVERGENCE, with a warning on stderr, when its fixed point
+    did not converge."""
+    if fp.estimate.converged:
+        return EXIT_OK
+    print("warning: fixed point did not converge "
+          f"(iterations={fp.estimate.iterations})", file=sys.stderr)
+    return EXIT_NONCONVERGENCE
+
+
 def cmd_estimate(args) -> int:
     from .asymptotics import corrected_curve_stderr
     from .io import read_table, write_csv
@@ -190,11 +201,7 @@ def cmd_estimate(args) -> int:
         print(f"rho {est.rho:.4f}  sigma1 {est.sigma1:.4f}  "
               f"sigma2 {est.sigma2:.4f}  iterations {est.iterations}  "
               f"converged {est.converged}")
-    if not est.converged:
-        print("warning: fixed point did not converge "
-              f"(iterations={est.iterations})", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    return _exit_code(fp)
 
 
 def cmd_validate(args) -> int:
@@ -221,7 +228,7 @@ def cmd_validate(args) -> int:
         print(f"{'array':<10s} {'p(T1)':>8s} {'p(T2)':>8s} {'p(T3)':>8s} {'p(T4)':>8s}")
         for r in results:
             print(f"{r.array_id:<10s} {r.p1:8.4f} {r.p2:8.4f} {r.p3:8.4f} {r.p4:8.4f}")
-    return EXIT_OK
+    return _exit_code(fp)
 
 
 def _array_indices(n_arrays: int, indices):
@@ -304,8 +311,7 @@ def cmd_select(args) -> int:
               ["fold_change", "alpha", "t_selected", "z_selected"],
               zip(*counts_rows))
 
-    power = power_increase(means, sigma_hat, n, args.alphas,
-                           sample_sd=sample_sd)
+    power = power_increase(means, sigma_hat, n, args.alphas, p_t, p_z)
     write_csv(os.path.join(args.out, "power.csv"),
               ["alpha", "theoretical", "empirical"],
               [args.alphas, *zip(*power)])
@@ -313,7 +319,7 @@ def cmd_select(args) -> int:
         print(f"{'FC':>5s} {'alpha':>7s} {'t':>7s} {'z':>7s}")
         for fc, alpha, t_n, z_n in counts_rows:
             print(f"{fc:5.1f} {alpha:7.3f} {t_n:7d} {z_n:7d}")
-    return EXIT_OK
+    return _exit_code(fp)
 
 
 PRESETS = {

@@ -41,7 +41,7 @@ _NodeWeights computes T and C once per solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -109,7 +109,7 @@ def corrected_correlation(rho_raw: float, sigma1: float, sigma2: float,
                           n_reps: int):
     """Moment-corrected correlation rho_raw * sigma2 / sigma1^2, clipped to
     RHO_MARGIN inside the range model.check_rho accepts.  Returns (value,
-    clipped)."""
+    clipped), where clipped says the unclipped value fell outside it."""
     if not sigma1 > 0:
         raise NonpositiveSigma("sigma1 must be positive")
     rho = rho_raw * sigma2 / (sigma1 * sigma1)
@@ -188,9 +188,12 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
                       fixed_rho: Optional[float] = None) -> FixedPointResult:
     """Jointly estimate (rho, s1, s2) and the corrected variance curve.
 
-    A fixed_rho pins the correlation itself, in which case convergence is
-    judged on s1 and a single array suffices.  Non-convergence within
-    MAX_ITERATIONS is reported through the returned flag, never raised.
+    A fixed_rho pins the correlation, whose move is then zero, so a single
+    array suffices.  The estimate is the last iterate's: non-convergence
+    within MAX_ITERATIONS is reported through its converged flag, never
+    raised, and its clipped flag is that iterate's corrected_correlation
+    flag, so a clipped rho at convergence lies within CONVERGENCE_TOL of
+    the bound.  A pinned rho is never clipped.
     """
     validate(mset)
     n_reps = mset.n_replicates
@@ -212,12 +215,8 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
         current = 2.0 * current
 
     rho = float(fixed_rho) if fixed_rho is not None else 0.0
-    sigma1 = sigma2 = float("nan")
-    prev_rho = prev_sigma1 = None
-    converged = False
     clipped = False
-    curve_change = float("inf")
-    iterations = 0
+    prev = None  # the previous iterate's (rho, sigma1)
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         sigma1, sigma2 = weights.moments(current)
@@ -225,14 +224,13 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
             raise NonpositiveSigma(
                 "estimated mean noise scale is zero; data appear constant")
         if fixed_rho is None:
-            proposal, was_clipped = corrected_correlation(
+            proposal, clipped = corrected_correlation(
                 rho_raw, sigma1, sigma2, n_reps)
-            clipped = clipped or was_clipped
             # Averaging successive iterates keeps the update contractive: at
             # strong correlation the raw step overshoots (the discriminant
             # clamp kicks in on alternate iterations) and would settle into a
             # two-cycle instead of the fixed point.
-            rho = proposal if prev_rho is None else 0.5 * (prev_rho + proposal)
+            rho = proposal if prev is None else 0.5 * (prev[0] + proposal)
         est = CorrelationEstimate(rho=rho, sigma1=sigma1, sigma2=sigma2,
                                   iterations=iterations, converged=False,
                                   clipped=clipped, n_reps=n_reps)
@@ -249,20 +247,14 @@ def fixed_point_solve(mset: MultiArraySet, config: EstimationConfig, *,
         # otherwise the iteration can stop while the scale transient from
         # the uncorrected initialisation is still running.  The sigma1 move
         # is relative, so the stopping point does not depend on the units of
-        # y; rho is unitless and its move stays absolute.
-        move = abs(sigma1 - prev_sigma1) / sigma1 \
-            if prev_sigma1 is not None else float("inf")
-        if fixed_rho is None and prev_rho is not None:
-            move = max(move, abs(rho - prev_rho))
-        if move < CONVERGENCE_TOL:
-            converged = True
+        # y; rho is unitless and its move stays absolute (zero when pinned).
+        converged = prev is not None and max(
+            abs(sigma1 - prev[1]) / sigma1, abs(rho - prev[0])) < CONVERGENCE_TOL
+        if converged:
             break
-        prev_rho = rho
-        prev_sigma1 = sigma1
+        prev = rho, sigma1
 
-    estimate = CorrelationEstimate(rho=rho, sigma1=sigma1, sigma2=sigma2,
-                                   iterations=iterations, converged=converged,
-                                   clipped=clipped, n_reps=n_reps)
+    estimate = replace(est, converged=converged)
     return FixedPointResult(
         estimate=estimate,
         curve=average_curves(correct(c, estimate) for c in uncorrected),

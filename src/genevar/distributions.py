@@ -104,13 +104,19 @@ def t_critical(alpha: float, df) -> float:
     bracket that the evaluated points establish (bisecting otherwise)."""
     lo, hi = 0.0, math.inf
     c = normal_critical(alpha)
+    last = math.inf  # the size of the previous step
     for _ in range(200):
         p = float(t_two_sided(c, df))
         step = (math.log(p) - math.log(alpha)) * p / (2.0 * _t_density(c, df))
         # near the root the sign of p - alpha is rounding, so a small step
-        # is taken before it can move the bracket
-        if abs(step) <= 1e-14 * c:
+        # is taken before it can move the bracket.  The tail is accurate to
+        # about 1e-13 at large df, where the steps stop shrinking before
+        # they fall below 1e-14 c; steps may also grow while the bracket
+        # forms, so a step no smaller than the last ends the search only
+        # once the root is bracketed on both sides.
+        if abs(step) <= 1e-14 * c or (hi < math.inf and abs(step) >= last):
             break
+        last = abs(step)
         if p > alpha:
             lo = c
         else:

@@ -198,7 +198,7 @@ def selection_counts(p_t, p_z, fold, fold_changes, alphas):
             for fc in fold_changes for alpha in alphas]
 
 
-def power_increase(means, sigma_g, n: int, alphas, sample_sd=None):
+def power_increase(means, sigma_g, n: int, alphas, p_t, p_z):
     """(theoretical, empirical) power gain of the z-test over the t-test,
     one pair per level in alphas.
 
@@ -208,10 +208,9 @@ def power_increase(means, sigma_g, n: int, alphas, sample_sd=None):
         P_t(delta) = P(|T'| > t_{a/2, n-1}),  T' noncentral t, ncp sqrt(n) delta,
 
     averaged across qualifying genes.  Empirical: difference in rejection
-    counts over all genes divided by the total gene count; the t-test uses
-    sample_sd when provided (sigma_g otherwise).  Neither the observed
-    p-values nor the noncentral-t weights depend on the level, so each is
-    computed once for all of alphas.
+    counts over all genes, by the observed t-test and z-test p-values p_t
+    and p_z, divided by the total gene count.  The noncentral-t weights do
+    not depend on the level, so they are computed once for all of alphas.
     """
     means = np.asarray(means, dtype=float)
     sigma_g = np.asarray(sigma_g, dtype=float)
@@ -222,16 +221,13 @@ def power_increase(means, sigma_g, n: int, alphas, sample_sd=None):
     if nonzero.any():
         ncp = np.sqrt(n) * means[nonzero] / sigma_g[nonzero]
         theoretical = []
-        for alpha, p_t in zip(alphas, t_power(ncp, n - 1, alphas)):
+        for alpha, power_t in zip(alphas, t_power(ncp, n - 1, alphas)):
             zcrit = normal_critical(alpha)
-            p_z = normal_sf(zcrit + ncp) + normal_sf(zcrit - ncp)
-            theoretical.append(float(np.mean(p_z - p_t)))
+            power_z = normal_sf(zcrit + ncp) + normal_sf(zcrit - ncp)
+            theoretical.append(float(np.mean(power_z - power_t)))
     else:
         theoretical = [0.0] * len(alphas)
 
-    sd = sigma_g if sample_sd is None else np.asarray(sample_sd, dtype=float)
-    _, p_z_obs = z_pvalues(means, sigma_g, n)
-    _, p_t_obs, _ = t_pvalues(means, sd, n)
-    empirical = [float((np.sum(p_z_obs < alpha) - np.sum(p_t_obs < alpha))
+    empirical = [float((np.sum(p_z < alpha) - np.sum(p_t < alpha))
                        / means.size) for alpha in alphas]
     return list(zip(theoretical, empirical))

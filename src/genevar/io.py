@@ -285,17 +285,28 @@ def _blocks(handle, size):
     at a line end under universal newlines; what follows a cut starts the
     next block, and a line longer than a block lengthens its block.  A CRLF
     pair split by a cut leaves a blank line.  Bytes that do not decode
-    raise UnicodeDecodeError."""
+    raise UnicodeDecodeError.  While the caller has a block, this frame
+    holds no reference to it and of the bytes read only the part after the
+    cut."""
     pending = []  # bytes read since the last cut
     while size > 0 and (data := handle.read(min(_BLOCK_BYTES, size))):
         size -= len(data)
         cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        pending.append(data[:cut])
+        data = data[cut:]
         if cut:
-            yield b"".join([*pending, data[:cut]]).decode("utf-8")
-            pending.clear()
-        pending.append(data[cut:])
+            yield _decode(pending)
+        pending.append(data)
     if any(pending):
-        yield b"".join(pending).decode("utf-8")
+        yield _decode(pending)
+
+
+def _decode(pieces):
+    """The UTF-8 text of the joined byte strings in the list pieces, which
+    is emptied."""
+    data = b"".join(pieces)
+    pieces.clear()
+    return data.decode("utf-8")
 
 
 def _pack_block(rec, raw, index, out):

@@ -308,7 +308,7 @@ def test_criterion_8_gene_selection_pattern():
           f"z >= t in all 12 cells ({violations} violations); " + "; ".join(cells[:4]) + " ...")
 
     theos, emps = zip(*power_increase(means, sigma_hat, n_arrays, alphas,
-                                      sample_sd=sample_sd))
+                                      p_t, p_z))
     mean_theo = float(np.mean(theos))
     mean_emp = float(np.mean(emps))
     ratio = mean_theo / mean_emp

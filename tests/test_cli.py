@@ -142,6 +142,26 @@ class TestEstimate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "estimate"
 
+    @pytest.mark.parametrize("command, outputs", [
+        ("validate", ["validation.csv"]),
+        ("select", ["gene_calls.csv", "counts.csv", "power.csv"]),
+    ])
+    def test_nonconvergence_exit_code_of_every_fit(
+            self, replicated_csv, tmp_path, monkeypatch, capsys, command,
+            outputs):
+        import genevar.correlation
+
+        monkeypatch.setattr(genevar.correlation, "MAX_ITERATIONS", 1)
+        out = tmp_path / "out"
+        code = main([command, "--input", str(replicated_csv),
+                     "--out", str(out), "--format", "csv"])
+        assert code == EXIT_NONCONVERGENCE
+        assert "did not converge (iterations=1)" in capsys.readouterr().err
+        for name in outputs:  # outputs still written
+            assert (out / name).is_file()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+
     @pytest.mark.parametrize("flags, message", [
         (["--bandwidth", "inf"], "bandwidth must be finite"),
         (["--bandwidth", "1e308"], "bandwidth must be finite"),

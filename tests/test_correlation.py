@@ -159,6 +159,27 @@ class TestFixedPoint:
         assert not fp.estimate.converged
         assert fp.estimate.iterations == 1
 
+    def test_clipped_is_the_last_iterates_flag(self, unit_config,
+                                               monkeypatch):
+        # at rho = 0.9 the first proposals, off the uncorrected curve, are
+        # clipped at the bound; the fixed point settles at rho ~ 0.901,
+        # inside the range
+        ms = generate_set(SimDesign(n_genes=2000, n_replicates=3, rho=0.9,
+                                    seed=0), 0)
+        fp = fixed_point_solve(ms, unit_config)
+        assert fp.estimate.converged
+        assert 0.9 < fp.estimate.rho < 1.0 - 2 * correlation.CONVERGENCE_TOL
+        assert not fp.estimate.clipped
+        monkeypatch.setattr(correlation, "MAX_ITERATIONS", 1)
+        first = fixed_point_solve(ms, unit_config).estimate
+        assert first.clipped and first.rho == 1.0 - correlation.RHO_MARGIN
+
+    def test_fixed_rho_is_never_clipped(self, unit_config):
+        ms = generate_set(SimDesign(n_genes=2000, n_replicates=3, rho=0.9,
+                                    seed=0), 0)
+        assert not fixed_point_solve(ms, unit_config,
+                                     fixed_rho=0.3).estimate.clipped
+
     def test_paired_route_recovers_constant_scale(self, unit_config):
         ms = constant_sigma_set(sigma0=0.6, rho=0.4, n_genes=6000,
                                 n_reps=2, n_arrays=4, seed=11)

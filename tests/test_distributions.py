@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from genevar import distributions
 from genevar.distributions import (
     chi2_sf,
     normal_critical,
@@ -81,6 +82,21 @@ class TestStudentT:
             # the lower quantile avoids rounding 1 - alpha/2
             ref = -special.stdtrit(df, alpha / 2.0)
             assert t_critical(alpha, df) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, df", [(0.05, 1000), (0.01, 3000)])
+    def test_critical_stops_at_large_df(self, alpha, df, monkeypatch):
+        # the tail is accurate to about 1e-13 there, so the Newton steps
+        # stop shrinking above 1e-14 c
+        calls = []
+
+        def counted(t, df):
+            calls.append(t)
+            return t_two_sided(t, df)
+
+        monkeypatch.setattr(distributions, "t_two_sided", counted)
+        got = t_critical(alpha, df)
+        assert len(calls) <= 12
+        assert got == pytest.approx(-special.stdtrit(df, alpha / 2.0), rel=1e-12)
 
 
 class TestChiSquare:

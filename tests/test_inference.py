@@ -232,13 +232,22 @@ class TestSelectGenes:
                         (2.0, 0.05, 1, 2), (2.0, 0.01, 1, 1)]
 
 
+def power_rows(means, sigma, n, alphas, sd=None):
+    """power_increase with the observed p-values of the t-test on sd
+    (sigma when None) and the z-test on sigma."""
+    means = np.asarray(means, dtype=float)
+    _, p_t, _ = t_pvalues(means, sigma if sd is None else sd, n)
+    _, p_z = z_pvalues(means, sigma, n)
+    return power_increase(means, sigma, n, alphas, p_t, p_z)
+
+
 class TestPowerIncrease:
     def test_null_case_exact_zero(self):
-        [(theo, emp)] = power_increase(np.zeros(10), np.ones(10), 5, [0.05])
+        [(theo, emp)] = power_rows(np.zeros(10), np.ones(10), 5, [0.05])
         assert theo == 0.0
 
     def test_single_gene_positive_gain(self):
-        [(theo, _)] = power_increase([1.0], [1.0], 5, [0.05])
+        [(theo, _)] = power_rows([1.0], [1.0], 5, [0.05])
         assert theo > 0.0
         # direct check of both power functions at delta = 1
         zcrit = stats.norm.ppf(0.975)
@@ -257,13 +266,13 @@ class TestPowerIncrease:
         p_t = stats.nct.sf(tcrit, n - 1, ncp) + stats.nct.cdf(-tcrit, n - 1, ncp)
         se = np.sqrt(emp_power * (1 - emp_power) / t_obs.size)
         assert abs(emp_power - p_t) < 3 * se
-        [(theo, _)] = power_increase([delta], [1.0], n, [alpha])
+        [(theo, _)] = power_rows([delta], [1.0], n, [alpha])
         zcrit = stats.norm.ppf(1 - alpha / 2)
         p_z = stats.norm.cdf(-zcrit - ncp) + stats.norm.cdf(-zcrit + ncp)
         assert theo == pytest.approx(p_z - p_t, abs=1e-12)
 
     def test_extreme_noncentrality_is_finite(self):
-        [(theo, _)] = power_increase([20.0, -18.0], [0.4, 0.4], 5, [0.001])
+        [(theo, _)] = power_rows([20.0, -18.0], [0.4, 0.4], 5, [0.001])
         assert np.isfinite(theo)
         assert abs(theo) < 1e-6  # both tests have power ~ 1 there
 
@@ -271,15 +280,21 @@ class TestPowerIncrease:
         means = np.concatenate([np.zeros(500), rng.laplace(0, 1, 100)])
         sigma = np.full(600, 0.5)
         sd = sigma * np.sqrt(rng.chisquare(4, 600) / 4)
-        [(theo, emp)] = power_increase(means, sigma, 5, [0.01], sample_sd=sd)
+        [(theo, emp)] = power_rows(means, sigma, 5, [0.01], sd=sd)
         assert theo > 0
         assert emp >= 0
+
+    def test_empirical_counts_the_given_pvalues(self):
+        p_t = np.array([0.001, 0.03, 0.2, 0.5])
+        p_z = np.array([0.001, 0.001, 0.04, 0.5])
+        rows = power_increase(np.ones(4), np.ones(4), 5, [0.05, 0.01], p_t, p_z)
+        assert [emp for _, emp in rows] == [0.25, 0.25]
 
     def test_levels_in_one_call_match_one_at_a_time(self, rng):
         means = np.concatenate([np.zeros(50), rng.laplace(0, 1, 50)])
         sigma = rng.uniform(0.3, 0.8, 100)
         sd = sigma * np.sqrt(rng.chisquare(4, 100) / 4)
         alphas = (0.05, 0.01, 0.005, 0.001)
-        rows = power_increase(means, sigma, 5, alphas, sample_sd=sd)
-        assert rows == [power_increase(means, sigma, 5, [alpha], sample_sd=sd)[0]
+        rows = power_rows(means, sigma, 5, alphas, sd=sd)
+        assert rows == [power_rows(means, sigma, 5, [alpha], sd=sd)[0]
                         for alpha in alphas]

@@ -786,6 +786,27 @@ class TestMemory:
         assert_same(ms, want)
         assert peak <= 1.5 * (ms.x.nbytes + ms.y.nbytes)
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_blocks_frame_holds_no_block_at_a_yield(self, tmp_path, eol):
+        # while the caller parses a block, the generator keeps neither the
+        # bytes it read nor the text it handed over
+        rows = gene_major_rows(50, 2, 2)
+        path = tmp_path / "t.csv"
+        write_rows(path, False, rows, eol=eol)
+        line = max(map(len, rows)) + len(eol)
+        size = path.stat().st_size
+        with chunked(1024), path.open("rb") as handle:
+            blocks = io._blocks(handle, size)
+            seen = []
+            for text in blocks:
+                seen.append(len(text))
+                for value in blocks.gi_frame.f_locals.values():
+                    items = value if isinstance(value, list) else [value]
+                    # at most the part of a line after the cut
+                    assert not any(isinstance(item, (bytes, str))
+                                   and len(item) >= line for item in items)
+        assert len(seen) > 5 and sum(seen) == size
+
 
 # ---------------------------------------------------------------------------
 # The columnar pass over byte ranges, one per usable CPU
