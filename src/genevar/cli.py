@@ -8,9 +8,12 @@ select     t-test vs z-test gene calls, counts grid, power report
 simulate   benchmark presets (table1 / table2 / table3)
 
 Every command takes --out, --bandwidth, --rho and --format; the three input
-commands add --input and --grid, and run one load-and-fit step (_fit): the
-grid from the pooled intensities, the fixed point, which checks the data,
-and the intensity density.  simulate evaluates on the design's grid.  In
+commands add --input and --grid.  The forms of --bandwidth and --grid are
+checked as the flags parse, with math alone, so a bad one is a usage error
+before the input is opened.  The input commands run one load-and-fit step
+(_fit): the grid from the pooled intensities, the fixed point, which
+checks the data, and the intensity density.  simulate evaluates on the
+design's grid.  In
 table format each command prints a summary to stdout: estimate one line
 (rho, sigma1, sigma2, iterations, converged), the others a table.
 
@@ -68,6 +71,49 @@ def _float_list(text, low=-math.inf, high=math.inf):
 def _levels(text):
     """Comma-separated significance levels, each in (0, 1)."""
     return _float_list(text, 0.0, 1.0)
+
+
+def _bandwidth(text):
+    """A bandwidth EstimationConfig accepts: positive, with a finite
+    square (the asymptotic bias scales with h^2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"bandwidth must be positive, got {text!r}")
+    if not math.isfinite(value * value):
+        raise argparse.ArgumentTypeError(
+            f"bandwidth must be finite, with a finite square, got {text!r}")
+    return value
+
+
+def _grid(text):
+    """--grid's forms: 'n', n >= 1 points over the data's trimmed range, or
+    'lo:hi:n' with finite bounds, hi > lo when n > 1.  Returns the text,
+    which _fit reads.  A range too narrow for its n points to be strictly
+    increasing and equispaced in floating point still fails there."""
+    parts = text.split(":")
+    try:
+        if len(parts) not in (1, 3):
+            raise ValueError
+        n = int(parts[-1])
+        lo, hi = map(float, parts[:2]) if len(parts) == 3 else (0.0, 1.0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'n' or 'lo:hi:n', got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"grid needs at least one point, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(
+            f"grid contains non-finite values, got {text!r}")
+    if n > 1 and not hi > lo:
+        raise argparse.ArgumentTypeError(
+            f"grid must be strictly increasing, got {text!r}")
+    return text
 
 
 def _int_list(text):
@@ -141,23 +187,20 @@ def _fit(args, mset, rho):
     import numpy as np
 
     from .correlation import fixed_point_solve
-    from .model import EstimationConfig, GenevarError, TooFewArrays, default_grid
+    from .model import EstimationConfig, TooFewArrays, default_grid
     from .smoothing import density_interpolator
 
     if rho is None and mset.n_arrays < 2:
         raise TooFewArrays(
             "J=1: replicate correlation is not estimable; pass --rho to pin it")
     pooled_x = mset.x.ravel()
-    try:
-        if args.grid and ":" in args.grid:
-            lo, hi, n = args.grid.split(":")
-            grid = np.linspace(float(lo), float(hi), int(n))
-        elif args.grid:
-            grid = default_grid(pooled_x, n_points=int(args.grid))
-        else:
-            grid = default_grid(pooled_x)
-    except ValueError as exc:
-        raise GenevarError(f"bad --grid {args.grid!r}: {exc}") from None
+    if args.grid and ":" in args.grid:  # its form was checked by _grid
+        lo, hi, n = args.grid.split(":")
+        grid = np.linspace(float(lo), float(hi), int(n))
+    elif args.grid:
+        grid = default_grid(pooled_x, n_points=int(args.grid))
+    else:
+        grid = default_grid(pooled_x)
     config = EstimationConfig(bandwidth=args.bandwidth, grid=grid)
     fp = fixed_point_solve(mset, config, fixed_rho=rho)
     return config, fp, density_interpolator(pooled_x, config)
@@ -370,7 +413,7 @@ def cmd_simulate(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--bandwidth", type=float, default=1.0,
+    parser.add_argument("--bandwidth", type=_bandwidth, default=1.0,
                         help="kernel bandwidth in log2-intensity units")
     parser.add_argument("--rho", type=float, default=None,
                         help="override the replicate correlation")
@@ -379,7 +422,7 @@ def _add_common(parser):
 
 def _add_input(parser):
     parser.add_argument("--input", required=True, help="input CSV path")
-    parser.add_argument("--grid", default=None,
+    parser.add_argument("--grid", type=_grid, default=None,
                         help="'lo:hi:n' or point count (default 101, data-driven range)")
     _add_common(parser)
 

@@ -56,6 +56,7 @@ from .model import (
     TooFewReplicates,
     VarianceCurve,
     ZeroDenominator,
+    chunks,
     validate,
 )
 from .estimators import (
@@ -67,7 +68,6 @@ from .estimators import (
 RHO_MARGIN = 1e-6  # keeps the equicorrelation matrix strictly positive definite
 CONVERGENCE_TOL = 1e-3  # on the rho move and the relative sigma1 move
 MAX_ITERATIONS = 100
-_WEIGHT_ROWS = 1 << 16  # intensities weighed at once by _NodeWeights
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,28 @@ def variance_components(mset: MultiArraySet) -> VarianceComponents:
         raise TooFewArrays(f"J={mset.n_arrays}; need J >= 2")
     if mset.n_replicates < 2:
         raise TooFewReplicates("variance components need I >= 2")
-    y = mset.y                                 # (J, N, I)
-    j, _, i = y.shape
-    array_means = y.mean(axis=2)               # (J, N)
-    grand = array_means.mean(axis=0)           # (N,)
-    s_between = i / (j - 1) * ((array_means - grand) ** 2).sum(axis=0)
-    deviations = y - array_means[:, :, None]
-    deviations *= deviations                   # squared in place
-    s_within = deviations.sum(axis=(0, 2)) / (j * (i - 1))
+    j, n, i = mset.y.shape
+    s_between, s_within = np.empty(n), np.empty(n)
+    for lo, hi in chunks(n, j * i):
+        y = mset.y[:, lo:hi]                   # (J, genes, I)
+        array_means = y.mean(axis=2)           # (J, genes)
+        grand = _array_sum(array_means) / j    # (genes,)
+        s_between[lo:hi] = i / (j - 1) * _array_sum((array_means - grand) ** 2)
+        deviations = y - array_means[:, :, None]
+        deviations *= deviations               # squared in place
+        s_within[lo:hi] = _array_sum(deviations.sum(axis=2)) / (j * (i - 1))
     return VarianceComponents(s_between=s_between, s_within=s_within)
+
+
+def _array_sum(a):
+    """a.sum(axis=0) of a (J, genes) table, adding the arrays' rows one
+    after another.  That is numpy's order for two genes or more, but it
+    sums one gene's column pairwise, so a chunk of one gene would differ
+    in the last bits from the same gene taken with others."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
 
 
 def raw_correlation(vc: VarianceComponents, n_reps: int) -> float:
@@ -125,8 +138,10 @@ class _NodeWeights:
     gives the means of its scale and squared scale at those points (see the
     module docstring).
 
-    The points are taken _WEIGHT_ROWS at a time, so no temporary grows
-    with them.  Each point's interval is the one np.interp uses,
+    The points are taken model.CHUNK_ROWS at a time through chunk-sized
+    buffers, so no temporary grows with them.  The sums add up chunk by
+    chunk, so unlike the per-gene passes they depend on CHUNK_ROWS in
+    their last bits.  Each point's interval is the one np.interp uses,
     np.searchsorted(nodes, p, side="right") - 1 within 0..m-2.  It is
     guessed from the mean node spacing, and searched only for the points
     whose guessed interval does not hold them: a few by the nodes when the
@@ -145,24 +160,37 @@ class _NodeWeights:
             return
         width = np.diff(nodes)
         spacing = (nodes[-1] - nodes[0]) / (m - 1)
-        for lo in range(0, points.size, _WEIGHT_ROWS):
-            p = points[lo:lo + _WEIGHT_ROWS]
-            k = p - nodes[0]
-            k /= spacing
-            np.clip(k, 0.0, m - 2, out=k)
-            k = k.astype(np.intp)
-            miss = (p < nodes[k]) & (k > 0)
-            miss |= (p >= nodes[k + 1]) & (k < m - 2)
+        bounds = chunks(points.size)
+        rows = bounds[0][1]  # the first chunk is the largest
+        buffers = (np.empty(rows), np.empty(rows), np.empty(rows),
+                   np.empty(rows, np.intp), np.empty(rows, bool),
+                   np.empty(rows, bool), np.empty(rows, bool))
+        for lo, hi in bounds:
+            p = points[lo:hi]
+            g, t, s, k, miss, test, beyond = (b[:hi - lo] for b in buffers)
+            np.subtract(p, nodes[0], out=g)
+            g /= spacing
+            np.clip(g, 0.0, m - 2, out=g)
+            k[...] = g  # truncated, as astype(np.intp)
+            # miss = (p < nodes[k]) & (k > 0) | (p >= nodes[k+1]) & (k < m-2),
+            # with k within 0..m-2, so that take's clip mode, which writes
+            # out unbuffered, clips nothing
+            np.less(p, np.take(nodes, k, out=g, mode="clip"), out=miss)
+            miss &= np.greater(k, 0, out=test)
+            np.greater_equal(p, np.take(nodes[1:], k, out=g, mode="clip"),
+                             out=beyond)
+            beyond &= np.less(k, m - 2, out=test)
+            miss |= beyond
             if miss.any():
                 k[miss] = np.clip(
                     np.searchsorted(nodes, p[miss], side="right") - 1, 0, m - 2)
-            t = p - nodes[k]
-            t /= width[k]
+            np.subtract(p, np.take(nodes, k, out=g, mode="clip"), out=t)
+            t /= np.take(width, k, out=g, mode="clip")
             np.clip(t, 0.0, 1.0, out=t)
-            s = 1.0 - t
+            np.subtract(1.0, t, out=s)
             self.tent[:-1] += np.bincount(k, s, m - 1)
             self.tent[1:] += np.bincount(k, t, m - 1)
-            self.bend += np.bincount(k, s * t, m - 1)
+            self.bend += np.bincount(k, np.multiply(s, t, out=g), m - 1)
         self.tent /= points.size
         self.bend /= points.size
 

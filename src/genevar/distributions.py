@@ -25,16 +25,24 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .model import chunks
+
 _TINY = 1e-17  # terms below this (relative to a sum of order one) stop a series
 _SQRT1_2 = math.sqrt(0.5)
 
 
 def normal_sf(x):
-    """P(Z > x) for standard normal Z, elementwise, as 0.5 erfc(x/sqrt 2)."""
-    u = np.asarray(x, dtype=float) * _SQRT1_2
-    out = np.fromiter(map(math.erfc, u.ravel().tolist()), dtype=float,
-                      count=u.size)
-    return 0.5 * out.reshape(u.shape)
+    """P(Z > x) for standard normal Z, elementwise, as 0.5 erfc(x/sqrt 2).
+    math.erfc is mapped over a memoryview of model.CHUNK_ROWS values at a
+    time, in the array that becomes the result."""
+    out = np.array(x, dtype=float)
+    out *= _SQRT1_2
+    flat = out.reshape(-1)
+    for lo, hi in chunks(flat.size):
+        flat[lo:hi] = np.fromiter(map(math.erfc, memoryview(flat[lo:hi])),
+                                  dtype=float, count=hi - lo)
+    flat *= 0.5
+    return out[()]  # a scalar for a scalar x
 
 
 def normal_critical(alpha: float) -> float:
@@ -251,7 +259,12 @@ def t_power(ncp, df, alphas):
         hi = np.searchsorted(lam, (root + _WINDOW) ** 2, side="right")
         if lo == lam.size:
             break
-        shortfall[:, lo:hi] += level[:, None] * _poisson_weights(j, lam[lo:hi])
+        # each level's row in turn, model.CHUNK_ROWS lambdas at a time
+        for a, b in chunks(hi - lo):
+            weights = _poisson_weights(j, lam[lo + a:lo + b])
+            term = np.empty_like(weights)
+            for row, value in zip(shortfall, level):
+                row[lo + a:lo + b] += np.multiply(value, weights, out=term)
         # Kahan: level -= step, with the rounding carried in lost
         diff = -step - lost
         new = level + diff
@@ -268,5 +281,5 @@ def t_power(ncp, df, alphas):
         if not level.any():
             break
     power = np.empty_like(shortfall)
-    power[:, order] = 1.0 - shortfall
+    power[:, order] = np.subtract(1.0, shortfall, out=shortfall)
     return power

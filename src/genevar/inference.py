@@ -58,6 +58,7 @@ from .model import (
     TooFewReplicates,
     VarianceCurve,
     ZeroDensityEverywhere,
+    chunks,
     validate,
 )
 
@@ -108,9 +109,14 @@ def validation_tests(array: ReplicatedArray, sigma_g,
         raise NonpositiveSigma("sigma_g entries must be positive and finite")
     const = test_constants(i)
 
-    d = array.y - array.y.mean(axis=1, keepdims=True)
-    sq = (d * d).sum(axis=1)
-    ab = np.abs(d).sum(axis=1)
+    # each gene's residual sums, model.CHUNK_ROWS spots at a time
+    sq, ab = np.empty(g_count), np.empty(g_count)
+    for lo, hi in chunks(g_count, i):
+        y = array.y[lo:hi]
+        d = y - y.mean(axis=1, keepdims=True)
+        np.abs(d).sum(axis=1, out=ab[lo:hi])
+        d *= d
+        d.sum(axis=1, out=sq[lo:hi])
 
     t1 = float((sq / sigma_g ** 2).sum())
     p1 = chi2_sf(t1, (i - 1) * g_count)
@@ -137,23 +143,28 @@ def gene_sigma(curve: VarianceCurve, x, density):
     One gene's intensities lie along the last axis of x, and the mean is
     taken over that axis: a 1-d row gives one float, an (N, m) matrix gives
     an array of N values.  Off-grid intensities go through
-    curve.variance_at.  density is called once, on all intensities
-    flattened; ZeroDensityEverywhere is raised when any gene's weights all
-    vanish.
+    curve.variance_at.  The genes are taken in chunks of model.CHUNK_ROWS
+    intensities, and density is called once per chunk, on its intensities
+    flattened; a gene's mean does not depend on the chunk.  Density weights
+    below zero raise GenevarError, and ZeroDensityEverywhere is raised when
+    any gene's weights all vanish, whichever a chunk meets first.
     """
     pts = np.atleast_1d(np.asarray(x, dtype=float))
-    flat = pts.ravel()
-    vals = curve.variance_at(flat).reshape(pts.shape)
-    w = np.asarray(density(flat), dtype=float).reshape(pts.shape)
-    if np.any(w < 0):
-        raise GenevarError("density weights must be nonnegative")
-    total = w.sum(axis=-1)
-    if np.any(total <= 0):
-        raise ZeroDensityEverywhere(
-            "density vanishes at every intensity of a gene")
-    vals *= w  # in place: two full-size arrays, not three
-    out = vals.sum(axis=-1) / total
-    return float(out) if pts.ndim == 1 else out
+    rows = pts.reshape(-1, pts.shape[-1])
+    out = np.empty(rows.shape[0])
+    for lo, hi in chunks(*rows.shape):
+        flat = rows[lo:hi].ravel()
+        vals = curve.variance_at(flat).reshape(hi - lo, rows.shape[1])
+        w = np.asarray(density(flat), dtype=float).reshape(vals.shape)
+        if np.any(w < 0):
+            raise GenevarError("density weights must be nonnegative")
+        total = w.sum(axis=-1)
+        if np.any(total <= 0):
+            raise ZeroDensityEverywhere(
+                "density vanishes at every intensity of a gene")
+        vals *= w  # in place: two chunk-sized arrays, not three
+        np.divide(vals.sum(axis=-1), total, out=out[lo:hi])
+    return float(out[0]) if pts.ndim == 1 else out.reshape(pts.shape[:-1])
 
 
 def t_pvalues(means, sd, n):

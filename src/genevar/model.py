@@ -172,23 +172,73 @@ class EstimationConfig:
 
 GRID_TRIM = 0.005   # mass trimmed from each tail by default_grid
 
+# Rows (spots, or intensities) that a pass over all the data takes at once,
+# so that no temporary after the parse grows with the number of genes.  A
+# per-gene pass takes as many whole genes as fit, at least one.
+CHUNK_ROWS = 1 << 16
+
+
+def chunks(n_rows: int, width: int = 1) -> list:
+    """(lo, hi) bounds that cut n_rows rows of width values each into
+    consecutive runs of at most CHUNK_ROWS values, and at least one row."""
+    step = max(1, CHUNK_ROWS // max(1, width))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _extremes(x, k: int, m: int):
+    """The k >= 1 smallest and the m >= 1 largest values of the 1-d x, with
+    NaNs sorting last, from one pass over its chunks: each chunk adds to a
+    pool its values below the k-th smallest so far (above the m-th largest
+    so far, or NaN), and the pool is cut back to k (m) values, the k-th
+    (m-th) in its sorted place.  With a NaN in x only the m largest are
+    sure, NaN the last of them, which is all _quantiles then reads."""
+    low = high = np.empty(0)
+    for lo, hi in chunks(x.size):
+        c = x[lo:hi]
+        low = np.concatenate([low, c if low.size < k else c[c < low[k - 1]]])
+        if low.size >= k:
+            low = np.partition(low, k - 1)[:k]
+        high = np.concatenate(
+            [high, c if high.size < m else c[~(c <= high[0])]])
+        if high.size >= m:
+            high = np.partition(high, high.size - m)[high.size - m:]
+    return low, high
+
 
 def _quantiles(x, q) -> np.ndarray:
     """np.quantile(x, q) of a 1-d float array by its default (linear)
-    method, in the same floating-point steps, from one np.partition.  On
-    its first call np.quantile imports numpy.ma (about 10 ms per process)
-    through np.unique."""
-    pos = (x.size - 1) * np.asarray(q, dtype=float)
+    method, in the same floating-point steps.  On its first call
+    np.quantile imports numpy.ma (about 10 ms per process) through
+    np.unique.
+
+    The order statistics it needs are ranks near either end, the k
+    smallest and the m largest, with NaNs sorting last.  Unless those
+    cover x, _extremes finds them without copying x, and one np.partition
+    of the k + m candidates places the ranks."""
+    n = x.size
+    pos = (n - 1) * np.asarray(q, dtype=float)
     below = np.floor(pos)
     above = below + 1
-    top = pos >= x.size - 1  # np.quantile takes the last value there
+    top = pos >= n - 1  # np.quantile takes the last value there
     below[top] = above[top] = -1
     below, above = below.astype(np.intp), above.astype(np.intp)
-    part = np.partition(x, sorted({0, x.size - 1, *(below % x.size).tolist(),
-                                   *(above % x.size).tolist()}))
+    t = pos - below
+    below, above = below % n, above % n
+    ranks = {0, n - 1, *below.tolist(), *above.tolist()}
+    k = 1 + max((r for r in ranks if r < n - 1 - r), default=-1)
+    m = n - min(r for r in ranks if r >= n - 1 - r)
+    if k + m < n:
+        cand = np.concatenate(_extremes(x, k, m))
+    else:
+        cand = np.array(x, dtype=float)
+    # rank r of x is rank r of the candidates from the bottom, or from the top
+    shift = cand.size - n
+    part = np.partition(cand,
+                        sorted({r if r < k else r + shift for r in ranks}))
     if np.isnan(part[-1]):  # NaNs sort last
         return np.full(pos.shape, np.nan)
-    a, b, t = part[below], part[above], pos - below
+    a = part[np.where(below < k, below, below + shift)]
+    b = part[np.where(above < k, above, above + shift)]
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 

@@ -50,6 +50,7 @@ from .model import (
     NonFinite,
     ShapeMismatch,
     VarianceCurve,
+    chunks,
     tricube,
 )
 
@@ -65,7 +66,6 @@ _LATTICE_MAX = 1 << 19  # lattice nodes per binned fit, at most (4 MB per row of
 # bandwidth from 0.05 to 1 (16: 3e-5, 8: 3e-4), and no window of the
 # 2000-gene benchmark designs at h = 1 holds fewer (the least holds 42)
 _EXACT_BELOW = 32
-_BIN_ROWS = 1 << 16  # data binned at once by _lattice_sums
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ def _lattice_sums(x, h, points, *weights):
     a narrow window and the data's own spread for a wide one.  R is found up
     to a relative 1e-9, so that rounding in g, h or x cannot flip it; every
     point is then a lattice node.  Each x is split linearly between its two
-    nearest nodes with np.add.at, _BIN_ROWS data at a time, so that no
-    temporary grows with x, and the sums at the points are one strided
+    nearest nodes with np.add.at, model.CHUNK_ROWS data at a time, so that
+    no temporary grows with x, and the sums at the points are one strided
     matmul of the bins with the taps K(u) u^l / h.  The lattice and the
     taps are cropped to the nodes where the data meet a window of some
     point.  Where that would still take more than _LATTICE_MAX nodes, R is
@@ -200,17 +200,16 @@ def _lattice_sums(x, h, points, *weights):
         index += 1
         return index, right
 
-    chunks = [(lo, min(lo + _BIN_ROWS, x.size))
-              for lo in range(0, x.size, _BIN_ROWS)]
-    whole = nodes(0, x.size) if len(chunks) == 1 else None
+    bounds = chunks(x.size)
+    whole = nodes(0, x.size) if len(bounds) == 1 else None
     taps = _taps(reach, step, h)
     for (v, k), out in zip(weights, sums):
         # the left shares of every chunk, then the right ones, each in data
         # order: the same additions in the same order as binning all the
-        # data at once, so the bins do not depend on _BIN_ROWS
+        # data at once, so the bins do not depend on CHUNK_ROWS
         bins = np.zeros(size + 3)
         for side in (0, 1):
-            for lo, hi in chunks:
+            for lo, hi in bounds:
                 index, right = whole or nodes(lo, hi)
                 if side == 0:
                     share = np.subtract(1.0, right)

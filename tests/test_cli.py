@@ -169,10 +169,46 @@ class TestEstimate:
     ])
     def test_invalid_config_exit_code(self, replicated_csv, tmp_path, capsys,
                                       flags, message):
-        assert main(["estimate", "--input", str(replicated_csv),
-                     "--out", str(tmp_path / "out"), "--format", "csv"]
-                    + flags) == EXIT_VALIDATION
+        # the flag forms are checked as the flags parse: a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(replicated_csv),
+                  "--out", str(tmp_path / "out"), "--format", "csv"] + flags)
+        assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--bandwidth", "0"], "bandwidth must be positive"),
+        (["--bandwidth", "-1"], "bandwidth must be positive"),
+        (["--bandwidth", "nan"], "bandwidth must be positive"),
+        (["--bandwidth", "abc"], "expected a number"),
+        (["--grid", "abc"], "expected 'n' or 'lo:hi:n'"),
+        (["--grid", "6:16"], "expected 'n' or 'lo:hi:n'"),
+        (["--grid", "6:16:1.5"], "expected 'n' or 'lo:hi:n'"),
+        (["--grid", "0"], "grid needs at least one point"),
+        (["--grid", "6:16:0"], "grid needs at least one point"),
+        (["--grid", "6:inf:5"], "grid contains non-finite values"),
+        (["--grid", "16:6:101"], "grid must be strictly increasing"),
+        (["--grid", "6:6:2"], "grid must be strictly increasing"),
+    ])
+    def test_bad_flag_is_usage_error_before_the_input(
+            self, tmp_path, capsys, command, flags, message):
+        # the input does not exist: the flag is rejected before it is opened
+        argv = ([command, "--preset", "table1"] if command == "simulate"
+                else [command, "--input", str(tmp_path / "missing.csv")])
+        if command == "simulate" and flags[0] == "--grid":
+            message = "unrecognized arguments"  # simulate offers no --grid
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")] + flags)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", ["1", "5", "6:16:1", "16:6:1", "6:16:11"])
+    def test_grid_forms_accepted(self, replicated_csv, tmp_path, grid):
+        assert main(["estimate", "--input", str(replicated_csv),
+                     "--grid", grid, "--out", str(tmp_path / "out"),
+                     "--format", "csv"]) == 0
 
     def test_unequal_grid_exit_code(self, replicated_csv, tmp_path, capsys,
                                     monkeypatch):
@@ -594,11 +630,15 @@ class TestSimulate:
 
 
 class TestFitMemory:
-    def test_fit_holds_two_full_size_arrays_at_most(self):
-        # the variance components square their deviations in place, the
-        # fixed point weighs correlation._WEIGHT_ROWS intensities at a
-        # time, and the density bins smoothing._BIN_ROWS data at a time.
-        # The margin is for the curves and other grid-sized arrays.
+    """The grid's order statistics, the variance components, the fixed
+    point's node weights and the density take model.CHUNK_ROWS spots at a
+    time, so the fit's largest temporaries are those of one array's
+    synthetic responses and its sorted intensities."""
+
+    @staticmethod
+    def traced_fit(n_genes):
+        """(bytes in one (J, N, I) block, traced heap peak of _fit) on an
+        I=3, J=4 set of n_genes genes."""
         import argparse
         import tracemalloc
 
@@ -607,17 +647,27 @@ class TestFitMemory:
         args = argparse.Namespace(grid=None, bandwidth=1.0)
         # a small fit first, so that its imports are not traced
         _fit(args, generate_set(SimDesign(n_genes=300, seed=1), 0), None)
-        mset = generate_set(SimDesign(n_genes=20000, n_replicates=3,
+        mset = generate_set(SimDesign(n_genes=n_genes, n_replicates=3,
                                       n_arrays=4, rho=0.4, seed=1), 0)
-        full = mset.x.nbytes
         tracemalloc.start()
         try:
             _fit(args, mset, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert full == 8 * 20000 * 3 * 4
+        assert mset.x.nbytes == 8 * n_genes * 3 * 4
+        return mset.x.nbytes, peak
+
+    def test_fit_holds_two_full_size_arrays_at_most(self):
+        # the margin is for the curves and other grid-sized arrays
+        full, peak = self.traced_fit(20000)
         assert peak <= 2 * full + (1 << 18)
+
+    def test_fit_holds_under_a_block_at_100k_genes(self):
+        # one array's synthetic responses and sorted intensities are half
+        # a block; chunk-sized buffers and grid-sized arrays come on top
+        full, peak = self.traced_fit(100000)
+        assert peak <= 0.6 * full
 
 
 class TestImportCost:
@@ -667,6 +717,17 @@ class TestImportCost:
         assert "numpy" not in loaded
         assert {m for m in loaded if m.split(".")[0] == "genevar"} == {
             "genevar", "genevar.cli"}
+
+    def test_bad_flag_loads_no_numpy(self, tmp_path):
+        # a bad flag form is a usage error before the missing input is
+        # opened, which would exit 3
+        argv = ["estimate", "--input", str(tmp_path / "missing.csv"),
+                "--bandwidth", "0", "--out", str(tmp_path / "out")]
+        loaded = self.modules_after(
+            f"from genevar.cli import main\ntry:\n    main({argv!r})\n"
+            f"except SystemExit as exc:\n    assert exc.code == 2\n"
+            f"else:\n    raise AssertionError('main returned')")
+        assert "numpy" not in loaded
 
     def test_package_import_loads_no_module(self):
         loaded = self.modules_after("import genevar")

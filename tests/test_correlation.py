@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from genevar import correlation
+from genevar import correlation, model
 from genevar.correlation import (
     VarianceComponents,
     corrected_correlation,
@@ -66,6 +66,23 @@ class TestVarianceComponents:
         ms = stack_set([a.x], [a.y])
         with pytest.raises(TooFewArrays):
             variance_components(ms)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("n_arrays, n_reps", [(4, 3), (2, 2)])
+    def test_chunks_leave_the_components_unchanged(self, chunk, n_arrays,
+                                                   n_reps, monkeypatch):
+        # 203 genes, not a multiple of the genes in a chunk
+        ms = generate_set(SimDesign(n_genes=203, n_replicates=n_reps,
+                                    n_arrays=n_arrays, n_active=0, rho=0.4,
+                                    seed=2), 0)
+        # the chunked pass first, so that no result of the default one
+        # lies in the memory it gets
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)
+        vc = variance_components(ms)
+        monkeypatch.undo()
+        whole = variance_components(ms)
+        assert np.array_equal(vc.s_between, whole.s_between)
+        assert np.array_equal(vc.s_within, whole.s_within)
 
 
 class TestRawCorrelation:

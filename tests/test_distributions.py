@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from genevar import distributions
+from genevar import distributions, model
 from genevar.distributions import (
     chi2_sf,
     normal_critical,
@@ -39,6 +39,18 @@ class TestNormal:
     def test_keeps_shape(self):
         assert normal_sf(np.zeros((2, 3))).shape == (2, 3)
         assert float(normal_sf(0.0)) == 0.5
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_leave_the_tail_unchanged(self, chunk, monkeypatch):
+        # 203 values, not a multiple of the chunk, as a vector and a matrix
+        x = np.linspace(-9.0, 9.0, 203)
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)  # chunked first
+        chunked = normal_sf(x), normal_sf(x.reshape(7, 29)), normal_sf(x[5])
+        monkeypatch.undo()
+        whole = normal_sf(x)
+        assert np.array_equal(chunked[0], whole)
+        assert np.array_equal(chunked[1], whole.reshape(7, 29))
+        assert chunked[2] == whole[5]
 
     @pytest.mark.parametrize("alpha", ALPHAS + (0.5, 1e-6, 1e-12))
     def test_critical_matches_ndtri(self, alpha):
@@ -158,6 +170,15 @@ class TestNoncentralPower:
         assert power.shape == (len(ALPHAS), self.NCP.size)
         for alpha, row in zip(ALPHAS, power):
             assert np.max(np.abs(row - nct_power(df, alpha, self.NCP))) <= 1e-13
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_leave_the_power_unchanged(self, chunk, monkeypatch):
+        # 406 ncps, whose windows hold numbers of lambdas that are not a
+        # multiple of the chunk
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)  # chunked first
+        chunked = t_power(self.NCP, 7, ALPHAS)
+        monkeypatch.undo()
+        assert np.array_equal(chunked, t_power(self.NCP, 7, ALPHAS))
 
     @pytest.mark.parametrize("df", DFS)
     def test_zero_ncp_gives_alpha(self, df):

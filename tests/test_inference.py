@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from genevar import inference
+from genevar import inference, model
 from genevar.inference import (
     gene_sigma,
     power_increase,
@@ -118,6 +118,19 @@ class TestValidationTests:
             validation_tests(arr, sigma)
 
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_leave_the_statistics_unchanged(self, rng, chunk,
+                                                   monkeypatch):
+        # 203 genes, not a multiple of the genes in a chunk
+        array, sigma = null_array(rng, g=203, i=3)
+        # the chunked pass first, so that no result of the default one
+        # lies in the memory it gets
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)
+        chunked = validation_tests(array, sigma)
+        monkeypatch.undo()
+        assert chunked == validation_tests(array, sigma)
+
+
 class TestGeneSigma:
     def test_constant_curve(self):
         curve = VarianceCurve(grid=np.linspace(6, 16, 11), values=np.full(11, 0.3))
@@ -158,6 +171,23 @@ class TestGeneSigma:
         assert got.shape == (500,)
         assert np.array_equal(got, rows)
         assert isinstance(gene_sigma(curve, x[0], density), float)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_leave_the_scales_unchanged(self, rng, chunk, monkeypatch):
+        # validate's (J, N, I) blocks and select's (N, J*I) super array,
+        # with 203 genes, not a multiple of the genes in a chunk
+        grid = np.linspace(6, 16, 101)
+        curve = VarianceCurve(grid=grid,
+                              values=rng.uniform(0.1, 1.0, grid.size))
+        blocks = rng.uniform(6, 16, (4, 203, 3))
+        wide = blocks.transpose(1, 0, 2).reshape(203, 12)
+        density = density_interpolator(
+            blocks, EstimationConfig(bandwidth=1.0, grid=grid))
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)  # chunked first
+        chunked = [gene_sigma(curve, x, density) for x in (blocks, wide)]
+        monkeypatch.undo()
+        for x, got in zip((blocks, wide), chunked):
+            assert np.array_equal(got, gene_sigma(curve, x, density))
 
     def test_matrix_rejects_a_zero_density_row(self):
         curve = VarianceCurve(grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))

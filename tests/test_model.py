@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genevar import model
 from genevar.model import (
     C_K,
     D_K,
@@ -215,6 +216,45 @@ class TestConfig:
             np.testing.assert_array_equal(_quantiles(x, q), np.quantile(x, q))
             x[n // 2] = np.nan
             np.testing.assert_array_equal(_quantiles(x, q), np.quantile(x, q))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_leave_the_quantiles_unchanged(self, chunk, monkeypatch):
+        # the cases of test_quantiles_match_numpy, NaNs included, at sizes
+        # that are not a multiple of the chunk
+        q = [0.0, GRID_TRIM, 0.25, 0.5, 1.0 - GRID_TRIM, 1.0]
+        cases = []
+        for n in (1, 2, 3, 7, 200, 201, 2001):
+            rng = np.random.default_rng(n)
+            for x in (rng.normal(size=n), np.round(rng.uniform(6, 16, n), 1),
+                      np.full(n, 2.5)):
+                cases.append(x.copy())
+                x[n // 2] = np.nan
+                cases.append(x)
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)  # chunked first
+        chunked = [(_quantiles(x, q), _quantiles(x, q[1::3])) for x in cases]
+        grid = default_grid(cases[-6], n_points=51)
+        monkeypatch.undo()
+        for x, (all_q, trim_q) in zip(cases, chunked):
+            assert np.array_equal(all_q, _quantiles(x, q), equal_nan=True)
+            assert np.array_equal(trim_q, _quantiles(x, q[1::3]),
+                                  equal_nan=True)
+        assert np.array_equal(grid, default_grid(cases[-6], n_points=51))
+
+    @pytest.mark.parametrize("n_rows, width",
+                             [(0, 1), (1, 12), (64, 1), (65, 1), (203, 12),
+                              (130, 3), (5, 100)])
+    def test_chunks_cut_the_rows_into_whole_runs(self, n_rows, width,
+                                                 monkeypatch):
+        # consecutive runs from 0 to n_rows, each as many rows as fit in
+        # CHUNK_ROWS values, at least one, the last possibly fewer
+        monkeypatch.setattr(model, "CHUNK_ROWS", 64)
+        bounds = model.chunks(n_rows, width)
+        rows = max(1, 64 // width)
+        assert [lo for lo, _ in bounds] == list(range(0, n_rows, rows))
+        assert [hi for _, hi in bounds[:-1]] == [lo for lo, _ in bounds[1:]]
+        assert all(hi - lo == rows for lo, hi in bounds[:-1])
+        assert not bounds or 0 < bounds[-1][1] - bounds[-1][0] <= rows
+        assert not bounds or bounds[-1][1] == n_rows
 
     def test_default_grid_rejects_degenerate(self):
         with pytest.raises(GenevarError):

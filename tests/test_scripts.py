@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import genevar
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +40,28 @@ def test_reproduce_tables(tmp_path):
     assert {"effects_smooth", "effects_nonsmooth", "correlation_+0.4"} <= names
     for d in tmp_path.iterdir():
         assert (d / "report.csv").is_file() and (d / "manifest.json").is_file()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc/self/status")
+def test_stage_memory(tmp_path):
+    from genevar.io import write_table
+    from genevar.simulation import SimDesign, generate_set
+
+    data = tmp_path / "arrays.csv"
+    write_table(generate_set(SimDesign(n_genes=300, n_active=40, seed=3), 0),
+                data)
+    out = run_script("stage_memory.py", "estimate", "--input", str(data),
+                     "--out", str(tmp_path / "out"), "--format", "csv")
+    lines = out.splitlines()
+    assert lines[0].split() == ["stage", "VmHWM_MB", "VmRSS_MB"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == [
+        "start", "read_table", "default_grid", "fixed_point_solve",
+        "density_interpolator", "corrected_curve_stderr", "write_csv",
+        "write_csv", "_write_manifest"]
+    peaks = [float(row[1]) for row in rows]
+    assert peaks == sorted(peaks)
+    assert all(float(rss) <= float(hwm) for _, hwm, rss in rows)
+    assert (tmp_path / "out" / "curve.csv").is_file()
+    assert (tmp_path / "out" / "manifest.json").is_file()

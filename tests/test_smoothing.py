@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from genevar import smoothing
+from genevar import model, smoothing
 from genevar.estimators import two_stage_curve
 from genevar.model import (
     C_K,
@@ -252,9 +252,9 @@ class TestBinnedDensity:
         config = config_for([0.0], h=h)
         nodes = np.linspace(pooled.min() - h, pooled.max() + h,
                             smoothing._DENSITY_NODES)
-        monkeypatch.setattr(smoothing, "_BIN_ROWS", pooled.size)
+        monkeypatch.setattr(model, "CHUNK_ROWS", pooled.size)
         whole = density_interpolator(pooled, config)(nodes)
-        monkeypatch.setattr(smoothing, "_BIN_ROWS", chunk)
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)
         assert np.array_equal(density_interpolator(pooled, config)(nodes), whole)
 
     def test_non_finite_sample_rejected(self):
@@ -385,9 +385,9 @@ class TestBinned:
         array = generate_set(SimDesign(n_genes=2000, seed=5), 0).arrays[0]
         data = ScatterData(array.x.ravel(), array.y.ravel())
         config = config_for(np.linspace(6.0, 16.0, 101), h=0.5)
-        monkeypatch.setattr(smoothing, "_BIN_ROWS", data.x.size)
+        monkeypatch.setattr(model, "CHUNK_ROWS", data.x.size)
         whole = fit_curve(data, config)
-        monkeypatch.setattr(smoothing, "_BIN_ROWS", chunk)
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)
         curve = fit_curve(data, config)
         assert np.array_equal(curve.values, whole.values, equal_nan=True)
         assert np.array_equal(curve.flags, whole.flags)
